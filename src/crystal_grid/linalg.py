@@ -165,24 +165,8 @@ def vstack(mats) -> Mat:
     return Mat(sum(m.nrows for m in mats), ncols, sum((m.rows for m in mats), ()))
 
 
-def add(field, a: Mat, b: Mat) -> Mat:
-    _same_shape(a, b)
-    return Mat(a.nrows, a.ncols, tuple(
-        tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)))
-
-
-def sub(field, a: Mat, b: Mat) -> Mat:
-    _same_shape(a, b)
-    return Mat(a.nrows, a.ncols, tuple(
-        tuple(field.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)))
-
-
 def neg(field, a: Mat) -> Mat:
     return Mat(a.nrows, a.ncols, tuple(tuple(field.neg(x) for x in r) for r in a.rows))
-
-
-def scale(field, c, a: Mat) -> Mat:
-    return Mat(a.nrows, a.ncols, tuple(tuple(field.mul(c, x) for x in r) for r in a.rows))
 
 
 def mul(field, a: Mat, b: Mat) -> Mat:
@@ -210,11 +194,6 @@ def mul(field, a: Mat, b: Mat) -> Mat:
 
 def is_zero(a: Mat) -> bool:
     return all(all(x == 0 for x in r) for r in a.rows)
-
-
-def _same_shape(a, b):
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch")
 
 
 def rref(field, a: Mat):

@@ -413,84 +413,27 @@ def cbs_check(ms: dict) -> bool:
 
 def generic_decomposition(c: Component) -> dict:
     """Multiplicities of the interval summands of the general representation
-    in a component.
+    in a component, read off its generic rank profile by the certificate.
 
-    Every matching branch of the case analysis is evaluated; branches whose
-    conditions overlap must agree, and at least one branch always fires.
+    Generically each arrow out of vertex 1 has rank min(d_i, r1) and each
+    arrow into vertex 4 rank min(d_i, r2).  The image U of the source map
+    in V2 + V3 meets V2 in max(0, r1 - d3) dimensions; commutativity sends
+    those to zero in V4, so the composite 1 -> 4 has rank min(r1, d2) minus
+    that, capped by the sink rank.
     """
-    d1, d2, d3, d4 = c.dims
+    _, d2, d3, _ = c.dims
     r1, r2 = c.ranks
-    results = []
-    if d1 + d4 >= d2 + d3:
-        def low(extra):
-            results.append({1: d1 - r1, 4: d4 - r2, **extra})
-
-        if d1 <= d2 <= d3:
-            low({7: d2 - r1, 8: d3 - r1, 11: r1})
-        if d2 <= d1 <= d3 and r1 <= d2:
-            low({7: d2 - r1, 8: d3 - r1, 11: r1})
-        if d2 <= d1 <= d3 and d2 <= r1:
-            low({6: r1 - d2, 8: d3 - r1, 11: d2})
-        if d2 <= d3 <= d1 and r1 <= d2:
-            low({7: d2 - r1, 8: d3 - r1, 11: r1})
-        if d2 <= d3 <= d1 and d2 <= r1 <= d3:
-            low({6: r1 - d2, 8: d3 - r1, 11: d2})
-        if d2 <= d3 <= d1 and d3 <= r1:
-            low({6: r1 - d2, 5: r1 - d3, 11: r2})
-        if d1 <= d3 <= d2:
-            low({7: d2 - r1, 8: d3 - r1, 11: r1})
-        if d3 <= d1 <= d2 and r1 <= d3:
-            low({7: d2 - r1, 8: d3 - r1, 11: r1})
-        if d3 <= d1 <= d2 and d3 <= r1:
-            low({5: r1 - d3, 7: d2 - r1, 11: d3})
-        if d3 <= d2 <= d1 and r1 <= d3:
-            low({7: d2 - r1, 8: d3 - r1, 11: r1})
-        if d3 <= d2 <= d1 and d3 <= r1 <= d2:
-            low({5: r1 - d3, 7: d2 - r1, 11: d3})
-        if d3 <= d2 <= d1 and d2 <= r1:
-            low({5: r1 - d3, 6: r1 - d2, 11: r2})
-    else:
-        if d2 <= d3:
-            if d4 <= d1 <= d2 <= d3:
-                results.append({2: d2 - d1, 3: d3 - d1, 9: d1 - d4, 11: d4})
-            if d4 <= d2 <= d1 <= d3:
-                results.append({3: d3 - d1, 6: d1 - d2, 9: d2 - d4, 11: d4})
-            if d4 <= d2 <= d3 <= d1:
-                results.append({5: d1 - d3, 6: d1 - d2, 9: d2 + d3 - d1 - d4, 11: d4})
-            if d2 <= d4 <= d1 <= d3:
-                results.append({3: d2 + d3 - d1 - d4, 6: d1 - d2, 8: d4 - d2, 11: d2})
-            if d1 <= d4 <= d2 <= d3:
-                results.append({2: d2 - d4, 3: d3 - d4, 10: d4 - d1, 11: d1})
-            if d1 <= d2 <= d4 <= d3:
-                results.append({3: d3 - d4, 8: d4 - d2, 10: d2 - d1, 11: d1})
-            if d1 <= d2 <= d3 <= d4:
-                results.append({7: d4 - d3, 8: d4 - d2, 10: d2 + d3 - d1 - d4, 11: d1})
-            if d2 <= d1 <= d4 <= d3:
-                results.append({3: d2 + d3 - d1 - d4, 6: d1 - d2, 8: d4 - d2, 11: d2})
-        if d3 <= d2:
-            if d4 <= d1 <= d3 <= d2:
-                results.append({2: d2 - d1, 3: d3 - d1, 9: d1 - d4, 11: d4})
-            if d4 <= d3 <= d1 <= d2:
-                results.append({2: d2 - d1, 5: d1 - d3, 9: d3 - d4, 11: d4})
-            if d4 <= d3 <= d2 <= d1:
-                results.append({5: d1 - d3, 6: d1 - d2, 9: d2 + d3 - d1 - d4, 11: d4})
-            if d3 <= d4 <= d1 <= d2:
-                results.append({2: d2 + d3 - d1 - d4, 5: d1 - d3, 7: d4 - d3, 11: d3})
-            if d1 <= d4 <= d3 <= d2:
-                results.append({2: d2 - d4, 3: d3 - d4, 10: d4 - d1, 11: d1})
-            if d1 <= d3 <= d4 <= d2:
-                results.append({2: d2 - d4, 7: d4 - d3, 10: d3 - d1, 11: d1})
-            if d1 <= d3 <= d2 <= d4:
-                results.append({7: d4 - d3, 8: d4 - d2, 10: d2 + d3 - d1 - d4, 11: d1})
-            if d3 <= d1 <= d4 <= d2:
-                results.append({2: d2 + d3 - d1 - d4, 5: d1 - d3, 7: d4 - d3, 11: d3})
-    if not results:
-        raise AssertionError(f"no decomposition branch matched {c}")
-    normalized = [normalize_multiset(ms) for ms in results]
-    first = normalized[0]
-    if any(ms != first for ms in normalized[1:]):
-        raise AssertionError(f"overlapping decomposition branches disagree at {c}")
-    return first
+    profile = RankProfile(
+        dims=c.dims,
+        r12=min(d2, r1),
+        r13=min(d3, r1),
+        r24=min(d2, r2),
+        r34=min(d3, r2),
+        source_rank=r1,
+        sink_rank=r2,
+        diag_rank=min(min(r1, d2) - max(0, r1 - d3), r2),
+    )
+    return multiplicities_from_profile(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +492,27 @@ def profile_of_multiset(ms: dict) -> RankProfile:
 
 @lru_cache(maxsize=None)
 def _profile_solver():
+    """Inverse of the catalog's profile matrix, as int rows; the inverse is
+    derived over QQ and must be integral."""
     cols = _profile_columns()
     matrix = linalg.from_int_rows(QQ, [[cols[j][i] for j in range(11)] for i in range(11)])
-    return linalg.inverse(QQ, matrix)
+    inv = linalg.inverse(QQ, matrix)
+    if any(x.denominator != 1 for row in inv.rows for x in row):
+        raise AssertionError("the profile matrix of the catalog has a non-integral inverse")
+    return tuple(tuple(int(x) for x in row) for row in inv.rows)
 
 
 def multiplicities_from_profile(profile: RankProfile) -> dict:
     """Invert the profile into interval multiplicities; rejects profiles that
     are not a nonnegative integral combination of the catalog columns."""
-    inv = _profile_solver()
     vec = profile.as_vector()
-    sol = [sum(inv.entry(i, j) * vec[j] for j in range(11)) for i in range(11)]
+    sol = [sum(a * b for a, b in zip(row, vec)) for row in _profile_solver()]
     ms = {}
     for k, x in enumerate(sol, start=1):
-        if x != int(x) or x < 0:
+        if x < 0:
             raise InconsistentProfileError(f"profile {vec} is not a direct-sum certificate")
-        if int(x):
-            ms[k] = int(x)
+        if x:
+            ms[k] = x
     if profile_of_multiset(ms).as_vector() != tuple(vec):
         raise InconsistentProfileError(f"profile {vec} is not additive over the catalog")
     return ms

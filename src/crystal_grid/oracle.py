@@ -280,10 +280,3 @@ def corner_vertex(i: int):
 def certify_decomposition(rep: Representation) -> dict:
     """Interval multiplicities certified by the point's rank profile."""
     return modules22.multiplicities_from_profile(modules22.rank_profile(rep))
-
-
-def dual_sample(rep: Representation) -> Representation:
-    """Transpose the matrices and relabel vertices by the coordinate flip."""
-    from .reps import dual_representation
-
-    return dual_representation(rep)

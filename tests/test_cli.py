@@ -192,3 +192,27 @@ def test_grid_info(capsys):
     assert payload["cartan"] == [[2, -1, -1, 0], [-1, 2, 0, -1], [-1, 0, 2, -1], [0, -1, -1, 2]]
     code, _ = run(capsys, "grid-info", "--grid", "0,2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    ("verify axioms2x2 --bound -1", None),
+    ("verify oracle --max-dim -1", None),
+    ("oracle epsilon --component 1,1,1,2:1,1 --i 1 --samples 0", None),
+    ("oracle epsilon --component 1,1,1,2:1,1 --i 1 --prime 4", None),
+    ("verify oracle --samples 0", None),
+    ("binfty compare --wordA f1 --wordB f1 --length 3", None),
+    ("verify cbs", "abc"),
+])
+def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv("CRYSTAL_GRID_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CRYSTAL_GRID_SEED", env_seed)
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -107,6 +107,103 @@ def test_cbs_examples():
     assert ma.cbs_check({11: 3})
 
 
+def _table_decomposition(c: g22.Component) -> dict:
+    """Generic decomposition by the case table the library used before the
+    closed-form rank profile; kept as an independent reference.
+
+    Every matching branch of the case analysis is evaluated; branches whose
+    conditions overlap must agree, and at least one branch always fires.
+    """
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    results = []
+    if d1 + d4 >= d2 + d3:
+        def low(extra):
+            results.append({1: d1 - r1, 4: d4 - r2, **extra})
+
+        if d1 <= d2 <= d3:
+            low({7: d2 - r1, 8: d3 - r1, 11: r1})
+        if d2 <= d1 <= d3 and r1 <= d2:
+            low({7: d2 - r1, 8: d3 - r1, 11: r1})
+        if d2 <= d1 <= d3 and d2 <= r1:
+            low({6: r1 - d2, 8: d3 - r1, 11: d2})
+        if d2 <= d3 <= d1 and r1 <= d2:
+            low({7: d2 - r1, 8: d3 - r1, 11: r1})
+        if d2 <= d3 <= d1 and d2 <= r1 <= d3:
+            low({6: r1 - d2, 8: d3 - r1, 11: d2})
+        if d2 <= d3 <= d1 and d3 <= r1:
+            low({6: r1 - d2, 5: r1 - d3, 11: r2})
+        if d1 <= d3 <= d2:
+            low({7: d2 - r1, 8: d3 - r1, 11: r1})
+        if d3 <= d1 <= d2 and r1 <= d3:
+            low({7: d2 - r1, 8: d3 - r1, 11: r1})
+        if d3 <= d1 <= d2 and d3 <= r1:
+            low({5: r1 - d3, 7: d2 - r1, 11: d3})
+        if d3 <= d2 <= d1 and r1 <= d3:
+            low({7: d2 - r1, 8: d3 - r1, 11: r1})
+        if d3 <= d2 <= d1 and d3 <= r1 <= d2:
+            low({5: r1 - d3, 7: d2 - r1, 11: d3})
+        if d3 <= d2 <= d1 and d2 <= r1:
+            low({5: r1 - d3, 6: r1 - d2, 11: r2})
+    else:
+        if d2 <= d3:
+            if d4 <= d1 <= d2 <= d3:
+                results.append({2: d2 - d1, 3: d3 - d1, 9: d1 - d4, 11: d4})
+            if d4 <= d2 <= d1 <= d3:
+                results.append({3: d3 - d1, 6: d1 - d2, 9: d2 - d4, 11: d4})
+            if d4 <= d2 <= d3 <= d1:
+                results.append({5: d1 - d3, 6: d1 - d2, 9: d2 + d3 - d1 - d4, 11: d4})
+            if d2 <= d4 <= d1 <= d3:
+                results.append({3: d2 + d3 - d1 - d4, 6: d1 - d2, 8: d4 - d2, 11: d2})
+            if d1 <= d4 <= d2 <= d3:
+                results.append({2: d2 - d4, 3: d3 - d4, 10: d4 - d1, 11: d1})
+            if d1 <= d2 <= d4 <= d3:
+                results.append({3: d3 - d4, 8: d4 - d2, 10: d2 - d1, 11: d1})
+            if d1 <= d2 <= d3 <= d4:
+                results.append({7: d4 - d3, 8: d4 - d2, 10: d2 + d3 - d1 - d4, 11: d1})
+            if d2 <= d1 <= d4 <= d3:
+                results.append({3: d2 + d3 - d1 - d4, 6: d1 - d2, 8: d4 - d2, 11: d2})
+        if d3 <= d2:
+            if d4 <= d1 <= d3 <= d2:
+                results.append({2: d2 - d1, 3: d3 - d1, 9: d1 - d4, 11: d4})
+            if d4 <= d3 <= d1 <= d2:
+                results.append({2: d2 - d1, 5: d1 - d3, 9: d3 - d4, 11: d4})
+            if d4 <= d3 <= d2 <= d1:
+                results.append({5: d1 - d3, 6: d1 - d2, 9: d2 + d3 - d1 - d4, 11: d4})
+            if d3 <= d4 <= d1 <= d2:
+                results.append({2: d2 + d3 - d1 - d4, 5: d1 - d3, 7: d4 - d3, 11: d3})
+            if d1 <= d4 <= d3 <= d2:
+                results.append({2: d2 - d4, 3: d3 - d4, 10: d4 - d1, 11: d1})
+            if d1 <= d3 <= d4 <= d2:
+                results.append({2: d2 - d4, 7: d4 - d3, 10: d3 - d1, 11: d1})
+            if d1 <= d3 <= d2 <= d4:
+                results.append({7: d4 - d3, 8: d4 - d2, 10: d2 + d3 - d1 - d4, 11: d1})
+            if d3 <= d1 <= d4 <= d2:
+                results.append({2: d2 + d3 - d1 - d4, 5: d1 - d3, 7: d4 - d3, 11: d3})
+    if not results:
+        raise AssertionError(f"no decomposition branch matched {c}")
+    normalized = [ma.normalize_multiset(ms) for ms in results]
+    first = normalized[0]
+    if any(ms != first for ms in normalized[1:]):
+        raise AssertionError(f"overlapping decomposition branches disagree at {c}")
+    return first
+
+
+def test_generic_decomposition_matches_case_table():
+    checked = 0
+    for dims in itertools.product(range(8), repeat=4):
+        for c in g22.enumerate_components(dims):
+            assert ma.generic_decomposition(c) == _table_decomposition(c), c
+            checked += 1
+    assert checked == 8296
+
+
+def test_profile_inverse_is_integral():
+    inv = ma._profile_solver()
+    assert len(inv) == 11 and all(len(row) == 11 for row in inv)
+    assert all(type(x) is int and x in (-1, 0, 1) for row in inv for x in row)
+
+
 def test_generic_decomposition_examples():
     assert ma.generic_decomposition(g22.Component((1, 1, 1, 2), (1, 1))) == {4: 1, 11: 1}
     assert ma.generic_decomposition(g22.Component((2, 1, 1, 2), (1, 1))) == {1: 1, 4: 1, 11: 1}
