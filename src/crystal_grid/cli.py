@@ -38,6 +38,13 @@ def _nonnegative_int_arg(text: str) -> int:
     return value
 
 
+def _positive_int_arg(text: str) -> int:
+    value = _nonnegative_int_arg(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
 def _component_arg(text: str):
     try:
         return g22.parse_component(text)
@@ -68,13 +75,8 @@ def _pick_seed(args) -> int:
     return random.SystemRandom().randrange(2**31)
 
 
-def _emit(payload: dict, out_path=None) -> None:
-    text = json.dumps(payload, separators=(",", ":")) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def _config(args, **extra) -> dict:
@@ -104,8 +106,12 @@ def cmd_graph(args) -> int:
     else:
         text = cartan.export_json(graph)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--bound", type=_nonnegative_int_arg, default=8)
-    p.add_argument("--max-n", dest="max_n", type=_nonnegative_int_arg, default=5)
+    p.add_argument("--max-n", dest="max_n", type=_positive_int_arg, default=5)
     p.add_argument("--max-dim", dest="max_dim", type=_nonnegative_int_arg, default=4)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
@@ -326,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, cartan.TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,21 @@
 """Exact dense linear algebra over prime fields and the rationals.
 
-Everything here is plain Gaussian elimination on tiny matrices.  GF(p)
-elements are ints reduced into [0, p); rational entries are Fraction.
-Matrices carry explicit shapes so that 0xn and nx0 cases stay unambiguous.
+Everything here is plain Gaussian elimination on tiny matrices.  Entries
+are Python numbers combined with the native ``+ - *``: GF(p) elements are
+ints reduced into [0, p), rational entries are Fraction.  A field supplies
+only what native arithmetic cannot:
+
+- ``zero`` and ``one``;
+- ``from_int(n)``, the image of an integer;
+- ``reduce(x)``, the canonical form of a native sum or product
+  (``x % p`` on GF(p), the identity on QQ);
+- ``inv(x)`` for nonzero x;
+- ``rand(rng)``, a uniform element (GF(p) only).
+
+One elimination routine serves both fields: ``rank`` stops at an echelon
+form, ``rref`` (and with it ``nullspace``, ``solve`` and ``inverse``) also
+clears above the pivots.  Matrices carry explicit shapes so that 0xn and
+nx0 cases stay unambiguous.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic in GF(p)."""
+    """GF(p): elements are ints reduced into [0, p)."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -31,17 +44,8 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def reduce(self, x: int) -> int:
+        return x % self.p
 
     def inv(self, a):
         a %= self.p
@@ -63,7 +67,7 @@ class PrimeField:
 
 
 class RationalField:
-    """Arithmetic in the rationals, with Fraction entries."""
+    """The rationals, with Fraction entries."""
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -72,17 +76,8 @@ class RationalField:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, x):
+        return x
 
     def inv(self, a):
         if a == 0:
@@ -166,98 +161,70 @@ def vstack(mats) -> Mat:
 
 
 def neg(field, a: Mat) -> Mat:
-    return Mat(a.nrows, a.ncols, tuple(tuple(field.neg(x) for x in r) for r in a.rows))
+    red = field.reduce
+    return Mat(a.nrows, a.ncols, tuple(tuple(red(-x) for x in r) for r in a.rows))
 
 
 def mul(field, a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise ValueError(f"mul: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    if isinstance(field, PrimeField):
-        p = field.p
-        bt = list(zip(*b.rows)) if b.rows else [()] * b.ncols
-        rows = tuple(
-            tuple(sum(x * y for x, y in zip(ra, col)) % p for col in bt)
-            for ra in a.rows)
-        return Mat(a.nrows, b.ncols, rows)
+    red, zero = field.reduce, field.zero
     bt = list(zip(*b.rows)) if b.rows else [()] * b.ncols
-    rows = []
-    for ra in a.rows:
-        row = []
-        for col in bt:
-            acc = field.zero
-            for x, y in zip(ra, col):
-                acc = field.add(acc, field.mul(x, y))
-            row.append(acc)
-        rows.append(tuple(row))
-    return Mat(a.nrows, b.ncols, tuple(rows))
+    return Mat(a.nrows, b.ncols, tuple(
+        tuple(red(sum((x * y for x, y in zip(ra, col)), zero)) for col in bt)
+        for ra in a.rows))
 
 
 def is_zero(a: Mat) -> bool:
     return all(all(x == 0 for x in r) for r in a.rows)
 
 
-def rref(field, a: Mat):
-    """Reduced row echelon form; returns (Mat, pivot column indices)."""
+def _eliminate(field, a: Mat, reduced: bool):
+    """Gaussian elimination; returns (row lists, pivot column indices).
+
+    Each pivot row clears its column from the rows below it.  With
+    ``reduced`` it also clears the rows above and is scaled to a leading
+    one, giving the reduced row echelon form; without, the rows stop at an
+    echelon form, which is all a rank count needs.
+    """
+    red = field.reduce
     rows = [list(r) for r in a.rows]
-    m, n = a.nrows, a.ncols
+    m = a.nrows
     pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != field.zero), None)
+    for c in range(a.ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
         lead = rows[r]
-        for i in range(m):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], lead)]
+        inv = field.inv(lead[c])
+        for i in range(0 if reduced else r + 1, m):
+            f = rows[i][c]
+            if f and i != r:
+                f = red(f * inv)
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], lead)]
+        if reduced:
+            rows[r] = [red(inv * x) for x in lead]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return Mat(m, n, tuple(tuple(row) for row in rows)), tuple(pivots)
+    return rows, tuple(pivots)
+
+
+def rref(field, a: Mat):
+    """Reduced row echelon form; returns (Mat, pivot column indices)."""
+    rows, pivots = _eliminate(field, a, reduced=True)
+    return Mat(a.nrows, a.ncols, tuple(tuple(row) for row in rows)), pivots
 
 
 def rank(field, a: Mat) -> int:
-    if isinstance(field, PrimeField):
-        return _rank_mod(a.rows, field.p)
-    return len(rref(field, a)[1])
-
-
-def _rank_mod(rows, p):
-    """Forward elimination rank count over GF(p); rows is any iterable of rows."""
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0]) if work else 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if work[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r]
-        inv = pow(lead[c], p - 2, p)
-        for i in range(r + 1, m):
-            f = work[i][c]
-            if f % p:
-                f = (f * inv) % p
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], lead)]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_eliminate(field, a, reduced=False)[1])
 
 
 def nullspace(field, a: Mat):
     """Basis of the right kernel, as a tuple of length-ncols vectors."""
-    red, pivots = rref(field, a)
+    echelon, pivots = rref(field, a)
     pivot_set = set(pivots)
     free = [j for j in range(a.ncols) if j not in pivot_set]
     basis = []
@@ -265,7 +232,7 @@ def nullspace(field, a: Mat):
         v = [field.zero] * a.ncols
         v[f] = field.one
         for r, c in enumerate(pivots):
-            v[c] = field.neg(red.rows[r][f])
+            v[c] = field.reduce(-echelon.rows[r][f])
         basis.append(tuple(v))
     return tuple(basis)
 

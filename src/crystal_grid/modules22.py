@@ -144,12 +144,10 @@ def _hom_basis(x_rep: Representation, n_rep: Representation):
             for y in range(xd[si]):
                 row = [field.zero] * size
                 for b in range(xd[ti]):
-                    row[offsets[ti] + x * xd[ti] + b] = field.add(
-                        row[offsets[ti] + x * xd[ti] + b], fx.entry(b, y))
+                    row[offsets[ti] + x * xd[ti] + b] += fx.entry(b, y)
                 for a in range(nd[si]):
-                    row[offsets[si] + a * xd[si] + y] = field.sub(
-                        row[offsets[si] + a * xd[si] + y], fn.entry(x, a))
-                rows.append(row)
+                    row[offsets[si] + a * xd[si] + y] -= fn.entry(x, a)
+                rows.append([field.reduce(v) for v in row])
     system = linalg.mat(rows, ncols=size)
     return linalg.nullspace(field, system), size
 
@@ -334,11 +332,9 @@ def _compose_flat(field, phi_flat, n_dims, y_dims, x_dims, d_mats):
         dv = d_mats[v]
         for a in range(n_dims[v]):
             for b in range(x_dims[v]):
-                acc = field.zero
-                for m in range(y_dims[v]):
-                    acc = field.add(acc, field.mul(
-                        phi_flat[y_off[v] + a * y_dims[v] + m], dv.entry(m, b)))
-                out[x_off[v] + a * x_dims[v] + b] = acc
+                out[x_off[v] + a * x_dims[v] + b] = field.reduce(sum(
+                    (phi_flat[y_off[v] + a * y_dims[v] + m] * dv.entry(m, b)
+                     for m in range(y_dims[v])), field.zero))
     return tuple(out)
 
 

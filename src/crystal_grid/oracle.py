@@ -31,13 +31,15 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.prime < 101 or not linalg.is_prime(self.prime):
+        if self.prime < 101:
             raise ValueError("prime must be a prime >= 101")
         if self.count < 1:
             raise ValueError("sample count must be positive")
+        # Built once: PrimeField rejects a composite by trial division.
+        object.__setattr__(self, "_field", PrimeField(self.prime))
 
     def field(self) -> PrimeField:
-        return PrimeField(self.prime)
+        return self._field
 
     def rng(self, index: int) -> random.Random:
         # Split the base seed into an independent stream per sample.
@@ -178,7 +180,7 @@ def extension_point(rep: Representation, v, rng) -> Representation:
         kernel_vec = [field.zero] * matrix.ncols
         for b in basis:
             c = field.rand(rng)
-            kernel_vec = [field.add(x, field.mul(c, y)) for x, y in zip(kernel_vec, b)]
+            kernel_vec = [field.reduce(x + c * y) for x, y in zip(kernel_vec, b)]
     chunks = {}
     offset = 0
     for j in sources:

@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import pytest
 
@@ -202,6 +203,10 @@ def test_grid_info(capsys):
     ("verify oracle --samples 0", None),
     ("binfty compare --wordA f1 --wordB f1 --length 3", None),
     ("verify cbs", "abc"),
+    ("verify axiomsAn --max-n 0", None),
+    ("binfty compare --wordA '" + " ".join(["f4 f3 f2 f1"] * 4) + "' --wordB f2 --length 8",
+     None),
+    ("graph --bound 2 --out /nonexistent/x", None),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is None:
@@ -209,7 +214,7 @@ def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     else:
         monkeypatch.setenv("CRYSTAL_GRID_SEED", env_seed)
     try:
-        code = cli.main(argv.split())
+        code = cli.main(shlex.split(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()

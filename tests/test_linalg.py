@@ -19,9 +19,13 @@ def test_prime_field_rejects_composites():
 
 
 def test_prime_field_arithmetic():
-    assert F7.add(5, 4) == 2
-    assert F7.mul(3, 5) == 1
+    assert F7.reduce(5 + 4) == 2
+    assert F7.reduce(3 * 5) == 1
+    assert F7.reduce(-3) == 4
     assert F7.inv(3) == 5
+    assert F7.reduce(3 * F7.inv(3)) == F7.one
+    assert QQ.reduce(Fraction(-3, 2)) == Fraction(-3, 2)
+    assert QQ.inv(Fraction(-3, 2)) == Fraction(-2, 3)
     with pytest.raises(ZeroDivisionError):
         F7.inv(0)
 
@@ -86,20 +90,48 @@ def test_random_invertible_is_invertible():
         assert linalg.rank(F7, g) == n
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=2, max_size=4))
-def test_rank_equals_rank_of_transpose(rows):
-    a = linalg.from_int_rows(QQ, rows)
-    assert linalg.rank(QQ, a) == linalg.rank(QQ, linalg.transpose(a))
+FIELDS = st.sampled_from([F7, QQ])
+
+
+def int_matrices(min_rows=1, max_rows=4, min_cols=1, max_cols=4):
+    return st.integers(min_cols, max_cols).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=min_rows, max_size=max_rows))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2), min_size=2, max_size=2),
-       st.lists(st.integers(0, 6), min_size=2, max_size=2))
-def test_solve_returns_actual_solutions(rows, rhs):
-    a = linalg.from_int_rows(F7, rows)
-    b = tuple(F7.from_int(x) for x in rhs)
-    x = linalg.solve(F7, a, b)
+@given(FIELDS, int_matrices(min_rows=2, min_cols=3, max_cols=3))
+def test_rank_equals_rank_of_transpose(field, rows):
+    a = linalg.from_int_rows(field, rows)
+    assert linalg.rank(field, a) == linalg.rank(field, linalg.transpose(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS, int_matrices(min_rows=2, max_rows=2, min_cols=2, max_cols=2),
+       st.lists(st.integers(-4, 4), min_size=2, max_size=2))
+def test_solve_returns_actual_solutions(field, rows, rhs):
+    a = linalg.from_int_rows(field, rows)
+    b = tuple(field.from_int(x) for x in rhs)
+    x = linalg.solve(field, a, b)
     if x is not None:
-        image = linalg.mul(F7, a, Mat(2, 1, tuple((v,) for v in x)))
+        image = linalg.mul(field, a, Mat(2, 1, tuple((v,) for v in x)))
         assert tuple(r[0] for r in image.rows) == b
+
+
+@settings(max_examples=120, deadline=None)
+@given(FIELDS, int_matrices())
+def test_rank_rref_nullspace_inverse_agree(field, rows):
+    a = linalg.from_int_rows(field, rows)
+    r = linalg.rank(field, a)
+    assert r == len(linalg.rref(field, a)[1])
+    kernel = linalg.nullspace(field, a)
+    assert len(kernel) == a.ncols - r
+    for v in kernel:
+        assert linalg.is_zero(linalg.mul(field, a, Mat(a.ncols, 1, tuple((x,) for x in v))))
+    if a.nrows == a.ncols == r:
+        inv = linalg.inverse(field, a)
+        assert linalg.mul(field, a, inv) == linalg.identity(field, r)
+        assert linalg.mul(field, inv, a) == linalg.identity(field, r)
+    elif a.nrows == a.ncols:
+        with pytest.raises(ValueError):
+            linalg.inverse(field, a)
