@@ -68,28 +68,45 @@ def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
     return ZSequence(pattern, (0,) * pattern.length)
 
 
+def _sigmas(cartan: CartanMatrix, x: ZSequence, i) -> list:
+    """(k, sigma_k) for every position k of color i, largest k first.
+
+    One right-to-left pass: sigma_k is x_k plus the running tail, the sum of
+    a_{i, color(j)} * x_j over the positions j above k, so each call costs
+    O(L) however many positions carry color i.
+    """
+    colors = x.pattern.colors
+    row = cartan.entries[cartan.position(i)]
+    coeff = [row[cartan.position(c)] for c in colors]
+    n = len(colors)
+    out = []
+    tail = 0
+    k = len(x.values)
+    slot = (k - 1) % n
+    for xk in reversed(x.values):
+        if colors[slot] == i:
+            out.append((k, xk + tail))
+        if xk:
+            tail += coeff[slot] * xk
+        k -= 1
+        slot = (slot or n) - 1
+    return out
+
+
 def sigma(cartan: CartanMatrix, x: ZSequence, k: int) -> int:
     """x_k plus the pairing-weighted tail above position k."""
-    pat = x.pattern
-    ck = pat.color_at(k)
-    row = cartan.entries[cartan.position(ck)]
-    total = x.values[k - 1]
-    for j in range(k + 1, pat.length + 1):
-        xj = x.values[j - 1]
-        if xj:
-            total += row[cartan.position(pat.color_at(j))] * xj
-    return total
+    return dict(_sigmas(cartan, x, x.pattern.color_at(k)))[k]
 
 
 def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
-    return max(sigma(cartan, x, k)
-               for k in range(1, x.pattern.length + 1) if x.pattern.color_at(k) == i)
+    return max(s for _, s in _sigmas(cartan, x, i))
 
 
 def weight(cartan: CartanMatrix, x: ZSequence):
     coeffs = [0] * len(cartan.index_set)
-    for k in range(1, x.pattern.length + 1):
-        coeffs[cartan.position(x.pattern.color_at(k))] -= x.values[k - 1]
+    colors = x.pattern.colors
+    for slot, c in enumerate(colors):
+        coeffs[cartan.position(c)] -= sum(x.values[slot::len(colors)])
     return tuple(coeffs)
 
 
@@ -104,10 +121,9 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i, tie: str = "min")
     lowering and the largest for raising; the opposite convention is
     exposed only so tests can show it fails the crystal probes.
     """
-    positions = [k for k in range(1, x.pattern.length + 1) if x.pattern.color_at(k) == i]
-    sigmas = {k: sigma(cartan, x, k) for k in positions}
-    top = max(sigmas.values())
-    argmax = [k for k in positions if sigmas[k] == top]
+    sigmas = _sigmas(cartan, x, i)
+    top = max(s for _, s in sigmas)
+    argmax = [k for k, s in sigmas if s == top]
     if kind == "f":
         k = min(argmax) if tie == "min" else max(argmax)
         if k >= x.pattern.guard_start:
@@ -155,6 +171,9 @@ def words_distinct(word_a, word_b, cartan: CartanMatrix = None,
         if any(kind != "f" for kind, _ in word):
             raise ValueError("only lowering words can be compared")
     x0 = zero_sequence(pattern)
+    for color in x0.pattern.colors:
+        if color not in cartan.index_set:
+            raise ValueError(f"pattern color {color!r} is not a vertex of the Cartan matrix")
     xa = apply_word(cartan, x0, word_a)
     xb = apply_word(cartan, x0, word_b)
     return xa.values != xb.values, xa, xb

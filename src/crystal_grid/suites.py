@@ -61,6 +61,7 @@ def suite_star(bound: int = 8) -> dict:
         "bound": bound,
         "axiom_violations": len(report.violations),
         "iteration_mismatches": mismatches[:20],
+        "iteration_mismatch_count": len(mismatches),
         "ok": report.ok and not mismatches,
     }
 
@@ -96,6 +97,7 @@ def suite_duality(bound: int = 8) -> dict:
         "suite": "duality",
         "bound": bound,
         "conjugation_failures": bad[:20],
+        "conjugation_failure_count": len(bad),
         "morphism_violations": len(morphism.violations),
         "ok": not bad and morphism.ok,
     }
@@ -131,10 +133,12 @@ def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAUL
     every component with all coordinates at most max_dim."""
     failures = []
     checked = 0
+    retries = 0
     for c in _box_components(max_dim):
         cfg = SampleConfig(prime=prime, count=samples, seed=seed)
         minima, targets = _sampled_minima(c, cfg)
         if minima != targets:
+            retries += 1
             retry = SampleConfig(prime=prime, count=samples, seed=seed + 1)
             minima, targets = _sampled_minima(c, retry)
         if minima != targets:
@@ -148,6 +152,8 @@ def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAUL
         "seed": seed,
         "components": checked,
         "failures": failures[:20],
+        "failure_count": len(failures),
+        "retries": retries,
         "ok": not failures,
     }
 
@@ -163,6 +169,7 @@ def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int 
     """Certified decomposition of a sampled point against the generic one."""
     failures = []
     checked = 0
+    retries = 0
     for c in _box_components(max_dim):
         expected = modules22.generic_decomposition(c)
         profile = modules22.profile_of_multiset(expected)
@@ -170,6 +177,8 @@ def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int 
                       and (profile.source_rank, profile.sink_rank) == c.ranks)
         got = None
         for attempt in range(2):
+            if attempt:
+                retries += 1
             cfg = SampleConfig(prime=prime, count=1, seed=seed + attempt)
             rep = oracle.sample_component_point(c, cfg, 0)
             try:
@@ -188,6 +197,8 @@ def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int 
         "seed": seed,
         "components": checked,
         "failures": failures[:20],
+        "failure_count": len(failures),
+        "retries": retries,
         "ok": not failures,
     }
 
@@ -256,8 +267,10 @@ def suite_connectivity(bound: int = 8) -> dict:
         "bound": bound,
         "components": len(ids),
         "word_failures": word_failures[:20],
+        "word_failure_count": len(word_failures),
         "graph_connected": report.connected,
         "missing": list(report.missing[:20]),
+        "missing_count": len(report.missing),
         "ok": not word_failures and report.connected,
     }
 
@@ -283,6 +296,7 @@ def suite_seminormal(bound: int = 8) -> dict:
         "eps_prime": eps_prime,
         "bound": bound,
         "monotonicity_failures": bad[:20],
+        "monotonicity_failure_count": len(bad),
         "ok": ok,
     }
 

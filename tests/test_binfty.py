@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_grid import binfty, cartan, g22
 from crystal_grid.binfty import IotaPattern, ZSequence
@@ -8,6 +9,7 @@ from crystal_grid.cartan import CartanMatrix, TruncationError
 
 A22 = g22.CARTAN
 RANK1 = CartanMatrix((1,), ((2,),))
+B2 = CartanMatrix((1, 2), ((2, -1), (-2, 2)))   # not symmetric: rows and columns differ
 
 
 def seq(pattern, entries):
@@ -151,3 +153,115 @@ def test_ambient_axioms_on_reachable_set():
     report = cartan.check_crystal_axioms(frag)
     assert report.ok
     assert len(frag.elements) > 500
+
+
+@pytest.mark.deep
+def test_ambient_axioms_depth_8_length_80():
+    frag = binfty.fragment(8, pattern=IotaPattern((1, 2, 3, 4), 80))
+    report = cartan.check_crystal_axioms(frag)
+    assert report.ok
+    assert len(frag.elements) == 4645
+
+
+# Reference statistics: the O(L) per-position sigma loop that the library's
+# single right-to-left pass replaced, and everything built on it.
+
+def _naive_sigma(a, x, k):
+    pat = x.pattern
+    row = a.entries[a.position(pat.color_at(k))]
+    total = x.values[k - 1]
+    for j in range(k + 1, pat.length + 1):
+        xj = x.values[j - 1]
+        if xj:
+            total += row[a.position(pat.color_at(j))] * xj
+    return total
+
+
+def _naive_positions(x, i):
+    return [k for k in range(1, x.pattern.length + 1) if x.pattern.color_at(k) == i]
+
+
+def _naive_epsilon(a, x, i):
+    return max(_naive_sigma(a, x, k) for k in _naive_positions(x, i))
+
+
+def _naive_weight(a, x):
+    coeffs = [0] * len(a.index_set)
+    for k in range(1, x.pattern.length + 1):
+        coeffs[a.position(x.pattern.color_at(k))] -= x.values[k - 1]
+    return tuple(coeffs)
+
+
+def _naive_phi(a, x, i):
+    return _naive_epsilon(a, x, i) + cartan.pairing(a, i, _naive_weight(a, x))
+
+
+def _naive_apply_op(a, x, kind, i, tie):
+    positions = _naive_positions(x, i)
+    sigmas = {k: _naive_sigma(a, x, k) for k in positions}
+    top = max(sigmas.values())
+    argmax = [k for k in positions if sigmas[k] == top]
+    if kind == "f":
+        k = min(argmax) if tie == "min" else max(argmax)
+        if k >= x.pattern.guard_start:
+            raise TruncationError(f"position {k}")
+        delta = +1
+    else:
+        if top <= 0:
+            return None
+        k = max(argmax) if tie == "min" else min(argmax)
+        delta = -1
+    values = list(x.values)
+    values[k - 1] += delta
+    return ZSequence(x.pattern, tuple(values))
+
+
+def _outcome(op, *args):
+    # Off the image of B(infinity), raising can pick a zero entry; the
+    # sequence check then rejects the negative result on both sides.
+    try:
+        return op(*args)
+    except (TruncationError, ValueError) as exc:
+        return type(exc)
+
+
+ORACLE_CASES = [
+    (A22, (1, 2, 3, 4)),
+    (A22, (4, 3, 2, 1)),
+    (A22, (1, 2, 1, 3)),     # a repeated color that is not consecutive
+    (RANK1, (1,)),
+    (B2, (1, 2)),
+    (B2, (2, 1)),
+]
+
+
+@st.composite
+def sparse_sequences(draw):
+    a, colors = draw(st.sampled_from(ORACLE_CASES))
+    length = draw(st.integers(2 * len(colors), 80))
+    values = [0] * length
+    for _ in range(draw(st.integers(0, 8))):
+        values[draw(st.integers(0, length - 1))] += draw(st.integers(1, 3))
+    return a, ZSequence(IotaPattern(colors, length), tuple(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_sequences())
+def test_statistics_and_operators_match_the_naive_sigma(case):
+    a, x = case
+    assert binfty.weight(a, x) == _naive_weight(a, x)
+    for k in range(1, x.pattern.length + 1):
+        assert binfty.sigma(a, x, k) == _naive_sigma(a, x, k)
+    for i in sorted(set(x.pattern.colors)):
+        assert binfty.epsilon(a, x, i) == _naive_epsilon(a, x, i)
+        assert binfty.phi(a, x, i) == _naive_phi(a, x, i)
+        for kind in ("e", "f"):
+            for tie in ("min", "max"):
+                assert (_outcome(binfty.apply_op, a, x, kind, i, tie)
+                        == _outcome(_naive_apply_op, a, x, kind, i, tie))
+
+
+def test_pattern_color_outside_the_cartan_matrix_is_rejected():
+    with pytest.raises(ValueError, match="5"):
+        binfty.words_distinct(g22.parse_word("f5"), g22.parse_word("f1"),
+                              pattern=IotaPattern((1, 2, 3, 5), 40))

@@ -3,7 +3,7 @@ import shlex
 
 import pytest
 
-from crystal_grid import cartan, cli, g22
+from crystal_grid import cartan, cli, g22, oracle
 
 
 def run(capsys, *argv):
@@ -183,6 +183,38 @@ def test_verify_oracle_with_flags(capsys):
     assert code == 0 and payload["ok"] is True
 
 
+def test_failure_count_is_the_total_behind_the_capped_list(capsys, monkeypatch):
+    expected = sum(1 for c in g22.iter_components(4) for i in g22.COLORS
+                   if g22.apply_e(g22.dual(c), g22.VERTEX_INVOLUTION[i]) is not None)
+    monkeypatch.setattr(g22, "apply_e_star", lambda c, i: None)
+    code, payload = run_json(capsys, "verify", "duality", "--bound", "4")
+    assert code == 1
+    assert expected > 20
+    assert payload["conjugation_failure_count"] == expected
+    assert len(payload["conjugation_failures"]) == 20
+
+
+@pytest.mark.parametrize("suite, options", [
+    ("oracle", ["--samples", "1"]),
+    ("decomp", []),
+])
+def test_sampling_retries_are_reported(capsys, monkeypatch, suite, options):
+    argv = ["verify", suite, "--max-dim", "2", "--prime", "101", "--seed", "2", *options]
+    second_attempts = set()
+    sample = oracle.sample_component_point
+
+    def counting(c, cfg, index):
+        if cfg.seed == 3:
+            second_attempts.add(c)
+        return sample(c, cfg, index)
+
+    monkeypatch.setattr(oracle, "sample_component_point", counting)
+    code, first = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(first)["retries"] == len(second_attempts) == 3
+    assert run(capsys, *argv)[1] == first
+
+
 def test_grid_info(capsys):
     code, payload = run_json(capsys, "grid-info", "--grid", "3,2")
     assert code == 0
@@ -207,6 +239,7 @@ def test_grid_info(capsys):
     ("binfty compare --wordA '" + " ".join(["f4 f3 f2 f1"] * 4) + "' --wordB f2 --length 8",
      None),
     ("graph --bound 2 --out /nonexistent/x", None),
+    ("binfty compare --wordA f5 --wordB f1 --pattern 1,2,3,5", None),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is None:
