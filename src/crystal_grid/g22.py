@@ -127,15 +127,13 @@ def weight(c: Component):
     return tuple(-d for d in c.dims)
 
 
-def _bump(dims, i, delta):
-    return tuple(d + (delta if k == i - 1 else 0) for k, d in enumerate(dims))
-
-
-def _candidate(dims, ranks):
-    """The component named by (dims, ranks) if there is one, else None."""
-    if ranks_valid(dims, ranks):
-        return Component(dims, ranks)
-    return None
+def _moved(dims, i, delta, ranks):
+    """The component with d_i moved by delta and rank data ranks, or None
+    when that data names no component."""
+    try:
+        return Component(dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:], ranks)
+    except InvalidComponentError:
+        return None
 
 
 def apply_e(c: Component, i: int):
@@ -145,25 +143,25 @@ def apply_e(c: Component, i: int):
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if lhs <= rhs:
-            return _candidate(_bump(c.dims, 1, -1), (r1 - 1, r2))
+            return _moved(c.dims, 1, -1, (r1 - 1, r2))
         if d1 > r1:
-            return _candidate(_bump(c.dims, 1, -1), (r1, r2))
+            return _moved(c.dims, 1, -1, (r1, r2))
         return None
     if i == 2:
         if d2 <= r1:
             return None
         if lhs < rhs:
-            return _candidate(_bump(c.dims, 2, -1), (r1, r2))
-        return _candidate(_bump(c.dims, 2, -1), (r1, r2 - 1))
+            return _moved(c.dims, 2, -1, (r1, r2))
+        return _moved(c.dims, 2, -1, (r1, r2 - 1))
     if i == 3:
         if d3 <= r1:
             return None
         if lhs < rhs:
-            return _candidate(_bump(c.dims, 3, -1), (r1, r2))
-        return _candidate(_bump(c.dims, 3, -1), (r1, r2 - 1))
+            return _moved(c.dims, 3, -1, (r1, r2))
+        return _moved(c.dims, 3, -1, (r1, r2 - 1))
     if i == 4:
         if d4 > r2:
-            return _candidate(_bump(c.dims, 4, -1), (r1, r2))
+            return _moved(c.dims, 4, -1, (r1, r2))
         return None
     raise ValueError(f"color {i} out of range")
 
@@ -175,23 +173,23 @@ def apply_f(c: Component, i: int):
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if lhs < rhs:
-            return _candidate(_bump(c.dims, 1, +1), (r1 + 1, r2))
-        return _candidate(_bump(c.dims, 1, +1), (r1, r2))
+            return _moved(c.dims, 1, +1, (r1 + 1, r2))
+        return _moved(c.dims, 1, +1, (r1, r2))
     if i == 2:
         if d2 < r1:
             return None
         if lhs <= rhs:
-            return _candidate(_bump(c.dims, 2, +1), (r1, r2))
-        return _candidate(_bump(c.dims, 2, +1), (r1, r2 + 1))
+            return _moved(c.dims, 2, +1, (r1, r2))
+        return _moved(c.dims, 2, +1, (r1, r2 + 1))
     if i == 3:
         if d3 < r1:
             return None
         if lhs <= rhs:
-            return _candidate(_bump(c.dims, 3, +1), (r1, r2))
-        return _candidate(_bump(c.dims, 3, +1), (r1, r2 + 1))
+            return _moved(c.dims, 3, +1, (r1, r2))
+        return _moved(c.dims, 3, +1, (r1, r2 + 1))
     if i == 4:
         if lhs >= rhs:
-            return _candidate(_bump(c.dims, 4, +1), (r1, r2))
+            return _moved(c.dims, 4, +1, (r1, r2))
         return None
     raise ValueError(f"color {i} out of range")
 
@@ -203,25 +201,25 @@ def apply_e_star(c: Component, i: int):
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if d1 > r1:
-            return _candidate(_bump(c.dims, 1, -1), (r1, r2))
+            return _moved(c.dims, 1, -1, (r1, r2))
         return None
     if i == 2:
         if d2 <= r2:
             return None
         if lhs < rhs:
-            return _candidate(_bump(c.dims, 2, -1), (r1, r2))
-        return _candidate(_bump(c.dims, 2, -1), (r1 - 1, r2))
+            return _moved(c.dims, 2, -1, (r1, r2))
+        return _moved(c.dims, 2, -1, (r1 - 1, r2))
     if i == 3:
         if d3 <= r2:
             return None
         if lhs < rhs:
-            return _candidate(_bump(c.dims, 3, -1), (r1, r2))
-        return _candidate(_bump(c.dims, 3, -1), (r1 - 1, r2))
+            return _moved(c.dims, 3, -1, (r1, r2))
+        return _moved(c.dims, 3, -1, (r1 - 1, r2))
     if i == 4:
         if lhs <= rhs:
-            return _candidate(_bump(c.dims, 4, -1), (r1, r2 - 1))
+            return _moved(c.dims, 4, -1, (r1, r2 - 1))
         if d4 > r2:
-            return _candidate(_bump(c.dims, 4, -1), (r1, r2))
+            return _moved(c.dims, 4, -1, (r1, r2))
         return None
     raise ValueError(f"color {i} out of range")
 
@@ -233,24 +231,24 @@ def apply_f_star(c: Component, i: int):
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if lhs >= rhs:
-            return _candidate(_bump(c.dims, 1, +1), (r1, r2))
+            return _moved(c.dims, 1, +1, (r1, r2))
         return None
     if i == 2:
         if d2 < r2:
             return None
         if lhs <= rhs:
-            return _candidate(_bump(c.dims, 2, +1), (r1, r2))
-        return _candidate(_bump(c.dims, 2, +1), (r1 + 1, r2))
+            return _moved(c.dims, 2, +1, (r1, r2))
+        return _moved(c.dims, 2, +1, (r1 + 1, r2))
     if i == 3:
         if d3 < r2:
             return None
         if lhs <= rhs:
-            return _candidate(_bump(c.dims, 3, +1), (r1, r2))
-        return _candidate(_bump(c.dims, 3, +1), (r1 + 1, r2))
+            return _moved(c.dims, 3, +1, (r1, r2))
+        return _moved(c.dims, 3, +1, (r1 + 1, r2))
     if i == 4:
         if lhs < rhs:
-            return _candidate(_bump(c.dims, 4, +1), (r1, r2 + 1))
-        return _candidate(_bump(c.dims, 4, +1), (r1, r2))
+            return _moved(c.dims, 4, +1, (r1, r2 + 1))
+        return _moved(c.dims, 4, +1, (r1, r2))
     raise ValueError(f"color {i} out of range")
 
 

@@ -4,16 +4,18 @@ decompositions of components.
 
 The eleven indecomposables are the interval modules M1..M11, each with
 0/1 dimension vector and identity maps wherever both endpoints are
-nonzero.  Four of them (M4, M7, M8, M11) are projective; the remaining
-seven have the short projective resolutions materialized below, with
-differentials fixed by overlap inclusions and one sign forced by
-exactness.
+nonzero.  Four of them (M4, M7, M8, M11) are projective.  Every module's
+projective resolution is a list of stages P_0, P_1, ... (direct sums of
+the projectives) and a list of differentials d_n: P_n -> P_{n-1}, with
+d_0 the augmentation onto M_k; the differentials are overlap inclusions
+scaled by one scalar each, with one sign forced by exactness.  Ext is
+the cohomology of Hom(P_n, N) along that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import linalg
 from .g22 import Component, NUMBER_OF, QUIVER as G22_QUIVER
@@ -89,16 +91,16 @@ def multiset_dims(ms: dict):
 
 def multiset_rep(ms: dict, field=QQ) -> Representation:
     """Direct sum of the catalog modules with the given multiplicities."""
-    ms = normalize_multiset(ms)
-    total = None
-    for k, m in ms.items():
-        for _ in range(m):
-            piece = indecomposable(k, field)
-            total = piece if total is None else direct_sum(total, piece)
-    if total is None:
+    return _direct_sum_of([k for k, m in normalize_multiset(ms).items() for _ in range(m)], field)
+
+
+def _direct_sum_of(kinds, field) -> Representation:
+    """Direct sum of the catalog modules listed in kinds, in that order."""
+    pieces = [indecomposable(k, field) for k in kinds]
+    if not pieces:
         return g22_representation(field, (0, 0, 0, 0),
                                   *(linalg.zeros(field, 0, 0) for _ in range(4)))
-    return total
+    return reduce(direct_sum, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -176,27 +178,30 @@ def _hom_pair(i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class Resolution:
-    module: int
-    p0: tuple
-    p1: tuple
-    p2: tuple
-    aug: tuple      # scalar per p0 summand
-    d1: tuple       # rows over p0 summands, cols over p1 summands
-    d2: tuple       # rows over p1 summands, cols over p2 summands
+    """A projective resolution ... -> P_1 -> P_0 -> M_k -> 0 of a catalog module.
+
+    ``stages[n]`` lists the interval summands of P_n.  ``diffs[n]`` holds the
+    scalars of the map d_n: P_n -> P_{n-1}, rows over the summands of P_{n-1}
+    and columns over those of P_n, where P_{-1} = M_k; so ``diffs[0]`` is the
+    augmentation.
+    """
+
+    stages: tuple
+    diffs: tuple
 
 
 _RESOLUTIONS = {
-    1: Resolution(1, (11,), (7, 8), (4,), (1,), ((1, 1),), ((1,), (-1,))),
-    2: Resolution(2, (7,), (4,), (), (1,), ((1,),), ()),
-    3: Resolution(3, (8,), (4,), (), (1,), ((1,),), ()),
-    4: Resolution(4, (4,), (), (), (1,), (), ()),
-    5: Resolution(5, (11,), (8,), (), (1,), ((1,),), ()),
-    6: Resolution(6, (11,), (7,), (), (1,), ((1,),), ()),
-    7: Resolution(7, (7,), (), (), (1,), (), ()),
-    8: Resolution(8, (8,), (), (), (1,), (), ()),
-    9: Resolution(9, (11,), (4,), (), (1,), ((1,),), ()),
-    10: Resolution(10, (7, 8), (4,), (), (1, 1), ((1,), (-1,)), ()),
-    11: Resolution(11, (11,), (), (), (1,), (), ()),
+    1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (-1,)))),
+    2: Resolution(((7,), (4,)), (((1,),), ((1,),))),
+    3: Resolution(((8,), (4,)), (((1,),), ((1,),))),
+    4: Resolution(((4,),), (((1,),),)),
+    5: Resolution(((11,), (8,)), (((1,),), ((1,),))),
+    6: Resolution(((11,), (7,)), (((1,),), ((1,),))),
+    7: Resolution(((7,),), (((1,),),)),
+    8: Resolution(((8,),), (((1,),),)),
+    9: Resolution(((11,), (4,)), (((1,),), ((1,),))),
+    10: Resolution(((7, 8), (4,)), (((1, 1),), ((1,), (-1,)))),
+    11: Resolution(((11,),), (((1,),),)),
 }
 
 
@@ -219,33 +224,13 @@ def _overlap_hom_mats(field, src: int, dst: int, scalar: int):
 
 
 def _block_map(field, stage_from, stage_to, blocks):
-    """Vertexwise matrices of a block map between direct sums of intervals."""
-    mats = []
-    for v in range(4):
-        row_mats = []
-        for r, dst in enumerate(stage_to):
-            col_mats = []
-            for c, src in enumerate(stage_from):
-                scalar = blocks[r][c] if blocks else 0
-                col_mats.append(_overlap_hom_mats(field, src, dst, scalar)[v])
-            row_mats.append(linalg.hstack(col_mats) if col_mats else
-                            linalg.zeros(field, _lex_dims(dst)[v], 0))
-        if row_mats:
-            mats.append(linalg.vstack(row_mats))
-        else:
-            ncols = sum(_lex_dims(s)[v] for s in stage_from)
-            mats.append(linalg.zeros(field, 0, ncols))
-    return tuple(mats)
-
-
-def _stage_rep(stage, field) -> Representation:
-    total = None
-    for k in stage:
-        piece = indecomposable(k, field)
-        total = piece if total is None else direct_sum(total, piece)
-    if total is None:
-        return multiset_rep({}, field)
-    return total
+    """Vertexwise matrices of a block map between nonempty direct sums of
+    intervals: ``blocks[r][c]`` scales the overlap map from summand c of
+    stage_from to summand r of stage_to."""
+    grid = [[_overlap_hom_mats(field, src, dst, blocks[r][c]) for c, src in enumerate(stage_from)]
+            for r, dst in enumerate(stage_to)]
+    return tuple(linalg.vstack([linalg.hstack([m[v] for m in row]) for row in grid])
+                 for v in range(4))
 
 
 def _is_module_map(x_rep, n_rep, mats) -> bool:
@@ -261,64 +246,40 @@ def _is_module_map(x_rep, n_rep, mats) -> bool:
 
 
 def resolution_maps(k: int, field=QQ):
-    """Materialize the resolution of M_k: stage representations and maps.
+    """Materialize the resolution of M_k as ``(reps, maps)``.
 
-    Stages with repeated summands keep the tuple order.  Every map is
-    verified to be a module map; exactness is the caller's check.
+    ``reps[0]`` is M_k and ``reps[n + 1]`` is P_n, whose repeated summands
+    keep the tuple order; ``maps[n]`` holds the vertexwise matrices of d_n:
+    P_n -> P_{n-1}.  Every map is verified to be a module map; exactness is
+    the caller's check.
     """
     res = _RESOLUTIONS[k]
-    target = indecomposable(k, field)
-    p0 = _stage_rep(res.p0, field)
-    aug = _block_map(field, res.p0, (k,), (res.aug,))
-    if not _is_module_map(p0, target, aug):
-        raise AssertionError(f"augmentation of M{k} is not a module map")
-    out = {"target": target, "p0": p0, "aug": aug, "p1": None, "d1": None,
-           "p2": None, "d2": None}
-    if res.p1:
-        p1 = _stage_rep(res.p1, field)
-        d1 = _block_map(field, res.p1, res.p0, res.d1)
-        if not _is_module_map(p1, p0, d1):
-            raise AssertionError(f"first differential of M{k} is not a module map")
-        out["p1"], out["d1"] = p1, d1
-    if res.p2:
-        p2 = _stage_rep(res.p2, field)
-        d2 = _block_map(field, res.p2, res.p1, res.d2)
-        if not _is_module_map(p2, p1, d2):
-            raise AssertionError(f"second differential of M{k} is not a module map")
-        out["p2"], out["d2"] = p2, d2
-    return out
+    reps, maps = [indecomposable(k, field)], []
+    below = (k,)
+    for n, (stage, blocks) in enumerate(zip(res.stages, res.diffs, strict=True)):
+        rep = _direct_sum_of(stage, field)
+        d = _block_map(field, stage, below, blocks)
+        if not _is_module_map(rep, reps[-1], d):
+            raise AssertionError(f"d_{n} in the resolution of M{k} is not a module map")
+        reps.append(rep)
+        maps.append(d)
+        below = stage
+    return reps, maps
 
 
 def verify_resolution_exact(k: int, field=QQ) -> bool:
-    """Exactness of 0 -> P2 -> P1 -> P0 -> M_k -> 0, vertex by vertex."""
-    maps = resolution_maps(k, field)
-    target, p0, aug = maps["target"], maps["p0"], maps["aug"]
-    p1, d1, p2, d2 = maps["p1"], maps["d1"], maps["p2"], maps["d2"]
+    """Exactness of 0 -> P_N -> ... -> P_0 -> M_k -> 0, vertex by vertex:
+    d_0 is onto M_k, d_{n-1} d_n = 0, and dim P_n = rank d_n + rank d_{n+1}
+    (with d_{N+1} = 0)."""
+    reps, maps = resolution_maps(k, field)
     for v in range(4):
-        a0 = aug[v]
-        if linalg.rank(field, a0) != target.dims[v]:
+        ranks = [linalg.rank(field, d[v]) for d in maps] + [0]
+        if ranks[0] != reps[0].dims[v]:
             return False
-        ker0 = p0.dims[v] - linalg.rank(field, a0)
-        if p1 is None:
-            if ker0 != 0:
-                return False
-            continue
-        a1 = d1[v]
-        if not linalg.is_zero(linalg.mul(field, a0, a1)):
+        if any(not linalg.is_zero(linalg.mul(field, maps[n - 1][v], maps[n][v]))
+               for n in range(1, len(maps))):
             return False
-        r1 = linalg.rank(field, a1)
-        if r1 != ker0:
-            return False
-        ker1 = p1.dims[v] - r1
-        if p2 is None:
-            if ker1 != 0:
-                return False
-            continue
-        a2 = d2[v]
-        if not linalg.is_zero(linalg.mul(field, a1, a2)):
-            return False
-        r2 = linalg.rank(field, a2)
-        if r2 != ker1 or r2 != p2.dims[v]:
+        if any(reps[n + 1].dims[v] != ranks[n] + ranks[n + 1] for n in range(len(maps))):
             return False
     return True
 
@@ -339,28 +300,20 @@ def _compose_flat(field, phi_flat, n_dims, y_dims, x_dims, d_mats):
 
 
 def _ext_dims_against(k: int, n_rep: Representation):
-    """(ext1, ext2) of M_k against an explicit representation."""
+    """(dim Ext^0, ..., dim Ext^N) of M_k against n_rep: the cohomology of
+    0 -> Hom(P_0, N) -> ... -> Hom(P_N, N) -> 0."""
     field = n_rep.field
-    maps = resolution_maps(k, field)
-    p0, p1, p2 = maps["p0"], maps["p1"], maps["p2"]
-    if p1 is None:
-        return 0, 0
-    h0, _ = _hom_basis(p0, n_rep)
-    h1, _ = _hom_basis(p1, n_rep)
-    d1_images = [_compose_flat(field, v, n_rep.dims, p0.dims, p1.dims, maps["d1"])
-                 for v in h0]
-    rank_d1 = linalg.rank(field, linalg.mat(d1_images, ncols=_hom_layout(n_rep.dims, p1.dims)[1])) \
-        if d1_images else 0
-    if p2 is None:
-        ker = len(h1)
-        return ker - rank_d1, 0
-    h2_size = _hom_layout(n_rep.dims, p2.dims)[1]
-    d2_images = [_compose_flat(field, v, n_rep.dims, p1.dims, p2.dims, maps["d2"])
-                 for v in h1]
-    rank_d2 = linalg.rank(field, linalg.mat(d2_images, ncols=h2_size)) if d2_images else 0
-    ker = len(h1) - rank_d2
-    h2, _ = _hom_basis(p2, n_rep)
-    return ker - rank_d1, len(h2) - rank_d2
+    reps, maps = resolution_maps(k, field)
+    stages = reps[1:]
+    homs = [_hom_basis(p, n_rep) for p in stages]     # (basis, layout size) per P_n
+    ranks = [0]     # rank of Hom(d_n, N): Hom(P_{n-1}, N) -> Hom(P_n, N)
+    for n in range(1, len(stages)):
+        images = [_compose_flat(field, phi, n_rep.dims, stages[n - 1].dims, stages[n].dims,
+                                maps[n])
+                  for phi in homs[n - 1][0]]
+        ranks.append(linalg.rank(field, linalg.mat(images, ncols=homs[n][1])))
+    ranks.append(0)
+    return tuple(len(basis) - ranks[n] - ranks[n + 1] for n, (basis, _) in enumerate(homs))
 
 
 @lru_cache(maxsize=None)
@@ -368,30 +321,28 @@ def _ext_pair(i: int, j: int):
     return _ext_dims_against(i, indecomposable(j))
 
 
-def ext1_dim(m, n) -> int:
-    """dim Ext^1(m, n); m is a catalog index or multiset, n may also be a
-    Representation."""
-    if isinstance(n, Representation):
-        if isinstance(m, int):
-            return _ext_dims_against(m, n)[0]
-        return sum(mult * _ext_dims_against(i, n)[0]
-                   for i, mult in normalize_multiset(m).items())
-    n_ms = {n: 1} if isinstance(n, int) else normalize_multiset(n)
+def _ext_dim(degree: int, m, n) -> int:
+    """dim Ext^degree(m, n), additive over catalog indices and multisets."""
     m_ms = {m: 1} if isinstance(m, int) else normalize_multiset(m)
-    return sum(mi * nj * _ext_pair(i, j)[0]
+    n_ms = {n: 1} if isinstance(n, int) else normalize_multiset(n)
+    # Ext vanishes above the length of the resolution, where the slice is empty.
+    return sum(mi * nj * sum(_ext_pair(i, j)[degree:degree + 1])
                for i, mi in m_ms.items() for j, nj in n_ms.items())
 
 
+def ext1_dim(m, n) -> int:
+    """dim Ext^1(m, n) for catalog indices or multisets."""
+    return _ext_dim(1, m, n)
+
+
 def ext2_dim(m, n) -> int:
-    if isinstance(n, Representation):
-        return _ext_dims_against(m, n)[1]
-    n_ms = {n: 1} if isinstance(n, int) else normalize_multiset(n)
-    return sum(nj * _ext_pair(m, j)[1] for j, nj in n_ms.items())
+    """dim Ext^2(m, n) for catalog indices or multisets."""
+    return _ext_dim(2, m, n)
 
 
 def ext1_table() -> dict:
     """dim Ext^1(M_i, M_j) for all 121 ordered pairs."""
-    return {(i, j): _ext_pair(i, j)[0] for i in INTERVAL_DIMS for j in INTERVAL_DIMS}
+    return {(i, j): ext1_dim(i, j) for i in INTERVAL_DIMS for j in INTERVAL_DIMS}
 
 
 def cbs_check(ms: dict) -> bool:
@@ -399,8 +350,7 @@ def cbs_check(ms: dict) -> bool:
     types is a component exactly when every ordered pair of distinct types
     has no first extensions."""
     kinds = sorted(normalize_multiset(ms))
-    return all(_ext_pair(i, j)[0] == 0
-               for i in kinds for j in kinds if i != j)
+    return all(ext1_dim(i, j) == 0 for i in kinds for j in kinds if i != j)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from .oracle import SampleConfig
 
 
 def suite_axioms2x2(bound: int = 8) -> dict:
-    report = cartan.check_crystal_axioms(g22.fragment(bound))
+    plain = g22.fragment(bound)
+    report = cartan.check_crystal_axioms(plain)
     star = cartan.check_crystal_axioms(g22.fragment(bound, star=True))
     return {
         "suite": "axioms2x2",
         "bound": bound,
-        "elements": len(g22.fragment(bound).elements),
+        "elements": len(plain.elements),
         "plain_violations": len(report.violations),
         "star_violations": len(star.violations),
         "ok": report.ok and star.ok,

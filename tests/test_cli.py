@@ -167,6 +167,13 @@ def test_verify_axioms_small_bound(capsys):
     assert payload["plain_violations"] == 0 and payload["star_violations"] == 0
 
 
+@pytest.mark.deep
+def test_verify_axioms_bound_16(capsys):
+    code, payload = run_json(capsys, "verify", "axioms2x2", "--bound", "16")
+    assert code == 0 and payload["ok"] is True
+    assert payload["elements"] == 8121
+
+
 def test_verify_reports_config_seed(capsys):
     code, payload = run_json(capsys, "verify", "connectivity", "--bound", "5")
     assert code == 0

@@ -87,13 +87,45 @@ def test_ext_second_degree_only_from_longest_resolution():
     assert ma.ext2_dim(1, 4) == 1
 
 
+# Broken resolutions, each failing one clause of exactness: M1's last
+# differential with its sign flipped (so d_1 d_2 != 0), M1 without P_2, M10
+# without P_1, and M5 given the resolution of M2, whose augmentation misses
+# M5 at the source corner.
+_BROKEN_RESOLUTIONS = (
+    (1, ma.Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (1,))))),
+    (1, ma.Resolution(((11,), (7, 8)), (((1,),), ((1, 1),)))),
+    (10, ma.Resolution(((7, 8),), (((1, 1),),))),
+    (5, ma.resolution(2)),
+)
+
+
+@pytest.mark.parametrize("k, broken", _BROKEN_RESOLUTIONS)
+def test_broken_resolutions_are_not_exact(monkeypatch, k, broken):
+    monkeypatch.setitem(ma._RESOLUTIONS, k, broken)
+    assert not ma.verify_resolution_exact(k)
+
+
+# Ext^1(M_i, M_j) = 1 exactly at these pairs; Ext^2 only at (1, 4).
+_EXT1_PAIRS = {
+    (1, 2), (1, 3), (1, 9), (1, 10), (2, 4), (2, 8), (3, 4), (3, 7), (5, 3), (5, 8),
+    (5, 10), (6, 2), (6, 7), (6, 10), (9, 4), (9, 7), (9, 8), (9, 10), (10, 4),
+}
+
+
+def test_ext_tables_are_pinned():
+    pairs = list(itertools.product(range(1, 12), repeat=2))
+    assert ma.ext1_table() == {p: int(p in _EXT1_PAIRS) for p in pairs}
+    assert {p: ma.ext2_dim(*p) for p in pairs} == {p: int(p == (1, 4)) for p in pairs}
+    # Ext^0, the kernel at Hom(P_0, N), is Hom(M, N).
+    assert all(ma._ext_pair(i, j)[0] == ma.hom_dim(i, j) for i, j in pairs)
+
+
 def test_euler_characteristic_of_resolutions():
     for k in range(1, 12):
         res = ma.resolution(k)
         for j in range(1, 12):
-            alternating = sum(ma.hom_dim(p, j) for p in res.p0)
-            alternating -= sum(ma.hom_dim(p, j) for p in res.p1)
-            alternating += sum(ma.hom_dim(p, j) for p in res.p2)
+            alternating = sum((-1) ** n * sum(ma.hom_dim(p, j) for p in stage)
+                              for n, stage in enumerate(res.stages))
             assert alternating == ma.hom_dim(k, j) - ma.ext1_dim(k, j) + ma.ext2_dim(k, j)
 
 
