@@ -21,59 +21,61 @@ def chain_cartan(n: int) -> CartanMatrix:
     return cartan_from_quiver(q, labels=tuple(range(1, n + 1)))
 
 
-def _left(dims, i):
-    _check_color(dims, i)
-    return dims[i - 2] if i >= 2 else 0
-
-
-def _right(dims, i):
-    _check_color(dims, i)
-    return dims[i] if i < len(dims) else 0
-
-
-def _check_color(dims, i):
+def _neighbors(dims, i):
+    """(d_{i-1}, d_i, d_{i+1}) for a valid color i; out-of-range neighbors
+    count as 0."""
     if not 1 <= i <= len(dims):
         raise ValueError(f"color {i} out of range for a chain of length {len(dims)}")
+    left = dims[i - 2] if i >= 2 else 0
+    right = dims[i] if i < len(dims) else 0
+    return left, dims[i - 1], right
 
 
 def apply_e(dims, i):
-    if _left(dims, i) < dims[i - 1]:
-        return dims[:i - 1] + (dims[i - 1] - 1,) + dims[i:]
+    left, d, _ = _neighbors(dims, i)
+    if left < d:
+        return dims[:i - 1] + (d - 1,) + dims[i:]
     return None
 
 
 def apply_f(dims, i):
-    if _left(dims, i) <= dims[i - 1]:
-        return dims[:i - 1] + (dims[i - 1] + 1,) + dims[i:]
+    left, d, _ = _neighbors(dims, i)
+    if left <= d:
+        return dims[:i - 1] + (d + 1,) + dims[i:]
     return None
 
 
 def apply_e_star(dims, i):
-    if dims[i - 1] > _right(dims, i):
-        return dims[:i - 1] + (dims[i - 1] - 1,) + dims[i:]
+    _, d, right = _neighbors(dims, i)
+    if d > right:
+        return dims[:i - 1] + (d - 1,) + dims[i:]
     return None
 
 
 def apply_f_star(dims, i):
     # The defined branch reads "current >= next"; symmetry with the plain
     # family under the coordinate flip fixes the right-hand side.
-    if dims[i - 1] >= _right(dims, i):
-        return dims[:i - 1] + (dims[i - 1] + 1,) + dims[i:]
+    _, d, right = _neighbors(dims, i)
+    if d >= right:
+        return dims[:i - 1] + (d + 1,) + dims[i:]
     return None
 
 
 def epsilon(dims, i) -> int:
     """Generic cokernel dimension of the incoming map at vertex i."""
-    return max(0, dims[i - 1] - _left(dims, i))
+    left, d, _ = _neighbors(dims, i)
+    return max(0, d - left)
 
 
 def epsilon_star(dims, i) -> int:
     """Generic kernel dimension of the outgoing map at vertex i."""
-    return max(0, dims[i - 1] - _right(dims, i))
+    _, d, right = _neighbors(dims, i)
+    return max(0, d - right)
 
 
 def _pairing(dims, i) -> int:
-    return -2 * dims[i - 1] + _left(dims, i) + _right(dims, i)
+    left, d, right = _neighbors(dims, i)
+    return -2 * d + left + right
 
 
 def phi(dims, i) -> int:

@@ -114,18 +114,17 @@ def phi(cartan: CartanMatrix, x: ZSequence, i) -> int:
     return epsilon(cartan, x, i) + pairing(cartan, i, weight(cartan, x))
 
 
-def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i, tie: str = "min"):
+def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
     """Raising ("e") or lowering ("f") at color i; None encodes vanishing.
 
     Ties in the maximal sigma are broken toward the smallest position for
-    lowering and the largest for raising; the opposite convention is
-    exposed only so tests can show it fails the crystal probes.
+    lowering and the largest for raising.
     """
     sigmas = _sigmas(cartan, x, i)
     top = max(s for _, s in sigmas)
     argmax = [k for k, s in sigmas if s == top]
     if kind == "f":
-        k = min(argmax) if tie == "min" else max(argmax)
+        k = min(argmax)
         if k >= x.pattern.guard_start:
             raise TruncationError(
                 f"lowering reaches position {k} inside the guard band; enlarge the truncation")
@@ -133,7 +132,11 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i, tie: str = "min")
     if kind == "e":
         if top <= 0:
             return None
-        k = max(argmax) if tie == "min" else min(argmax)
+        k = max(argmax)
+        if not x.values[k - 1]:
+            raise ValueError(
+                f"raising at color {i} picks the zero entry at position {k}: "
+                "the sequence lies outside the image of B(infinity)")
         return _bump(x, k, -1)
     raise ValueError(f"operator kind {kind!r} must be 'e' or 'f'")
 
@@ -144,13 +147,13 @@ def _bump(x: ZSequence, k: int, delta: int) -> ZSequence:
     return ZSequence(x.pattern, tuple(vals))
 
 
-def apply_word(cartan: CartanMatrix, x: ZSequence, word, tie: str = "min"):
+def apply_word(cartan: CartanMatrix, x: ZSequence, word):
     """Apply an operator word right-to-left; None is absorbing."""
     current = x
     for kind, color in reversed(word):
         if current is None:
             return None
-        current = apply_op(cartan, current, kind, color, tie=tie)
+        current = apply_op(cartan, current, kind, color)
     return current
 
 

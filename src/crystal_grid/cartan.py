@@ -234,12 +234,12 @@ def build_crystal_graph(seeds, colors, apply_f, describe, bound) -> CrystalGraph
         dims, _ = describe(s)
         if sum(dims) > bound:
             raise ValueError(f"bound {bound} is below a seed of total dimension {sum(dims)}")
-    seen = {}
-    queue = deque(sorted(seeds, key=lambda b: _node_key(*describe(b))))
-    for s in queue:
-        seen[_node_id(*describe(s))] = s
+    seen = {_node_id(*describe(s)): s
+            for s in sorted(seeds, key=lambda b: _node_key(*describe(b)))}
+    queue = deque(seen.items())
+    edges = []
     while queue:
-        b = queue.popleft()
+        bid, b = queue.popleft()
         for i in colors:
             try:
                 t = apply_f(b, i)
@@ -251,9 +251,10 @@ def build_crystal_graph(seeds, colors, apply_f, describe, bound) -> CrystalGraph
             if sum(dims) > bound:
                 continue
             tid = _node_id(dims, ranks)
+            edges.append((bid, i, tid))
             if tid not in seen:
                 seen[tid] = t
-                queue.append(t)
+                queue.append((tid, t))
     items = sorted(seen.items(), key=lambda kv: _node_key(*describe(kv[1])))
     nodes = []
     order = {}
@@ -261,18 +262,6 @@ def build_crystal_graph(seeds, colors, apply_f, describe, bound) -> CrystalGraph
         dims, ranks = describe(elem)
         nodes.append(GraphNode(nid, dims, ranks, tuple(-d for d in dims)))
         order[nid] = pos
-    edges = []
-    for nid, elem in items:
-        for i in colors:
-            try:
-                t = apply_f(elem, i)
-            except TruncationError:
-                continue
-            if t is None:
-                continue
-            tid = _node_id(*describe(t))
-            if tid in seen:
-                edges.append((nid, i, tid))
     edges.sort(key=lambda e: (order[e[0]], e[1], order[e[2]]))
     return CrystalGraph(tuple(nodes), tuple(edges))
 

@@ -146,9 +146,6 @@ def cmd_an(args) -> int:
     state = args.start
     trace = [list(state)]
     for kind, color in reversed(args.apply):
-        if color > args.n:
-            print(f"error: color {color} out of range for n={args.n}", file=sys.stderr)
-            return 2
         state = ops[kind](state, color) if state is not None else None
         trace.append(list(state) if state is not None else None)
         if state is None:

@@ -9,6 +9,14 @@ decrement a coordinate of d, lowering operators increment it; each case
 formula below names candidate rank data, and the candidate is the answer
 exactly when it satisfies the component parametrization, otherwise the
 operator vanishes.
+
+Colors 2 and 3 share one branch in every case function: the reflection of
+the square that swaps vertices 2 and 3 fixes d1, d4, r1 and r2, so the two
+cases differ only in which of d2, d3 they read as d_i.  The exact raising
+counts differ from epsilon and epsilon* on one wall each:
+
+    epsilon'_i  = epsilon_i,   except epsilon'_1  = d1 - r1 when d4 != r2;
+    epsilon*'_i = epsilon*_i,  except epsilon*'_4 = d4 - r2 when d1 != r1.
 """
 
 from __future__ import annotations
@@ -136,6 +144,14 @@ def _moved(dims, i, delta, ranks):
         return None
 
 
+def _middle_dim(c: Component, i: int) -> int:
+    """d_i for the middle colors 2 and 3, which every case function reaches
+    only after handling colors 1 and 4; any other color is out of range."""
+    if i == 2 or i == 3:
+        return c.dims[i - 1]
+    raise ValueError(f"color {i} out of range")
+
+
 def apply_e(c: Component, i: int):
     """Raising operator: decrement d_i, with rank data per the case table."""
     d1, d2, d3, d4 = c.dims
@@ -147,23 +163,15 @@ def apply_e(c: Component, i: int):
         if d1 > r1:
             return _moved(c.dims, 1, -1, (r1, r2))
         return None
-    if i == 2:
-        if d2 <= r1:
-            return None
-        if lhs < rhs:
-            return _moved(c.dims, 2, -1, (r1, r2))
-        return _moved(c.dims, 2, -1, (r1, r2 - 1))
-    if i == 3:
-        if d3 <= r1:
-            return None
-        if lhs < rhs:
-            return _moved(c.dims, 3, -1, (r1, r2))
-        return _moved(c.dims, 3, -1, (r1, r2 - 1))
     if i == 4:
         if d4 > r2:
             return _moved(c.dims, 4, -1, (r1, r2))
         return None
-    raise ValueError(f"color {i} out of range")
+    if _middle_dim(c, i) <= r1:
+        return None
+    if lhs < rhs:
+        return _moved(c.dims, i, -1, (r1, r2))
+    return _moved(c.dims, i, -1, (r1, r2 - 1))
 
 
 def apply_f(c: Component, i: int):
@@ -175,23 +183,15 @@ def apply_f(c: Component, i: int):
         if lhs < rhs:
             return _moved(c.dims, 1, +1, (r1 + 1, r2))
         return _moved(c.dims, 1, +1, (r1, r2))
-    if i == 2:
-        if d2 < r1:
-            return None
-        if lhs <= rhs:
-            return _moved(c.dims, 2, +1, (r1, r2))
-        return _moved(c.dims, 2, +1, (r1, r2 + 1))
-    if i == 3:
-        if d3 < r1:
-            return None
-        if lhs <= rhs:
-            return _moved(c.dims, 3, +1, (r1, r2))
-        return _moved(c.dims, 3, +1, (r1, r2 + 1))
     if i == 4:
         if lhs >= rhs:
             return _moved(c.dims, 4, +1, (r1, r2))
         return None
-    raise ValueError(f"color {i} out of range")
+    if _middle_dim(c, i) < r1:
+        return None
+    if lhs <= rhs:
+        return _moved(c.dims, i, +1, (r1, r2))
+    return _moved(c.dims, i, +1, (r1, r2 + 1))
 
 
 def apply_e_star(c: Component, i: int):
@@ -203,25 +203,17 @@ def apply_e_star(c: Component, i: int):
         if d1 > r1:
             return _moved(c.dims, 1, -1, (r1, r2))
         return None
-    if i == 2:
-        if d2 <= r2:
-            return None
-        if lhs < rhs:
-            return _moved(c.dims, 2, -1, (r1, r2))
-        return _moved(c.dims, 2, -1, (r1 - 1, r2))
-    if i == 3:
-        if d3 <= r2:
-            return None
-        if lhs < rhs:
-            return _moved(c.dims, 3, -1, (r1, r2))
-        return _moved(c.dims, 3, -1, (r1 - 1, r2))
     if i == 4:
         if lhs <= rhs:
             return _moved(c.dims, 4, -1, (r1, r2 - 1))
         if d4 > r2:
             return _moved(c.dims, 4, -1, (r1, r2))
         return None
-    raise ValueError(f"color {i} out of range")
+    if _middle_dim(c, i) <= r2:
+        return None
+    if lhs < rhs:
+        return _moved(c.dims, i, -1, (r1, r2))
+    return _moved(c.dims, i, -1, (r1 - 1, r2))
 
 
 def apply_f_star(c: Component, i: int):
@@ -233,37 +225,25 @@ def apply_f_star(c: Component, i: int):
         if lhs >= rhs:
             return _moved(c.dims, 1, +1, (r1, r2))
         return None
-    if i == 2:
-        if d2 < r2:
-            return None
-        if lhs <= rhs:
-            return _moved(c.dims, 2, +1, (r1, r2))
-        return _moved(c.dims, 2, +1, (r1 + 1, r2))
-    if i == 3:
-        if d3 < r2:
-            return None
-        if lhs <= rhs:
-            return _moved(c.dims, 3, +1, (r1, r2))
-        return _moved(c.dims, 3, +1, (r1 + 1, r2))
     if i == 4:
         if lhs < rhs:
             return _moved(c.dims, 4, +1, (r1, r2 + 1))
         return _moved(c.dims, 4, +1, (r1, r2))
-    raise ValueError(f"color {i} out of range")
+    if _middle_dim(c, i) < r2:
+        return None
+    if lhs <= rhs:
+        return _moved(c.dims, i, +1, (r1, r2))
+    return _moved(c.dims, i, +1, (r1 + 1, r2))
 
 
 def epsilon(c: Component, i: int) -> int:
-    d1, d2, d3, d4 = c.dims
+    d1, _, _, d4 = c.dims
     r1, r2 = c.ranks
     if i == 1:
         return d1
-    if i == 2:
-        return max(0, d2 - r1)
-    if i == 3:
-        return max(0, d3 - r1)
     if i == 4:
         return d4 - r2
-    raise ValueError(f"color {i} out of range")
+    return max(0, _middle_dim(c, i) - r1)
 
 
 def phi(c: Component, i: int) -> int:
@@ -271,17 +251,13 @@ def phi(c: Component, i: int) -> int:
 
 
 def epsilon_star(c: Component, i: int) -> int:
-    d1, d2, d3, d4 = c.dims
+    d1, _, _, d4 = c.dims
     r1, r2 = c.ranks
     if i == 1:
         return d1 - r1
-    if i == 2:
-        return max(0, d2 - r2)
-    if i == 3:
-        return max(0, d3 - r2)
     if i == 4:
         return d4
-    raise ValueError(f"color {i} out of range")
+    return max(0, _middle_dim(c, i) - r2)
 
 
 def phi_star(c: Component, i: int) -> int:
@@ -290,17 +266,11 @@ def phi_star(c: Component, i: int) -> int:
 
 def epsilon_prime(c: Component, i: int) -> int:
     """Exact number of times the raising operator applies."""
-    d1, d2, d3, d4 = c.dims
+    d1, _, _, d4 = c.dims
     r1, r2 = c.ranks
-    if i == 1:
-        return d1 if d4 == r2 else d1 - r1
-    if i == 2:
-        return max(0, d2 - r1)
-    if i == 3:
-        return max(0, d3 - r1)
-    if i == 4:
-        return d4 - r2
-    raise ValueError(f"color {i} out of range")
+    if i == 1 and d4 != r2:
+        return d1 - r1
+    return epsilon(c, i)
 
 
 def phi_prime(c: Component, i: int):
@@ -314,32 +284,20 @@ def phi_prime(c: Component, i: int):
     r1, r2 = c.ranks
     if i == 1:
         return INFINITY
-    if i == 2:
-        if d2 < r1:
-            return 0
-        return INFINITY if r1 == d1 else d4 - r2
-    if i == 3:
-        if d3 < r1:
-            return 0
-        return INFINITY if r1 == d1 else d4 - r2
     if i == 4:
         return INFINITY if d1 + d4 >= d2 + d3 else 0
-    raise ValueError(f"color {i} out of range")
+    if _middle_dim(c, i) < r1:
+        return 0
+    return INFINITY if r1 == d1 else d4 - r2
 
 
 def epsilon_star_prime(c: Component, i: int) -> int:
     """Exact number of times the star raising operator applies."""
-    d1, d2, d3, d4 = c.dims
+    d1, _, _, d4 = c.dims
     r1, r2 = c.ranks
-    if i == 1:
-        return d1 - r1
-    if i == 2:
-        return max(0, d2 - r2)
-    if i == 3:
-        return max(0, d3 - r2)
-    if i == 4:
-        return d4 if d1 == r1 else d4 - r2
-    raise ValueError(f"color {i} out of range")
+    if i == 4 and d1 != r1:
+        return d4 - r2
+    return epsilon_star(c, i)
 
 
 def phi_star_prime(c: Component, i: int):
@@ -348,37 +306,11 @@ def phi_star_prime(c: Component, i: int):
     r1, r2 = c.ranks
     if i == 1:
         return INFINITY if d1 + d4 >= d2 + d3 else 0
-    if i == 2:
-        if d2 < r2:
-            return 0
-        return INFINITY if r2 == d4 else d1 - r1
-    if i == 3:
-        if d3 < r2:
-            return 0
-        return INFINITY if r2 == d4 else d1 - r1
     if i == 4:
         return INFINITY
-    raise ValueError(f"color {i} out of range")
-
-
-_INVARIANTS = {
-    "eps": epsilon,
-    "phi": phi,
-    "eps_prime": epsilon_prime,
-    "phi_prime": phi_prime,
-    "eps_star": epsilon_star,
-    "phi_star": phi_star,
-    "eps_star_prime": epsilon_star_prime,
-    "phi_star_prime": phi_star_prime,
-}
-
-
-def invariant(c: Component, i: int, kind: str):
-    try:
-        fn = _INVARIANTS[kind]
-    except KeyError:
-        raise ValueError(f"unknown invariant kind {kind!r}") from None
-    return fn(c, i)
+    if _middle_dim(c, i) < r2:
+        return 0
+    return INFINITY if r2 == d4 else d1 - r1
 
 
 def dual(c: Component) -> Component:

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_grid import an, cartan
@@ -109,3 +110,12 @@ def test_mutual_inversion_exhaustive():
             up = an.apply_e(dims, i)
             if up is not None:
                 assert an.apply_f(up, i) == dims
+
+
+@pytest.mark.parametrize("fn", [an.apply_e, an.apply_f, an.apply_e_star, an.apply_f_star,
+                                an.epsilon, an.epsilon_star, an.phi, an.phi_star],
+                         ids=lambda fn: fn.__name__)
+def test_out_of_range_color_raises(fn):
+    for color in (0, 4):
+        with pytest.raises(ValueError, match=f"color {color} out of range"):
+            fn((1, 0, 2), color)

@@ -96,7 +96,14 @@ def test_opposite_tie_break_fails_the_probes():
     # breaking ties toward the largest slot immediately escapes any
     # truncation: on the zero sequence every slot of the color is maximal
     with pytest.raises(TruncationError):
-        binfty.apply_op(A22, binfty.zero_sequence(), "f", 1, tie="max")
+        _naive_apply_op(A22, binfty.zero_sequence(), "f", 1, tie="max")
+
+
+def test_raising_outside_the_image_is_rejected():
+    # sigma_4 = 2 comes from the tail alone, so raising picks the empty slot 4
+    x = ZSequence(IotaPattern((1, 2, 3, 4), 8), (0, 0, 0, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError, match="outside the image of B"):
+        binfty.apply_op(A22, x, "e", 4)
 
 
 def test_truncation_guard_reports():
@@ -217,8 +224,8 @@ def _naive_apply_op(a, x, kind, i, tie):
 
 
 def _outcome(op, *args):
-    # Off the image of B(infinity), raising can pick a zero entry; the
-    # sequence check then rejects the negative result on both sides.
+    # Off the image of B(infinity), raising can pick a zero entry; both sides
+    # then raise ValueError, the naive one through the sequence check.
     try:
         return op(*args)
     except (TruncationError, ValueError) as exc:
@@ -256,9 +263,8 @@ def test_statistics_and_operators_match_the_naive_sigma(case):
         assert binfty.epsilon(a, x, i) == _naive_epsilon(a, x, i)
         assert binfty.phi(a, x, i) == _naive_phi(a, x, i)
         for kind in ("e", "f"):
-            for tie in ("min", "max"):
-                assert (_outcome(binfty.apply_op, a, x, kind, i, tie)
-                        == _outcome(_naive_apply_op, a, x, kind, i, tie))
+            assert (_outcome(binfty.apply_op, a, x, kind, i)
+                    == _outcome(_naive_apply_op, a, x, kind, i, "min"))
 
 
 def test_pattern_color_outside_the_cartan_matrix_is_rejected():

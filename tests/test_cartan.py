@@ -1,3 +1,5 @@
+from math import inf
+
 import pytest
 
 from crystal_grid import an, cartan, g22, grid
@@ -191,3 +193,64 @@ def test_morphism_collapse_fails_weight_clause():
     report = cartan.check_strict_morphism(frag, frag, lambda b: g22.ZERO_COMPONENT)
     assert not report.ok
     assert any(rule == 1 for rule, *_ in report.violations)
+
+
+# --- one fragment per checker clause -----------------------------------------
+# B(infinity) of sl2 on the naturals: wt(n) = -n alpha, epsilon(n) = n,
+# phi(n) = -n, e(n) = n - 1 (none at 0), f(n) = n + 1.  The fragment holds the
+# single element 1, whose neighbors 0 and 2 are reached only through the
+# operators, so a map changed at one point breaks exactly one clause.
+
+RANK1 = CartanMatrix((1,), ((2,),))
+_CLEAN = dict(
+    wt=lambda n: (-n,),
+    epsilon=lambda n, i: n,
+    phi=lambda n, i: -n,
+    apply_e=lambda n, i: n - 1 if n > 0 else None,
+    apply_f=lambda n, i: n + 1,
+)
+
+
+def _b_infinity(**maps):
+    return CrystalFragment(cartan=RANK1, elements=(1,), **{**_CLEAN, **maps})
+
+
+def _at(name, point, value):
+    """The clean map `name`, changed to return value at one point."""
+    base = _CLEAN[name]
+    return lambda n, *i: value if n == point else base(n, *i)
+
+
+def test_clause_fragments_clean_control():
+    frag = _b_infinity()
+    assert cartan.check_crystal_axioms(frag).ok
+    assert cartan.check_strict_morphism(frag, frag, lambda b: b).ok
+
+
+@pytest.mark.parametrize("maps, rule, message", [
+    ({"phi": lambda n, i: 1 - n}, 1, "phi=0 but eps+pairing=-1"),
+    ({"wt": _at("wt", 0, (-5,))}, 2, "weight of raised element is not wt+alpha_i"),
+    ({"epsilon": _at("epsilon", 0, 5)}, 2, "epsilon 5 != 1 - 1 after raising"),
+    ({"phi": _at("phi", 0, 5)}, 2, "phi 5 != -1 + 1 after raising"),
+    ({"wt": _at("wt", 2, (-5,))}, 3, "weight of lowered element is not wt-alpha_i"),
+    ({"epsilon": _at("epsilon", 2, 5)}, 3, "epsilon 5 != 1 + 1 after lowering"),
+    ({"phi": _at("phi", 2, 5)}, 3, "phi 5 != -1 - 1 after lowering"),
+    ({"apply_f": _at("apply_f", 0, 7)}, 4, "lowering does not invert raising"),
+    ({"apply_e": _at("apply_e", 2, 7)}, 4, "raising does not invert lowering"),
+    ({"phi": lambda n, i: -inf}, 5, "operators defined although phi is -infinity"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_axiom_check_flags_exactly_the_broken_clause(maps, rule, message):
+    report = cartan.check_crystal_axioms(_b_infinity(**maps))
+    assert report.violations == ((rule, 1, 1, message),)
+
+
+@pytest.mark.parametrize("maps, violation", [
+    ({"wt": _at("wt", 1, (-5,))}, (1, 1, None, "weight not preserved")),
+    ({"epsilon": _at("epsilon", 1, 5)}, (1, 1, 1, "epsilon not preserved")),
+    ({"phi": _at("phi", 1, 5)}, (1, 1, 1, "phi not preserved")),
+    ({"apply_e": _at("apply_e", 1, 7)}, (2, 1, 1, "raising does not commute with the map")),
+    ({"apply_f": _at("apply_f", 1, 7)}, (3, 1, 1, "lowering does not commute with the map")),
+], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
+def test_morphism_check_flags_exactly_the_broken_clause(maps, violation):
+    report = cartan.check_strict_morphism(_b_infinity(), _b_infinity(**maps), lambda b: b)
+    assert report.violations == (violation,)

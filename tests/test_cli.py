@@ -247,6 +247,7 @@ def test_grid_info(capsys):
      None),
     ("graph --bound 2 --out /nonexistent/x", None),
     ("binfty compare --wordA f5 --wordB f1 --pattern 1,2,3,5", None),
+    ("an --n 2 --start 1,0 --apply 'f*3'", None),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is None:

@@ -4,6 +4,7 @@ from math import inf
 import pytest
 
 from crystal_grid import g22
+from crystal_grid.cartan import pairing
 from crystal_grid.g22 import Component, ZERO_COMPONENT, InvalidComponentError
 
 
@@ -154,8 +155,6 @@ def test_epsilon_star_values():
 
 
 def test_phi_is_epsilon_plus_pairing():
-    from crystal_grid.cartan import pairing
-
     for c in g22.iter_components(5):
         for i in g22.COLORS:
             assert g22.phi(c, i) == g22.epsilon(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
@@ -163,12 +162,274 @@ def test_phi_is_epsilon_plus_pairing():
                 g22.CARTAN, i, g22.weight(c))
 
 
-def test_invariant_dispatcher():
+# --- the retired case tables ----------------------------------------------------
+# The operators and statistics as one case per color, before colors 2 and 3
+# were folded into one branch and the prime counts into their closed forms.
+
+
+def _moved(dims, i, delta, ranks):
+    try:
+        return C(dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:], ranks)
+    except InvalidComponentError:
+        return None
+
+
+def _table_apply_e(c: Component, i: int):
+    """Raising operator: decrement d_i, with rank data per the case table."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    lhs, rhs = d1 + d4, d2 + d3
+    if i == 1:
+        if lhs <= rhs:
+            return _moved(c.dims, 1, -1, (r1 - 1, r2))
+        if d1 > r1:
+            return _moved(c.dims, 1, -1, (r1, r2))
+        return None
+    if i == 2:
+        if d2 <= r1:
+            return None
+        if lhs < rhs:
+            return _moved(c.dims, 2, -1, (r1, r2))
+        return _moved(c.dims, 2, -1, (r1, r2 - 1))
+    if i == 3:
+        if d3 <= r1:
+            return None
+        if lhs < rhs:
+            return _moved(c.dims, 3, -1, (r1, r2))
+        return _moved(c.dims, 3, -1, (r1, r2 - 1))
+    if i == 4:
+        if d4 > r2:
+            return _moved(c.dims, 4, -1, (r1, r2))
+        return None
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_apply_f(c: Component, i: int):
+    """Lowering operator: increment d_i, with rank data per the case table."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    lhs, rhs = d1 + d4, d2 + d3
+    if i == 1:
+        if lhs < rhs:
+            return _moved(c.dims, 1, +1, (r1 + 1, r2))
+        return _moved(c.dims, 1, +1, (r1, r2))
+    if i == 2:
+        if d2 < r1:
+            return None
+        if lhs <= rhs:
+            return _moved(c.dims, 2, +1, (r1, r2))
+        return _moved(c.dims, 2, +1, (r1, r2 + 1))
+    if i == 3:
+        if d3 < r1:
+            return None
+        if lhs <= rhs:
+            return _moved(c.dims, 3, +1, (r1, r2))
+        return _moved(c.dims, 3, +1, (r1, r2 + 1))
+    if i == 4:
+        if lhs >= rhs:
+            return _moved(c.dims, 4, +1, (r1, r2))
+        return None
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_apply_e_star(c: Component, i: int):
+    """Star raising operator (quotient-side structure)."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    lhs, rhs = d1 + d4, d2 + d3
+    if i == 1:
+        if d1 > r1:
+            return _moved(c.dims, 1, -1, (r1, r2))
+        return None
+    if i == 2:
+        if d2 <= r2:
+            return None
+        if lhs < rhs:
+            return _moved(c.dims, 2, -1, (r1, r2))
+        return _moved(c.dims, 2, -1, (r1 - 1, r2))
+    if i == 3:
+        if d3 <= r2:
+            return None
+        if lhs < rhs:
+            return _moved(c.dims, 3, -1, (r1, r2))
+        return _moved(c.dims, 3, -1, (r1 - 1, r2))
+    if i == 4:
+        if lhs <= rhs:
+            return _moved(c.dims, 4, -1, (r1, r2 - 1))
+        if d4 > r2:
+            return _moved(c.dims, 4, -1, (r1, r2))
+        return None
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_apply_f_star(c: Component, i: int):
+    """Star lowering operator (quotient-side structure)."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    lhs, rhs = d1 + d4, d2 + d3
+    if i == 1:
+        if lhs >= rhs:
+            return _moved(c.dims, 1, +1, (r1, r2))
+        return None
+    if i == 2:
+        if d2 < r2:
+            return None
+        if lhs <= rhs:
+            return _moved(c.dims, 2, +1, (r1, r2))
+        return _moved(c.dims, 2, +1, (r1 + 1, r2))
+    if i == 3:
+        if d3 < r2:
+            return None
+        if lhs <= rhs:
+            return _moved(c.dims, 3, +1, (r1, r2))
+        return _moved(c.dims, 3, +1, (r1 + 1, r2))
+    if i == 4:
+        if lhs < rhs:
+            return _moved(c.dims, 4, +1, (r1, r2 + 1))
+        return _moved(c.dims, 4, +1, (r1, r2))
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_epsilon(c: Component, i: int) -> int:
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    if i == 1:
+        return d1
+    if i == 2:
+        return max(0, d2 - r1)
+    if i == 3:
+        return max(0, d3 - r1)
+    if i == 4:
+        return d4 - r2
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_epsilon_star(c: Component, i: int) -> int:
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    if i == 1:
+        return d1 - r1
+    if i == 2:
+        return max(0, d2 - r2)
+    if i == 3:
+        return max(0, d3 - r2)
+    if i == 4:
+        return d4
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_epsilon_prime(c: Component, i: int) -> int:
+    """Exact number of times the raising operator applies."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    if i == 1:
+        return d1 if d4 == r2 else d1 - r1
+    if i == 2:
+        return max(0, d2 - r1)
+    if i == 3:
+        return max(0, d3 - r1)
+    if i == 4:
+        return d4 - r2
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_phi_prime(c: Component, i: int):
+    """Exact number of times the lowering operator applies (may be infinite).
+
+    For colors 2 and 3 the count is unbounded only when r1 = d1; otherwise
+    the lowering chain absorbs into the sink rank and stops after d4 - r2
+    steps.
+    """
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    if i == 1:
+        return inf
+    if i == 2:
+        if d2 < r1:
+            return 0
+        return inf if r1 == d1 else d4 - r2
+    if i == 3:
+        if d3 < r1:
+            return 0
+        return inf if r1 == d1 else d4 - r2
+    if i == 4:
+        return inf if d1 + d4 >= d2 + d3 else 0
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_epsilon_star_prime(c: Component, i: int) -> int:
+    """Exact number of times the star raising operator applies."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    if i == 1:
+        return d1 - r1
+    if i == 2:
+        return max(0, d2 - r2)
+    if i == 3:
+        return max(0, d3 - r2)
+    if i == 4:
+        return d4 if d1 == r1 else d4 - r2
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_phi_star_prime(c: Component, i: int):
+    """Exact number of times the star lowering operator applies (may be infinite)."""
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    if i == 1:
+        return inf if d1 + d4 >= d2 + d3 else 0
+    if i == 2:
+        if d2 < r2:
+            return 0
+        return inf if r2 == d4 else d1 - r1
+    if i == 3:
+        if d3 < r2:
+            return 0
+        return inf if r2 == d4 else d1 - r1
+    if i == 4:
+        return inf
+    raise ValueError(f"color {i} out of range")
+
+
+def _table_phi(c, i):
+    return _table_epsilon(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
+
+
+def _table_phi_star(c, i):
+    return _table_epsilon_star(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
+
+
+_TABLES = {
+    g22.apply_e: _table_apply_e,
+    g22.apply_f: _table_apply_f,
+    g22.apply_e_star: _table_apply_e_star,
+    g22.apply_f_star: _table_apply_f_star,
+    g22.epsilon: _table_epsilon,
+    g22.phi: _table_phi,
+    g22.epsilon_star: _table_epsilon_star,
+    g22.phi_star: _table_phi_star,
+    g22.epsilon_prime: _table_epsilon_prime,
+    g22.phi_prime: _table_phi_prime,
+    g22.epsilon_star_prime: _table_epsilon_star_prime,
+    g22.phi_star_prime: _table_phi_star_prime,
+}
+
+
+def test_operators_and_statistics_match_the_case_tables():
+    comps = list(g22.iter_components(10))
+    assert len(comps) == 1379
+    for fn, table in _TABLES.items():
+        for c in comps:
+            for i in g22.COLORS:
+                assert fn(c, i) == table(c, i), (fn.__name__, c, i)
+
+
+def test_out_of_range_color_raises():
     c = C((1, 1, 1, 2), (1, 1))
-    assert g22.invariant(c, 1, "eps") == 1
-    assert g22.invariant(c, 1, "eps_prime") == 0
-    with pytest.raises(ValueError):
-        g22.invariant(c, 1, "nope")
+    for fn in _TABLES:
+        for color in (0, 5):
+            with pytest.raises(ValueError, match=f"color {color} "):
+                fn(c, color)
 
 
 # --- iteration agreement -------------------------------------------------------

@@ -1,0 +1,126 @@
+"""Mutation smoke: each curated mutant must make its named test file fail.
+
+A mutant replaces one exact text, which must occur exactly once, in one file
+of a temporary copy of the repository (``src/``, ``tests/`` and
+``pyproject.toml``); then only the named test file runs in that copy.  The
+mutant is killed when the test file fails.  Before any mutant runs, every
+named test file must pass on the unmutated copy.
+
+Run from anywhere (about half a minute):
+
+    python3 tools/mutants.py
+
+It prints one line per mutant and exits 0 when every mutant is killed, 1 when
+any survives and 2 when a test file fails on the unmutated copy.  Its
+self-test is ``python3 -m pytest -q tools/test_mutants.py``.
+
+The list holds no equivalent mutants: every component has r1 <= d1 and
+r2 <= d4, so for instance ``d4 != r2`` -> ``d4 > r2`` changes nothing.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    test: str
+
+
+CARTAN = "src/crystal_grid/cartan.py"
+G22 = "src/crystal_grid/g22.py"
+BINFTY = "src/crystal_grid/binfty.py"
+
+MUTANTS = (
+    Mutant("axiom 4: lowering inverts raising", CARTAN,
+           "if frag.apply_f(up, i) != b:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4: raising inverts lowering", CARTAN,
+           "if frag.apply_e(down, i) != b:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 5: no operator where phi = -inf", CARTAN,
+           "if phi == NEG_INFINITY and (up is not None or down is not None):", "if False:",
+           "tests/test_cartan.py"),
+    Mutant("axiom 3: phi after lowering", CARTAN,
+           "if frag.phi(down, i) != phi - 1:", "if False:", "tests/test_cartan.py"),
+    Mutant("morphism: phi preserved", CARTAN,
+           "if dom.phi(b, i) != cod.phi(image, i):", "if False:", "tests/test_cartan.py"),
+    Mutant("morphism: lowering commutes", CARTAN,
+           "if cod.apply_f(image, i) != rho(down):", "if False:", "tests/test_cartan.py"),
+    Mutant("g22 e at colors 2/3: vanishing guard", G22,
+           "if _middle_dim(c, i) <= r1:", "if _middle_dim(c, i) < r1:", "tests/test_g22.py"),
+    Mutant("g22 f* at colors 2/3: source rank grows", G22,
+           "return _moved(c.dims, i, +1, (r1 + 1, r2))",
+           "return _moved(c.dims, i, +1, (r1, r2 + 1))", "tests/test_g22.py"),
+    Mutant("g22 epsilon' at color 1: sink wall", G22,
+           "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
+    Mutant("g22 epsilon*' at color 4: source wall", G22,
+           "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
+    Mutant("binfty raising: tie toward the smallest position", BINFTY,
+           "k = max(argmax)", "k = min(argmax)", "tests/test_binfty.py"),
+)
+
+
+def apply_mutant(mutant: Mutant, root: Path) -> None:
+    target = root / mutant.path
+    text = target.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs {count} times in {mutant.path}")
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def tests_pass(root: Path, test: str) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode == 0
+
+
+def _copy(source: Path, dest: Path) -> None:
+    dest.mkdir()
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in COPIED:
+        path = source / name
+        if path.is_dir():
+            shutil.copytree(path, dest / name, ignore=ignore)
+        elif path.exists():
+            shutil.copy2(path, dest / name)
+
+
+def run(mutants=MUTANTS, root: Path = ROOT, out=sys.stdout) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy(root, base)
+        for test in sorted({m.test for m in mutants}):
+            if not tests_pass(base, test):
+                print(f"error: {test} fails without any mutant", file=out)
+                return 2
+        survived = 0
+        for n, mutant in enumerate(mutants):
+            work = Path(tmp) / f"mutant{n}"
+            _copy(base, work)
+            apply_mutant(mutant, work)
+            killed = not tests_pass(work, mutant.test)
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name} ({mutant.test})", file=out)
+            shutil.rmtree(work)
+        print(f"{len(mutants) - survived} of {len(mutants)} mutants killed", file=out)
+        return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
