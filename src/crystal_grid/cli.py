@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Every command prints a single JSON report whose "config" header holds the
-full effective configuration, including the seed, so any run can be
-reproduced byte for byte.  Exit codes: 0 clean, 1 a mathematical check
-failed, 2 usage error.
+full effective configuration, including the seed of every command that
+samples, so any run can be reproduced byte for byte.  Exit codes: 0 clean,
+1 a mathematical check failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -137,6 +137,9 @@ def cmd_an(args) -> int:
     if len(args.start) != args.n:
         print("error: start vector length differs from --n", file=sys.stderr)
         return 2
+    if any(not 1 <= color <= args.n for _, color in args.apply):
+        print(f"error: word uses a color outside 1..{args.n}", file=sys.stderr)
+        return 2
     ops = {
         "e": an.apply_e,
         "f": an.apply_f,
@@ -191,13 +194,14 @@ def cmd_g22_decomp(args) -> int:
 def cmd_oracle_epsilon(args) -> int:
     seed = _pick_seed(args)
     cfg = SampleConfig(prime=args.prime, count=args.samples, seed=seed)
-    value = oracle.estimate_component_invariant(args.component, args.i, args.kind, cfg)
+    # Floor 0, not the closed form, so the estimate stays independent of g22.
+    minima, drawn = oracle.sampled_minima(args.component, cfg, {(args.kind, args.i): 0})
     payload = {
         "config": _config(args, component=g22.format_component(args.component),
                           i=args.i, kind=args.kind, samples=args.samples,
                           prime=args.prime, seed=seed),
-        "value": value,
-        "samples": args.samples,
+        "value": minima[args.kind, args.i],
+        "samples": drawn,
         "seed": seed,
     }
     _emit(payload)
@@ -237,9 +241,7 @@ def cmd_verify(args) -> int:
     if args.suite == "decomp":
         kwargs.update(max_dim=args.max_dim, prime=args.prime, seed=seed)
     report = suite(**kwargs)
-    header = dict(kwargs)
-    header.setdefault("seed", seed)
-    payload = {"config": _config(args, suite=args.suite, **header)}
+    payload = {"config": _config(args, suite=args.suite, **kwargs)}
     payload.update(report)
     _emit(payload)
     return 0 if report["ok"] else 1

@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 from . import linalg
 from .g22 import Component, NUMBER_OF, QUIVER as G22_QUIVER
 from .linalg import QQ, Mat
-from .reps import Representation, direct_sum, g22_blocks, g22_dims, g22_representation
+from .reps import Representation, direct_sum, g22_blocks, g22_dims, g22_representation, rank_pair
 
 INTERVAL_DIMS = {
     1: (1, 0, 0, 0),
@@ -299,11 +299,10 @@ def _compose_flat(field, phi_flat, n_dims, y_dims, x_dims, d_mats):
     return tuple(out)
 
 
-def _ext_dims_against(k: int, n_rep: Representation):
-    """(dim Ext^0, ..., dim Ext^N) of M_k against n_rep: the cohomology of
-    0 -> Hom(P_0, N) -> ... -> Hom(P_N, N) -> 0."""
+def _ext_dims_against(reps, maps, n_rep: Representation):
+    """(dim Ext^0, ..., dim Ext^N) of M_k against n_rep, from M_k's resolution
+    (reps, maps): the cohomology of 0 -> Hom(P_0, N) -> ... -> Hom(P_N, N) -> 0."""
     field = n_rep.field
-    reps, maps = resolution_maps(k, field)
     stages = reps[1:]
     homs = [_hom_basis(p, n_rep) for p in stages]     # (basis, layout size) per P_n
     ranks = [0]     # rank of Hom(d_n, N): Hom(P_{n-1}, N) -> Hom(P_n, N)
@@ -317,8 +316,10 @@ def _ext_dims_against(k: int, n_rep: Representation):
 
 
 @lru_cache(maxsize=None)
-def _ext_pair(i: int, j: int):
-    return _ext_dims_against(i, indecomposable(j))
+def _ext_row(i: int) -> tuple:
+    """Ext dimensions of M_i against M_1, ..., M_11, from one build of M_i's resolution."""
+    reps, maps = resolution_maps(i)
+    return tuple(_ext_dims_against(reps, maps, indecomposable(j)) for j in sorted(INTERVAL_DIMS))
 
 
 def _ext_dim(degree: int, m, n) -> int:
@@ -326,7 +327,7 @@ def _ext_dim(degree: int, m, n) -> int:
     m_ms = {m: 1} if isinstance(m, int) else normalize_multiset(m)
     n_ms = {n: 1} if isinstance(n, int) else normalize_multiset(n)
     # Ext vanishes above the length of the resolution, where the slice is empty.
-    return sum(mi * nj * sum(_ext_pair(i, j)[degree:degree + 1])
+    return sum(mi * nj * sum(_ext_row(i)[j - 1][degree:degree + 1])
                for i, mi in m_ms.items() for j, nj in n_ms.items())
 
 
@@ -407,18 +408,16 @@ class RankProfile:
 def rank_profile(rep: Representation) -> RankProfile:
     field = rep.field
     f12, f13, f24, f34 = g22_blocks(rep)
-    source = linalg.vstack([f12, f13])
-    sink = linalg.hstack([f24, linalg.neg(field, f34)])
-    diag = linalg.mul(field, f24, f12)
+    source_rank, sink_rank = rank_pair(rep)
     return RankProfile(
         dims=g22_dims(rep),
         r12=linalg.rank(field, f12),
         r13=linalg.rank(field, f13),
         r24=linalg.rank(field, f24),
         r34=linalg.rank(field, f34),
-        source_rank=linalg.rank(field, source),
-        sink_rank=linalg.rank(field, sink),
-        diag_rank=linalg.rank(field, diag),
+        source_rank=source_rank,
+        sink_rank=sink_rank,
+        diag_rank=linalg.rank(field, linalg.mul(field, f24, f12)),
     )
 
 

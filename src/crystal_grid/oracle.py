@@ -7,7 +7,7 @@ three slots; the two stacked ranks of such a point equal the component's
 rank data exactly, not just generically.  Chain representations are
 sampled with unconstrained uniform matrices.  Everything runs over an
 exact prime field, so minima over samples are honest lower bounds for
-generic values.
+generic values; ``sampled_minima`` is the one routine that takes them.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 
 from . import linalg, modules22
-from .g22 import Component, NUMBER_OF as G22_NUMBER_OF
+from .g22 import Component, VERTEX_OF as G22_VERTEX_OF
 from .grid import build_grid, neighborhoods
 from .linalg import Mat, PrimeField
-from .reps import Representation, g22_blocks, g22_representation, make_representation
+from .reps import Representation, g22_representation, make_representation, rank_pair
 
 DEFAULT_PRIME = 32003
 
@@ -247,36 +247,34 @@ def restriction_point(rep: Representation, v, rng):
     return make_representation(q, field, dims, mats)
 
 
-def rank_pair(rep: Representation):
-    """The two stacked ranks (out of the source corner, into the sink corner)."""
-    field = rep.field
-    f12, f13, f24, f34 = g22_blocks(rep)
-    r1 = linalg.rank(field, linalg.vstack([f12, f13]))
-    r2 = linalg.rank(field, linalg.hstack([f24, linalg.neg(field, f34)]))
-    return (r1, r2)
+_STATISTICS = {"eps": epsilon_of_rep, "eps_star": epsilon_star_of_rep}
 
 
-def estimate_component_invariant(c: Component, i: int, kind: str, cfg: SampleConfig) -> int:
-    """Minimum of a per-point statistic over independent samples of a component."""
-    fn = {"eps": epsilon_of_rep, "eps_star": epsilon_star_of_rep}[kind]
-    vertex = corner_vertex(i)
-    best = None
+def sampled_minima(c: Component, cfg: SampleConfig, floors: dict):
+    """Minima of per-point statistics over independent samples of a component.
+
+    ``floors`` maps each (kind, corner) key, kind "eps" or "eps_star", to the
+    value that settles it; sampling stops once every minimum is at its floor,
+    or after cfg.count samples.  Returns (minima, samples drawn).
+    """
+    minima = {}
     for index in range(cfg.count):
         rep = sample_component_point(c, cfg, index)
-        value = fn(rep, vertex)
-        if best is None or value < best:
-            best = value
-            if best == 0:
-                break
-    return best
+        for key in floors:
+            kind, i = key
+            value = _STATISTICS[kind](rep, corner_vertex(i))
+            if key not in minima or value < minima[key]:
+                minima[key] = value
+        if minima == floors:
+            break
+    return minima, index + 1
 
 
 def corner_vertex(i: int):
     """Coordinate vertex of the 2x2 grid carrying corner number i."""
-    for v, k in G22_NUMBER_OF.items():
-        if k == i:
-            return v
-    raise ValueError(f"corner {i} out of range")
+    if i not in G22_VERTEX_OF:
+        raise ValueError(f"corner {i} out of range")
+    return G22_VERTEX_OF[i]
 
 
 def certify_decomposition(rep: Representation) -> dict:

@@ -124,6 +124,15 @@ def g22_blocks(rep: Representation):
             rep.mat_on(v[2], v[4]), rep.mat_on(v[3], v[4]))
 
 
+def rank_pair(rep: Representation):
+    """The two stacked ranks (out of the source corner, into the sink corner)."""
+    field = rep.field
+    f12, f13, f24, f34 = g22_blocks(rep)
+    r1 = linalg.rank(field, linalg.vstack([f12, f13]))
+    r2 = linalg.rank(field, linalg.hstack([f24, linalg.neg(field, f34)]))
+    return (r1, r2)
+
+
 def g22_dims(rep: Representation):
     v = G22_VERTEX_OF
     return tuple(rep.dim_at(v[k]) for k in (1, 2, 3, 4))

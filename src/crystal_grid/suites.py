@@ -6,6 +6,7 @@ maps that flag onto its exit code.
 
 from __future__ import annotations
 
+import itertools
 from math import inf
 
 from . import an, binfty, cartan, g22, modules22, oracle
@@ -104,51 +105,34 @@ def suite_duality(bound: int = 8) -> dict:
     }
 
 
-_CLOSED_FORMS = {"eps": g22.epsilon, "eps_star": g22.epsilon_star}
+def _sampling_suite(suite: str, max_dim: int, prime: int, seed: int, count: int, prepare,
+                    **header) -> dict:
+    """The loop shared by the sampling suites, over every component with all
+    coordinates at most max_dim.
 
-
-def _sampled_minima(c, cfg: SampleConfig):
-    """Minima of both per-point statistics at every corner over cfg.count
-    samples; stops early once every minimum reaches its closed form."""
-    targets = {(kind, i): _CLOSED_FORMS[kind](c, i)
-               for kind in ("eps", "eps_star") for i in g22.COLORS}
-    minima = {}
-    for index in range(cfg.count):
-        rep = oracle.sample_component_point(c, cfg, index)
-        for i in g22.COLORS:
-            v = oracle.corner_vertex(i)
-            for kind, fn in (("eps", oracle.epsilon_of_rep),
-                             ("eps_star", oracle.epsilon_star_of_rep)):
-                value = fn(rep, v)
-                key = (kind, i)
-                if key not in minima or value < minima[key]:
-                    minima[key] = value
-        if minima == targets:
-            break
-    return minima, targets
-
-
-def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAULT_PRIME,
-                 seed: int = 0) -> dict:
-    """Sampled minima of the two statistics against their closed forms, for
-    every component with all coordinates at most max_dim."""
+    ``prepare(c)`` returns ``(holds, matches)``: the verdict of the
+    sample-free clauses, and the sampled check as a function of a
+    SampleConfig.  A sampled check that misses is rerun once under
+    ``seed + 1`` and counted in ``retries``.
+    """
+    first = SampleConfig(prime=prime, count=count, seed=seed)
+    retry = SampleConfig(prime=prime, count=count, seed=seed + 1)
     failures = []
     checked = 0
     retries = 0
     for c in _box_components(max_dim):
-        cfg = SampleConfig(prime=prime, count=samples, seed=seed)
-        minima, targets = _sampled_minima(c, cfg)
-        if minima != targets:
+        holds, matches = prepare(c)
+        sampled = matches(first)
+        if not sampled:
             retries += 1
-            retry = SampleConfig(prime=prime, count=samples, seed=seed + 1)
-            minima, targets = _sampled_minima(c, retry)
-        if minima != targets:
+            sampled = matches(retry)
+        if not (holds and sampled):
             failures.append(g22.format_component(c))
         checked += 1
     return {
-        "suite": "oracle",
+        "suite": suite,
         "max_dim": max_dim,
-        "samples": samples,
+        **header,
         "prime": prime,
         "seed": seed,
         "components": checked,
@@ -160,48 +144,41 @@ def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAUL
 
 
 def _box_components(max_dim: int):
-    import itertools
-
     for dims in itertools.product(range(max_dim + 1), repeat=4):
         yield from g22.enumerate_components(dims)
 
 
+def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAULT_PRIME,
+                 seed: int = 0) -> dict:
+    """Sampled minima of the two statistics against their closed forms, which
+    are also the floors that stop the sampling early."""
+    def prepare(c):
+        floors = {(kind, i): closed_form(c, i)
+                  for kind, closed_form in (("eps", g22.epsilon), ("eps_star", g22.epsilon_star))
+                  for i in g22.COLORS}
+        return True, lambda cfg: oracle.sampled_minima(c, cfg, floors)[0] == floors
+
+    return _sampling_suite("oracle", max_dim, prime, seed, samples, prepare, samples=samples)
+
+
 def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int = 0) -> dict:
     """Certified decomposition of a sampled point against the generic one."""
-    failures = []
-    checked = 0
-    retries = 0
-    for c in _box_components(max_dim):
+    def prepare(c):
         expected = modules22.generic_decomposition(c)
         profile = modules22.profile_of_multiset(expected)
-        induced_ok = (modules22.multiset_dims(expected) == c.dims
-                      and (profile.source_rank, profile.sink_rank) == c.ranks)
-        got = None
-        for attempt in range(2):
-            if attempt:
-                retries += 1
-            cfg = SampleConfig(prime=prime, count=1, seed=seed + attempt)
+        holds = (modules22.multiset_dims(expected) == c.dims
+                 and (profile.source_rank, profile.sink_rank) == c.ranks
+                 and modules22.cbs_check(expected))
+
+        def matches(cfg):
             rep = oracle.sample_component_point(c, cfg, 0)
             try:
-                got = oracle.certify_decomposition(rep)
+                return oracle.certify_decomposition(rep) == expected
             except modules22.InconsistentProfileError:
-                got = None
-            if got == expected:
-                break
-        if got != expected or not induced_ok or not modules22.cbs_check(expected):
-            failures.append(g22.format_component(c))
-        checked += 1
-    return {
-        "suite": "decomp",
-        "max_dim": max_dim,
-        "prime": prime,
-        "seed": seed,
-        "components": checked,
-        "failures": failures[:20],
-        "failure_count": len(failures),
-        "retries": retries,
-        "ok": not failures,
-    }
+                return False
+        return holds, matches
+
+    return _sampling_suite("decomp", max_dim, prime, seed, 1, prepare)
 
 
 def suite_cbs() -> dict:

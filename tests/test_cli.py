@@ -95,6 +95,15 @@ def test_oracle_epsilon_report(capsys):
     assert payload["config"]["prime"] == 32003
 
 
+def test_oracle_epsilon_reports_the_samples_drawn(capsys):
+    code, payload = run_json(capsys, "oracle", "epsilon",
+                             "--component", "0,0,0,0:0,0", "--i", "2", "--seed", "7")
+    assert code == 0
+    assert payload["value"] == 0
+    assert payload["samples"] == 1
+    assert payload["config"]["samples"] == 50
+
+
 def test_oracle_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CRYSTAL_GRID_SEED", "123")
     code, payload = run_json(capsys, "oracle", "epsilon",
@@ -175,9 +184,13 @@ def test_verify_axioms_bound_16(capsys):
 
 
 def test_verify_reports_config_seed(capsys):
-    code, payload = run_json(capsys, "verify", "connectivity", "--bound", "5")
+    code, payload = run_json(capsys, "verify", "connectivity", "--bound", "5", "--seed", "3")
     assert code == 0
-    assert "seed" in payload["config"]
+    assert "seed" not in payload["config"]
+    code, payload = run_json(capsys, "verify", "oracle", "--max-dim", "1", "--samples", "5",
+                             "--seed", "3")
+    assert code == 0
+    assert payload["config"]["seed"] == payload["seed"] == 3
 
 
 def test_verify_oracle_with_flags(capsys):
@@ -248,6 +261,7 @@ def test_grid_info(capsys):
     ("graph --bound 2 --out /nonexistent/x", None),
     ("binfty compare --wordA f5 --wordB f1 --pattern 1,2,3,5", None),
     ("an --n 2 --start 1,0 --apply 'f*3'", None),
+    ("an --n 2 --start 0,0 --apply 'f3 e1'", None),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is None:

@@ -117,7 +117,7 @@ def test_ext_tables_are_pinned():
     assert ma.ext1_table() == {p: int(p in _EXT1_PAIRS) for p in pairs}
     assert {p: ma.ext2_dim(*p) for p in pairs} == {p: int(p == (1, 4)) for p in pairs}
     # Ext^0, the kernel at Hom(P_0, N), is Hom(M, N).
-    assert all(ma._ext_pair(i, j)[0] == ma.hom_dim(i, j) for i, j in pairs)
+    assert all(ma._ext_row(i)[j - 1][0] == ma.hom_dim(i, j) for i, j in pairs)
 
 
 def test_euler_characteristic_of_resolutions():

@@ -90,11 +90,31 @@ def test_extension_fiber_dimension():
 
 
 def test_estimates_match_closed_forms():
-    c = Component((1, 1, 1, 2), (1, 1))
-    assert oracle.estimate_component_invariant(c, 1, "eps", CFG) == 1
-    c = Component((2, 1, 1, 2), (1, 1))
-    assert oracle.estimate_component_invariant(c, 3, "eps", CFG) == 0
-    assert oracle.estimate_component_invariant(ZERO_COMPONENT, 2, "eps", CFG) == 0
+    def estimate(c, i):
+        minima, _ = oracle.sampled_minima(c, CFG, {("eps", i): 0})
+        return minima[("eps", i)]
+
+    assert estimate(Component((1, 1, 1, 2), (1, 1)), 1) == 1
+    assert estimate(Component((2, 1, 1, 2), (1, 1)), 3) == 0
+    assert estimate(ZERO_COMPONENT, 2) == 0
+
+
+def test_sampled_minima_take_the_minimum_over_every_draw():
+    # Over p = 101 a few of these points are degenerate, so the per-sample
+    # values vary; floors of -1 are never reached, so every draw is made.
+    c = Component((2, 1, 2, 1), (2, 1))
+    cfg = SampleConfig(prime=101, count=20, seed=0)
+    floors = {(kind, i): -1 for kind in ("eps", "eps_star") for i in g22.COLORS}
+    minima, drawn = oracle.sampled_minima(c, cfg, floors)
+    assert drawn == cfg.count
+    statistic = {"eps": oracle.epsilon_of_rep, "eps_star": oracle.epsilon_star_of_rep}
+    tally = {key: [] for key in floors}
+    for index in range(cfg.count):
+        rep = oracle.sample_component_point(c, cfg, index)
+        for kind, i in floors:
+            tally[(kind, i)].append(statistic[kind](rep, oracle.corner_vertex(i)))
+    assert minima == {key: min(values) for key, values in tally.items()}
+    assert any(min(values) != max(values) for values in tally.values())
 
 
 def test_transpose_duality_of_samples():

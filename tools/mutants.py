@@ -1,10 +1,11 @@
-"""Mutation smoke: each curated mutant must make its named test file fail.
+"""Mutation smoke: each curated mutant must make its named tests fail.
 
 A mutant replaces one exact text, which must occur exactly once, in one file
 of a temporary copy of the repository (``src/``, ``tests/`` and
-``pyproject.toml``); then only the named test file runs in that copy.  The
-mutant is killed when the test file fails.  Before any mutant runs, every
-named test file must pass on the unmutated copy.
+``pyproject.toml``); then only the named test file, or the one test named by
+a pytest node id (``file::test``), runs in that copy.  The mutant is killed
+when those tests fail.  Before any mutant runs, every named test file or
+test must pass on the unmutated copy.
 
 Run from anywhere (about half a minute):
 
@@ -44,6 +45,8 @@ class Mutant:
 CARTAN = "src/crystal_grid/cartan.py"
 G22 = "src/crystal_grid/g22.py"
 BINFTY = "src/crystal_grid/binfty.py"
+ORACLE = "src/crystal_grid/oracle.py"
+SUITES = "src/crystal_grid/suites.py"
 
 MUTANTS = (
     Mutant("axiom 4: lowering inverts raising", CARTAN,
@@ -70,6 +73,11 @@ MUTANTS = (
            "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
            "k = max(argmax)", "k = min(argmax)", "tests/test_binfty.py"),
+    Mutant("oracle sampled minima: maximum instead", ORACLE,
+           "value < minima[key]", "value > minima[key]", "tests/test_oracle.py"),
+    Mutant("sampling suites: no rerun under seed + 1", SUITES,
+           "sampled = matches(retry)", "sampled = False",
+           "tests/test_cli.py::test_sampling_retries_are_reported"),
 )
 
 

@@ -68,4 +68,6 @@ def test_listed_mutants_name_text_that_occurs_once():
     for mutant in mutants.MUTANTS:
         text = (mutants.ROOT / mutant.path).read_text(encoding="utf-8")
         assert text.count(mutant.old) == 1, mutant.name
-        assert (mutants.ROOT / mutant.test).is_file()
+        path, _, node = mutant.test.partition("::")
+        assert (mutants.ROOT / path).is_file()
+        assert not node or f"def {node}(" in (mutants.ROOT / path).read_text(encoding="utf-8")
