@@ -266,10 +266,9 @@ def random_matrix(field, nrows, ncols, rng) -> Mat:
         tuple(field.rand(rng) for _ in range(ncols)) for _ in range(nrows)))
 
 
-def random_invertible(field, n, rng) -> Mat:
-    if n == 0:
-        return Mat(0, 0, ())
+def random_full_rank(field, nrows, ncols, rng) -> Mat:
+    """A uniform matrix among those of rank min(nrows, ncols), by rejection."""
     while True:
-        a = random_matrix(field, n, n, rng)
-        if rank(field, a) == n:
+        a = random_matrix(field, nrows, ncols, rng)
+        if rank(field, a) == min(nrows, ncols):
             return a

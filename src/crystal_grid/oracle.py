@@ -1,13 +1,15 @@
 """Exact sampling oracle for components of grid representation varieties.
 
-Points of a named 2x2-grid component are produced from the block normal
-form of a two-step complex (a pair of composable maps with zero
-composite), conjugated by independent random invertible matrices at the
-three slots; the two stacked ranks of such a point equal the component's
-rank data exactly, not just generically.  Chain representations are
-sampled with unconstrained uniform matrices.  Everything runs over an
-exact prime field, so minima over samples are honest lower bounds for
-generic values; ``sampled_minima`` is the one routine that takes them.
+A point of a named 2x2-grid component is a two-step complex (a pair of
+composable maps with zero composite) built from full-rank factors: the
+outward map is A·B and the inward map is C·R·K, where K spans the left
+kernel of A.  Its two stacked ranks equal the component's rank data
+exactly, not just generically, and its law is that of the block normal
+form conjugated by independent uniform invertible matrices at the three
+slots.  Chain representations are sampled with unconstrained uniform
+matrices.  Everything runs over an exact prime field, so minima over
+samples are honest lower bounds for generic values; ``sampled_minima`` is
+the one routine that takes them.
 """
 
 from __future__ import annotations
@@ -47,34 +49,38 @@ class SampleConfig:
 
 
 def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> Representation:
-    """A point of the component with the exact rank pair (r1, r2)."""
+    """A point of the component; its rank pair is (r1, r2) by construction.
+
+    With mid = d2 + d3, the outward map (f12 over f13) is A·B and the inward
+    map (f24 beside -f34) is C·(R·K): A (mid x r1), B (r1 x d1), R (r2 x
+    (mid - r1)) and C (d4 x r2) are independent uniform full-rank matrices,
+    and K is a basis of the left kernel of A, so the composite is zero.
+    This is the law of g2·α1·g1⁻¹ and g3·α2·g2⁻¹ for the block normal forms
+    α1, α2 and independent uniform invertible g1, g2, g3: the first r1
+    columns of g2 are uniform full rank, and given them, rows r1.. of g2⁻¹
+    are a uniform basis of their left annihilator.
+    """
     field = cfg.field()
     rng = cfg.rng(index)
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
     mid = d2 + d3
-    alpha1 = _unit_block(field, mid, d1, [(t, t) for t in range(r1)])
-    alpha2 = _unit_block(field, d4, mid, [(t, r1 + t) for t in range(r2)])
-    g1 = linalg.random_invertible(field, d1, rng)
-    g2 = linalg.random_invertible(field, mid, rng)
-    g3 = linalg.random_invertible(field, d4, rng)
-    out_map = linalg.mul(field, linalg.mul(field, g2, alpha1), linalg.inverse(field, g1))
-    in_map = linalg.mul(field, linalg.mul(field, g3, alpha2), linalg.inverse(field, g2))
+    a = linalg.random_full_rank(field, mid, r1, rng)
+    b = linalg.random_full_rank(field, r1, d1, rng)
+    r = linalg.random_full_rank(field, r2, mid - r1, rng)
+    cm = linalg.random_full_rank(field, d4, r2, rng)
+    out_map, in_map = _factor_maps(field, a, b, r, cm)
     f12 = Mat(d2, d1, out_map.rows[:d2])
     f13 = Mat(d3, d1, out_map.rows[d2:])
     f24 = Mat(d4, d2, tuple(row[:d2] for row in in_map.rows))
     f34 = linalg.neg(field, Mat(d4, d3, tuple(row[d2:] for row in in_map.rows)))
-    rep = g22_representation(field, c.dims, f12, f13, f24, f34)
-    if rank_pair(rep) != c.ranks:
-        raise AssertionError("normal-form sample lost its rank pair")
-    return rep
+    return g22_representation(field, c.dims, f12, f13, f24, f34)
 
 
-def _unit_block(field, nrows, ncols, ones):
-    rows = [[field.zero] * ncols for _ in range(nrows)]
-    for (i, j) in ones:
-        rows[i][j] = field.one
-    return linalg.mat(rows, ncols=ncols)
+def _factor_maps(field, a: Mat, b: Mat, r: Mat, cm: Mat):
+    """The outward map A·B and the inward map C·(R·K), K a basis of the left kernel of A."""
+    k = linalg.mat(linalg.nullspace(field, linalg.transpose(a)), ncols=a.nrows)
+    return linalg.mul(field, a, b), linalg.mul(field, cm, linalg.mul(field, r, k))
 
 
 def sample_an_point(dims, cfg: SampleConfig, index: int = 0) -> Representation:
@@ -255,11 +261,14 @@ def sampled_minima(c: Component, cfg: SampleConfig, floors: dict):
 
     ``floors`` maps each (kind, corner) key, kind "eps" or "eps_star", to the
     value that settles it; sampling stops once every minimum is at its floor,
-    or after cfg.count samples.  Returns (minima, samples drawn).
+    or after cfg.count samples.  Each point's rank pair is asserted to be the
+    component's.  Returns (minima, samples drawn).
     """
     minima = {}
     for index in range(cfg.count):
         rep = sample_component_point(c, cfg, index)
+        if rank_pair(rep) != c.ranks:
+            raise AssertionError("sampled point lost its rank pair")
         for key in floors:
             kind, i = key
             value = _STATISTICS[kind](rep, corner_vertex(i))

@@ -162,7 +162,8 @@ def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAUL
 
 
 def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int = 0) -> dict:
-    """Certified decomposition of a sampled point against the generic one."""
+    """Certified decomposition of a sampled point against the generic one; the
+    sampled profile's source and sink ranks are the point's rank-pair check."""
     def prepare(c):
         expected = modules22.generic_decomposition(c)
         profile = modules22.profile_of_multiset(expected)
@@ -171,9 +172,11 @@ def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int 
                  and modules22.cbs_check(expected))
 
         def matches(cfg):
-            rep = oracle.sample_component_point(c, cfg, 0)
+            sampled = modules22.rank_profile(oracle.sample_component_point(c, cfg, 0))
+            if (sampled.source_rank, sampled.sink_rank) != c.ranks:
+                raise AssertionError("sampled point lost its rank pair")
             try:
-                return oracle.certify_decomposition(rep) == expected
+                return modules22.multiplicities_from_profile(sampled) == expected
             except modules22.InconsistentProfileError:
                 return False
         return holds, matches

@@ -183,6 +183,20 @@ def test_verify_axioms_bound_16(capsys):
     assert payload["elements"] == 8121
 
 
+@pytest.mark.deep
+def test_verify_oracle_max_dim_6(capsys):
+    code, payload = run_json(capsys, "verify", "oracle", "--max-dim", "6")
+    assert code == 0 and payload["ok"] is True
+    assert payload["components"] == 4501
+
+
+@pytest.mark.deep
+def test_verify_decomp_max_dim_7(capsys):
+    code, payload = run_json(capsys, "verify", "decomp", "--max-dim", "7")
+    assert code == 0 and payload["ok"] is True
+    assert payload["components"] == 8296
+
+
 def test_verify_reports_config_seed(capsys):
     code, payload = run_json(capsys, "verify", "connectivity", "--bound", "5", "--seed", "3")
     assert code == 0
@@ -219,12 +233,12 @@ def test_failure_count_is_the_total_behind_the_capped_list(capsys, monkeypatch):
     ("decomp", []),
 ])
 def test_sampling_retries_are_reported(capsys, monkeypatch, suite, options):
-    argv = ["verify", suite, "--max-dim", "2", "--prime", "101", "--seed", "2", *options]
+    argv = ["verify", suite, "--max-dim", "2", "--prime", "101", "--seed", "3", *options]
     second_attempts = set()
     sample = oracle.sample_component_point
 
     def counting(c, cfg, index):
-        if cfg.seed == 3:
+        if cfg.seed == 4:
             second_attempts.add(c)
         return sample(c, cfg, index)
 

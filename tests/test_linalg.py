@@ -83,11 +83,15 @@ def test_inverse_round_trip():
         linalg.inverse(F7, linalg.from_int_rows(F7, [[1, 1], [1, 1]]))
 
 
-def test_random_invertible_is_invertible():
+def test_random_full_rank_has_full_rank():
     rng = random.Random(5)
-    for n in (0, 1, 3, 5):
-        g = linalg.random_invertible(F7, n, rng)
-        assert linalg.rank(F7, g) == n
+    # Over GF(2) most square draws are singular, so the rejection loop runs.
+    for field in (F7, linalg.PrimeField(2)):
+        for shape in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (5, 5)):
+            for _ in range(10):
+                g = linalg.random_full_rank(field, *shape, rng)
+                assert (g.nrows, g.ncols) == shape
+                assert linalg.rank(field, g) == min(shape)
 
 
 FIELDS = st.sampled_from([F7, QQ])

@@ -1,4 +1,7 @@
+import collections
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -103,7 +106,7 @@ def test_sampled_minima_take_the_minimum_over_every_draw():
     # Over p = 101 a few of these points are degenerate, so the per-sample
     # values vary; floors of -1 are never reached, so every draw is made.
     c = Component((2, 1, 2, 1), (2, 1))
-    cfg = SampleConfig(prime=101, count=20, seed=0)
+    cfg = SampleConfig(prime=101, count=20, seed=4)
     floors = {(kind, i): -1 for kind in ("eps", "eps_star") for i in g22.COLORS}
     minima, drawn = oracle.sampled_minima(c, cfg, floors)
     assert drawn == cfg.count
@@ -115,6 +118,71 @@ def test_sampled_minima_take_the_minimum_over_every_draw():
             tally[(kind, i)].append(statistic[kind](rep, oracle.corner_vertex(i)))
     assert minima == {key: min(values) for key, values in tally.items()}
     assert any(min(values) != max(values) for values in tally.values())
+
+
+F3 = PrimeField(3)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_rank(nrows, ncols):
+    """Every nrows x ncols matrix of rank min(nrows, ncols) over GF(3)."""
+    found = []
+    for entries in itertools.product(range(3), repeat=nrows * ncols):
+        m = linalg.Mat(nrows, ncols, tuple(entries[k * ncols:(k + 1) * ncols]
+                                           for k in range(nrows)))
+        if linalg.rank(F3, m) == min(nrows, ncols):
+            found.append(m)
+    return tuple(found)
+
+
+def _unit_block(nrows, ncols, ones):
+    return linalg.Mat(nrows, ncols, tuple(tuple(int((i, j) in ones) for j in range(ncols))
+                                          for i in range(nrows)))
+
+
+def _conjugation_law(d1, mid, d4, r1, r2):
+    """Multiset of (out, in) over every (g1, g2, g3) under the retired sampler
+    out = g2·α1·g1⁻¹, in = g3·α2·g2⁻¹, with α1, α2 the block normal forms."""
+    alpha1 = _unit_block(mid, d1, {(t, t) for t in range(r1)})
+    alpha2 = _unit_block(d4, mid, {(t, r1 + t) for t in range(r2)})
+    g1_inverses = [linalg.inverse(F3, g1) for g1 in _full_rank(d1, d1)]
+    law = collections.Counter()
+    for g2 in _full_rank(mid, mid):
+        g2_alpha1 = linalg.mul(F3, g2, alpha1)
+        alpha2_g2inv = linalg.mul(F3, alpha2, linalg.inverse(F3, g2))
+        outs = [linalg.mul(F3, g2_alpha1, g1_inv).rows for g1_inv in g1_inverses]
+        ins = [linalg.mul(F3, g3, alpha2_g2inv).rows for g3 in _full_rank(d4, d4)]
+        law.update(itertools.product(outs, ins))
+    return law
+
+
+def _factor_law(d1, mid, d4, r1, r2):
+    """Multiset of (out, in) over every factor tuple (A, B, R, C) of the sampler."""
+    law = collections.Counter()
+    for a, b, r, cm in itertools.product(_full_rank(mid, r1), _full_rank(r1, d1),
+                                         _full_rank(r2, mid - r1), _full_rank(d4, r2)):
+        out_map, in_map = oracle._factor_maps(F3, a, b, r, cm)
+        law[(out_map.rows, in_map.rows)] += 1
+    return law
+
+
+def _normalized(law):
+    total = sum(law.values())
+    return {point: Fraction(count, total) for point, count in law.items()}
+
+
+@pytest.mark.parametrize("d1, mid, d4, r1, r2", [
+    (1, 3, 1, 1, 1),
+    (2, 2, 2, 1, 1),    # r1 + r2 = mid
+    (2, 2, 1, 0, 1),    # r1 = 0
+    (1, 2, 2, 1, 0),    # r2 = 0
+    (0, 2, 2, 0, 2),    # r1 = 0 and r1 + r2 = mid, empty source
+    (2, 2, 0, 2, 0),    # r1 = mid and r2 = 0, empty sink
+])
+def test_factor_sampler_has_the_conjugation_law(d1, mid, d4, r1, r2):
+    # Exact over GF(3): every (g1, g2, g3) against every factor tuple.
+    shape = (d1, mid, d4, r1, r2)
+    assert _normalized(_factor_law(*shape)) == _normalized(_conjugation_law(*shape))
 
 
 def test_transpose_duality_of_samples():

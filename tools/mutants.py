@@ -75,6 +75,12 @@ MUTANTS = (
            "k = max(argmax)", "k = min(argmax)", "tests/test_binfty.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
            "value < minima[key]", "value > minima[key]", "tests/test_oracle.py"),
+    # Same ranks, same commutativity and generic points: only the law moves.
+    Mutant("oracle sampler: R's columns sorted", ORACLE,
+           "linalg.mul(field, r, k)",
+           "linalg.mul(field, linalg.transpose(linalg.mat(sorted(linalg.transpose(r).rows),"
+           " ncols=r.nrows)), k)",
+           "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
     Mutant("sampling suites: no rerun under seed + 1", SUITES,
            "sampled = matches(retry)", "sampled = False",
            "tests/test_cli.py::test_sampling_retries_are_reported"),
