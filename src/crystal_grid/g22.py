@@ -60,20 +60,22 @@ def ranks_valid(dims, ranks) -> bool:
 
 @dataclass(frozen=True)
 class Component:
-    """An irreducible component (dims; r1, r2); validity is checked on construction."""
+    """An irreducible component (dims; r1, r2), with dims and ranks int tuples.
+
+    Construction checks the fields as given and converts nothing: text
+    becomes ints only in the parsers (parse_component and the CLI types).
+    """
 
     dims: tuple
     ranks: tuple
 
     def __post_init__(self):
-        dims = tuple(int(x) for x in self.dims)
-        ranks = tuple(int(x) for x in self.ranks)
-        if len(dims) != 4 or len(ranks) != 2:
-            raise InvalidComponentError(f"need 4 dims and 2 ranks, got {dims}:{ranks}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "ranks", ranks)
-        if not ranks_valid(dims, ranks):
-            raise InvalidComponentError(f"{format_component_data(dims, ranks)} is not a component")
+        if not (isinstance(self.dims, tuple) and len(self.dims) == 4
+                and isinstance(self.ranks, tuple) and len(self.ranks) == 2):
+            raise InvalidComponentError(
+                f"need tuples of 4 dims and 2 ranks, got {self.dims}:{self.ranks}")
+        if not ranks_valid(self.dims, self.ranks):
+            raise InvalidComponentError(f"{format_component(self)} is not a component")
 
     @property
     def total(self) -> int:
@@ -112,6 +114,9 @@ def component_count(dims) -> int:
 
 def enumerate_components(dims):
     """All components on a dimension vector, ordered by increasing r1."""
+    dims = tuple(dims)
+    if len(dims) != 4:
+        raise ValueError(f"expected 4 dimensions d1,d2,d3,d4, got {len(dims)}")
     d1, d2, d3, d4 = dims
     if min(dims) < 0:
         raise ValueError(f"negative dimension vector {dims}")

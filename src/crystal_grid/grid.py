@@ -26,7 +26,7 @@ class GridQuiver:
 
 def build_grid(shape) -> GridQuiver:
     """Build the commutative grid on the box with the given extents."""
-    shape = tuple(int(m) for m in shape)
+    shape = tuple(shape)
     if not shape or any(m < 1 for m in shape):
         raise ValueError(f"grid extents must be positive, got {shape}")
     ranges = [range(1, m + 1) for m in shape]

@@ -77,7 +77,7 @@ def normalize_multiset(ms: dict) -> dict:
         if m < 0:
             raise ValueError(f"negative multiplicity for M{k}")
         if m:
-            out[int(k)] = int(m)
+            out[k] = m
     return out
 
 

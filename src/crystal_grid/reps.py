@@ -39,7 +39,7 @@ class Representation:
 
 def make_representation(quiver: GridQuiver, field, dims_by_vertex, mats_by_arrow) -> Representation:
     """Assemble and validate a representation from per-vertex / per-arrow data."""
-    dims = tuple(int(dims_by_vertex[v]) for v in quiver.vertices)
+    dims = tuple(dims_by_vertex[v] for v in quiver.vertices)
     if any(d < 0 for d in dims):
         raise ValueError("negative dimension")
     mats = []

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crystal_grid import cartan, cli, g22, oracle
+from crystal_grid import cartan, cli, g22, oracle, suites
 
 
 def run(capsys, *argv):
@@ -177,10 +180,17 @@ def test_verify_axioms_small_bound(capsys):
 
 
 @pytest.mark.deep
-def test_verify_axioms_bound_16(capsys):
-    code, payload = run_json(capsys, "verify", "axioms2x2", "--bound", "16")
+@pytest.mark.parametrize("suite, bound, counted, count", [
+    ("axioms2x2", 18, "elements", 12991),
+    ("star", 14, None, None),
+    ("duality", 14, None, None),
+    ("connectivity", 16, "components", 8121),
+])
+def test_verify_bounded_suites_deep(capsys, suite, bound, counted, count):
+    code, payload = run_json(capsys, "verify", suite, "--bound", str(bound))
     assert code == 0 and payload["ok"] is True
-    assert payload["elements"] == 8121
+    if counted:
+        assert payload[counted] == count
 
 
 @pytest.mark.deep
@@ -261,6 +271,13 @@ def test_grid_info(capsys):
     assert code == 2
 
 
+# The stderr message pinned for some of the usage errors below.
+USAGE_MESSAGES = {
+    "components --dims 1,2,3": "expected 4 dimensions d1,d2,d3,d4, got 3",
+    "g22 components --dims 1,2,3,4,5": "expected 4 dimensions d1,d2,d3,d4, got 5",
+}
+
+
 @pytest.mark.parametrize("argv, env_seed", [
     ("verify axioms2x2 --bound -1", None),
     ("verify oracle --max-dim -1", None),
@@ -276,6 +293,8 @@ def test_grid_info(capsys):
     ("binfty compare --wordA f5 --wordB f1 --pattern 1,2,3,5", None),
     ("an --n 2 --start 1,0 --apply 'f*3'", None),
     ("an --n 2 --start 0,0 --apply 'f3 e1'", None),
+    ("components --dims 1,2,3", None),
+    ("g22 components --dims 1,2,3,4,5", None),
 ])
 def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is None:
@@ -290,3 +309,87 @@ def test_invalid_input_is_usage_error(capsys, monkeypatch, argv, env_seed):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+    assert USAGE_MESSAGES.get(argv, "") in captured.err
+
+
+# --- random argv ---------------------------------------------------------------
+# Text becomes ints only in the parsers, so any argv either parses into checked
+# values or is a usage error.  Each command is drawn from a small grammar over
+# ints in -1..3 (bounds at most 2, to keep each run small); half the time one
+# token is then swapped for junk.
+
+_JUNK = st.sampled_from(["", "x", "1,x", "2.5", ":", ",", "1,,2", "--", "f", "e*"])
+_INT = st.integers(-1, 3).map(str)
+_BOUND = st.integers(-1, 2).map(str)
+
+
+def _joined(min_size, max_size):
+    return st.lists(st.integers(-1, 3), min_size=min_size, max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+_INTS = st.one_of(_joined(4, 4), _joined(0, 5))
+_COMPONENT = st.one_of(
+    st.sampled_from([g22.format_component(c) for c in g22.iter_components(2)]),
+    st.builds("{}:{}".format, _INTS, st.one_of(_joined(2, 2), _joined(0, 3))))
+_WORD = st.lists(st.builds("{}{}".format, st.sampled_from(["e", "f", "e*", "f*", "g"]),
+                           st.integers(-1, 5)), max_size=4).map(" ".join)
+_PRIME = st.sampled_from(["101", "2", "-1"])
+
+
+def _option(name, values, required=False):
+    """``[name, value]``; an option that argparse does not require is left out at times."""
+    given = values.map(lambda value: [name, value])
+    return given if required else st.one_of(st.just([]), given)
+
+
+def _command(words, *options):
+    return st.tuples(*options).map(lambda drawn: [*words, *(t for o in drawn for t in o)])
+
+
+_COMMANDS = st.one_of(
+    _command(["components"], _option("--dims", _INTS, True)),
+    _command(["g22", "components"], _option("--dims", _INTS, True)),
+    _command(["graph"], _option("--seed", _COMPONENT), _option("--bound", _BOUND, True),
+             _option("--format", st.sampled_from(["dot", "json"]))),
+    _command(["grid-info"], _option("--grid", _INTS, True)),
+    _command(["an"], _option("--n", _INT, True), _option("--start", _INTS, True),
+             _option("--apply", _WORD, True)),
+    _command(["g22", "apply"], _option("--start", _COMPONENT, True),
+             _option("--word", _WORD, True)),
+    _command(["g22", "decomp"], _option("--component", _COMPONENT, True)),
+    _command(["oracle", "epsilon"], _option("--component", _COMPONENT, True),
+             _option("--i", _INT, True), _option("--kind", st.sampled_from(["eps", "eps_star"])),
+             _option("--samples", _INT), _option("--prime", _PRIME), _option("--seed", _INT)),
+    _command(["binfty", "compare"], _option("--wordA", _WORD, True),
+             _option("--wordB", _WORD, True), _option("--pattern", _INTS),
+             _option("--length", _INT)),
+    st.sampled_from(sorted(suites.SUITES)).flatmap(lambda suite: _command(
+        ["verify", suite], _option("--bound", _BOUND, True), _option("--max-n", _BOUND, True),
+        _option("--max-dim", _BOUND, True), _option("--samples", _INT),
+        _option("--prime", _PRIME), _option("--seed", _INT))),
+)
+
+
+@st.composite
+def _argv(draw):
+    argv = draw(_COMMANDS)
+    if draw(st.booleans()):
+        argv[draw(st.integers(0, len(argv) - 1))] = draw(_JUNK)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_random_argv_exits_by_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert json.loads(out.getvalue().splitlines()[-1])["ok"] is False
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue()

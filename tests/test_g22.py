@@ -24,6 +24,31 @@ def test_constructor_rejects_bad_rank_data():
         C((1, 2, 2, 1), (0, 1))
 
 
+def test_constructor_checks_the_fields_as_given():
+    for dims, ranks in [([2, 1, 1, 2], (1, 1)), ((2, 1, 1, 2), [1, 1]),
+                        ((1, 1, 2), (1, 1)), ((2, 1, 1, 2), (1, 1, 0))]:
+        with pytest.raises(InvalidComponentError):
+            Component(dims, ranks)
+
+
+def test_enumerate_takes_any_sequence_of_four_dims():
+    comps = g22.enumerate_components([2, 1, 1, 2])
+    assert comps == g22.enumerate_components((2, 1, 1, 2))
+    assert len(set(comps)) == 3
+    for dims in ([1, 2, 3], (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="expected 4 dimensions"):
+            g22.enumerate_components(dims)
+
+
+def test_operator_results_have_plain_int_fields():
+    for c in g22.iter_components(6):
+        for i in g22.COLORS:
+            for step in (g22.apply_e, g22.apply_f, g22.apply_e_star, g22.apply_f_star):
+                moved = step(c, i)
+                if moved is not None:
+                    assert all(type(x) is int for x in moved.dims + moved.ranks), (c, i)
+
+
 def test_enumerate_balanced_case():
     comps = g22.enumerate_components((2, 1, 1, 2))
     assert [c.ranks for c in comps] == [(0, 2), (1, 1), (2, 0)]

@@ -71,6 +71,10 @@ MUTANTS = (
            "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
     Mutant("g22 epsilon*' at color 4: source wall", G22,
            "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
+    Mutant("g22 Component: list fields accepted", G22,
+           "isinstance(self.dims, tuple) and len(self.dims) == 4",
+           "len(self.dims) == 4",
+           "tests/test_g22.py::test_constructor_checks_the_fields_as_given"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
            "k = max(argmax)", "k = min(argmax)", "tests/test_binfty.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
