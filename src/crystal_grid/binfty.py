@@ -53,7 +53,7 @@ class ZSequence:
     def __post_init__(self):
         if len(self.values) != self.pattern.length:
             raise ValueError("value vector does not match the truncation length")
-        if any(x < 0 for x in self.values):
+        if min(self.values) < 0:
             raise ValueError("negative entries are not allowed")
 
     def support_end(self) -> int:
@@ -95,6 +95,8 @@ def _sigmas(cartan: CartanMatrix, x: ZSequence, i) -> list:
 
 def sigma(cartan: CartanMatrix, x: ZSequence, k: int) -> int:
     """x_k plus the pairing-weighted tail above position k."""
+    if not 1 <= k <= x.pattern.length:
+        raise ValueError(f"position {k} outside 1..{x.pattern.length}")
     return dict(_sigmas(cartan, x, x.pattern.color_at(k)))[k]
 
 

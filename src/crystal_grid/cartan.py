@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 
 
 class TruncationError(RuntimeError):
@@ -38,11 +39,13 @@ class CartanMatrix:
                         raise ValueError("off-diagonal entries must be nonpositive")
                     if (self.entries[i][j] != 0) != (self.entries[j][i] != 0):
                         raise ValueError("zero pattern must be symmetric")
+        # Built once: the axiom checker reads a position per element and color.
+        object.__setattr__(self, "_position", {v: k for k, v in enumerate(self.index_set)})
 
     def position(self, i) -> int:
         try:
-            return self.index_set.index(i)
-        except ValueError:
+            return self._position[i]
+        except (KeyError, TypeError):
             raise KeyError(f"unknown vertex {i!r}") from None
 
     def is_symmetric(self) -> bool:
@@ -81,7 +84,7 @@ def pairing(cartan: CartanMatrix, i, coeffs) -> int:
     row = cartan.entries[cartan.position(i)]
     if len(coeffs) != len(row):
         raise ValueError("coefficient vector length mismatch")
-    return sum(a * c for a, c in zip(row, coeffs))
+    return sum(map(mul, row, coeffs))
 
 
 NEG_INFINITY = float("-inf")
@@ -125,7 +128,7 @@ class CheckReport:
 
 def _alpha_step(cartan, i, coeffs, sign):
     pos = cartan.position(i)
-    return tuple(c + sign * (1 if j == pos else 0) for j, c in enumerate(coeffs))
+    return coeffs[:pos] + (coeffs[pos] + sign,) + coeffs[pos + 1:]
 
 
 def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
@@ -135,10 +138,10 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
     """
     bad = []
     for b in frag.elements:
+        w = frag.wt(b)
         for i in frag.colors:
             eps = frag.epsilon(b, i)
             phi = frag.phi(b, i)
-            w = frag.wt(b)
             if phi != NEG_INFINITY and phi != eps + pairing(frag.cartan, i, w):
                 bad.append((1, b, i, f"phi={phi} but eps+pairing={eps + pairing(frag.cartan, i, w)}"))
             up = frag.apply_e(b, i)

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import inf as INFINITY
 
-from .cartan import CrystalFragment, cartan_from_quiver, pairing
+from .cartan import CrystalFragment, cartan_from_quiver
 from .grid import build_grid
 
 QUIVER = build_grid((2, 2))
@@ -51,7 +51,7 @@ class InvalidComponentError(ValueError):
 def ranks_valid(dims, ranks) -> bool:
     d1, d2, d3, d4 = dims
     r1, r2 = ranks
-    if min(dims) < 0 or min(ranks) < 0:
+    if d1 < 0 or d2 < 0 or d3 < 0 or d4 < 0 or r1 < 0 or r2 < 0:
         return False
     if d1 + d4 >= d2 + d3:
         return r1 + r2 == d2 + d3 and r1 <= d1 and r2 <= d4
@@ -137,7 +137,8 @@ def iter_components(bound: int):
 
 
 def weight(c: Component):
-    return tuple(-d for d in c.dims)
+    d1, d2, d3, d4 = c.dims
+    return (-d1, -d2, -d3, -d4)
 
 
 def _moved(dims, i, delta, ranks):
@@ -251,8 +252,19 @@ def epsilon(c: Component, i: int) -> int:
     return max(0, _middle_dim(c, i) - r1)
 
 
+def _pairing(c: Component, i: int) -> int:
+    """<h_i, wt(c)> read off CARTAN: -2 d_i plus the dims at the two square
+    neighbours of i, which are 2 and 3 for colors 1 and 4, 1 and 4 for 2 and 3."""
+    d1, d2, d3, d4 = c.dims
+    if i == 1:
+        return -2 * d1 + d2 + d3
+    if i == 4:
+        return -2 * d4 + d2 + d3
+    return -2 * _middle_dim(c, i) + d1 + d4
+
+
 def phi(c: Component, i: int) -> int:
-    return epsilon(c, i) + pairing(CARTAN, i, weight(c))
+    return epsilon(c, i) + _pairing(c, i)
 
 
 def epsilon_star(c: Component, i: int) -> int:
@@ -266,7 +278,7 @@ def epsilon_star(c: Component, i: int) -> int:
 
 
 def phi_star(c: Component, i: int) -> int:
-    return epsilon_star(c, i) + pairing(CARTAN, i, weight(c))
+    return epsilon_star(c, i) + _pairing(c, i)
 
 
 def epsilon_prime(c: Component, i: int) -> int:

@@ -32,6 +32,12 @@ def test_sigma_on_zero_sequence():
     assert all(binfty.sigma(A22, x, k) == 0 for k in range(1, 41))
 
 
+@pytest.mark.parametrize("k", [0, -1, 41])
+def test_sigma_outside_the_truncation_is_rejected(k):
+    with pytest.raises(ValueError, match=r"position -?\d+ outside 1\.\.40"):
+        binfty.sigma(A22, binfty.zero_sequence(), k)
+
+
 def test_sigma_sees_only_higher_positions():
     pat = IotaPattern((1, 2, 3, 4), 40)
     x = seq(pat, {1: 1})

@@ -55,6 +55,28 @@ def test_pairing_unknown_vertex():
         cartan.pairing(g22.CARTAN, 9, (0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("a", [
+    g22.CARTAN,
+    an.chain_cartan(4),
+    CartanMatrix(("x", "y", "z"), ((2, -1, 0), (-3, 2, -2), (0, -1, 2))),   # not symmetric
+], ids=["g22", "A4", "nonsymmetric"])
+def test_position_map_agrees_with_the_index_set(a):
+    n = len(a.index_set)
+    coeffs = tuple(range(1, n + 1))
+    for k, v in enumerate(a.index_set):
+        assert a.position(v) == a.index_set.index(v) == k
+        assert cartan.pairing(a, v, coeffs) == sum(
+            a.entries[k][j] * coeffs[j] for j in range(n))
+    for unknown in (0, "w", (1, 1), n + 1, [1]):
+        with pytest.raises(KeyError, match="unknown vertex"):
+            a.position(unknown)
+        with pytest.raises(KeyError, match="unknown vertex"):
+            cartan.pairing(a, unknown, (0,) * n)
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="length mismatch"):
+            cartan.pairing(a, a.index_set[0], (0,) * length)
+
+
 def test_axiom_check_clean_fragments():
     assert cartan.check_crystal_axioms(g22.fragment(6)).ok
     assert cartan.check_crystal_axioms(an.fragment(3, 6)).ok

@@ -181,7 +181,7 @@ def test_verify_axioms_small_bound(capsys):
 
 @pytest.mark.deep
 @pytest.mark.parametrize("suite, bound, counted, count", [
-    ("axioms2x2", 18, "elements", 12991),
+    ("axioms2x2", 20, "elements", 19932),
     ("star", 14, None, None),
     ("duality", 14, None, None),
     ("connectivity", 16, "components", 8121),
@@ -191,6 +191,13 @@ def test_verify_bounded_suites_deep(capsys, suite, bound, counted, count):
     assert code == 0 and payload["ok"] is True
     if counted:
         assert payload[counted] == count
+
+
+@pytest.mark.deep
+def test_verify_axioms_an_max_n_6_deep(capsys):
+    code, payload = run_json(capsys, "verify", "axiomsAn", "--max-n", "6", "--bound", "10")
+    assert code == 0 and payload["ok"] is True
+    assert sorted(payload["violations"]) == ["1", "2", "3", "4", "5", "6"]
 
 
 @pytest.mark.deep

@@ -180,7 +180,8 @@ def test_epsilon_star_values():
 
 
 def test_phi_is_epsilon_plus_pairing():
-    for c in g22.iter_components(5):
+    # The generic pairing against CARTAN is the oracle for the closed form.
+    for c in g22.iter_components(10):
         for i in g22.COLORS:
             assert g22.phi(c, i) == g22.epsilon(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
             assert g22.phi_star(c, i) == g22.epsilon_star(c, i) + pairing(

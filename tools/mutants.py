@@ -49,6 +49,8 @@ ORACLE = "src/crystal_grid/oracle.py"
 SUITES = "src/crystal_grid/suites.py"
 
 MUTANTS = (
+    Mutant("weight step: alpha_i with the wrong sign", CARTAN,
+           "(coeffs[pos] + sign,)", "(coeffs[pos] - sign,)", "tests/test_cartan.py"),
     Mutant("axiom 4: lowering inverts raising", CARTAN,
            "if frag.apply_f(up, i) != b:", "if False:", "tests/test_cartan.py"),
     Mutant("axiom 4: raising inverts lowering", CARTAN,
@@ -71,6 +73,9 @@ MUTANTS = (
            "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
     Mutant("g22 epsilon*' at color 4: source wall", G22,
            "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
+    Mutant("g22 closed-form pairing at color 1: wrong neighbour", G22,
+           "return -2 * d1 + d2 + d3", "return -2 * d1 + d2 + d4",
+           "tests/test_g22.py::test_phi_is_epsilon_plus_pairing"),
     Mutant("g22 Component: list fields accepted", G22,
            "isinstance(self.dims, tuple) and len(self.dims) == 4",
            "len(self.dims) == 4",
