@@ -8,13 +8,21 @@ latest one when the maximum is positive.  Lowering words from the zero
 sequence stay inside the strictly embedded highest-weight crystal, so
 equality of their endpoints decides equality of the corresponding
 elements there; that single judgment is this module's purpose.
+
+Every statistic reads only the support of the sequence, which each
+``ZSequence`` computes once: between two support points the tail is
+constant, so a run of zeros is one candidate for the maximal sigma, and
+the pattern's per-color slot offsets locate its first and last position
+of the color.  A statistic costs O(support + period), not O(L); only
+building the sequence an operator returns still copies its L entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 
-from .cartan import CartanMatrix, CrystalFragment, TruncationError, pairing
+from .cartan import NEG_INFINITY, CartanMatrix, CrystalFragment, TruncationError, pairing
 from .g22 import CARTAN as G22_CARTAN
 
 DEFAULT_PATTERN = (1, 2, 3, 4)
@@ -36,9 +44,27 @@ class IotaPattern:
             raise ValueError("pattern must not repeat a color consecutively")
         if self.length < 2 * len(self.colors):
             raise ValueError("truncation shorter than two periods")
+        # Built once per color: from slot r, the distance forward (ahead) and
+        # backward (behind) to the nearest slot of that color, wrapping around.
+        n = len(self.colors)
+        offsets = {}
+        for c in set(self.colors):
+            ahead = tuple(next(d for d in range(n) if self.colors[(r + d) % n] == c)
+                          for r in range(n))
+            behind = tuple(next(d for d in range(n) if self.colors[(r - d) % n] == c)
+                           for r in range(n))
+            offsets[c] = (ahead, behind)
+        object.__setattr__(self, "_offsets", offsets)
 
     def color_at(self, k: int):
         return self.colors[(k - 1) % len(self.colors)]
+
+    def offsets(self, i):
+        """(ahead, behind) slot offsets of color i; ValueError if the pattern lacks it."""
+        try:
+            return self._offsets[i]
+        except KeyError:
+            raise ValueError(f"color {i!r} is not carried by the pattern {self.colors}") from None
 
     @property
     def guard_start(self) -> int:
@@ -55,12 +81,12 @@ class ZSequence:
             raise ValueError("value vector does not match the truncation length")
         if min(self.values) < 0:
             raise ValueError("negative entries are not allowed")
+        # The positions 1..L of the nonzero entries, in increasing order.
+        object.__setattr__(self, "support",
+                           tuple(compress(range(1, len(self.values) + 1), self.values)))
 
     def support_end(self) -> int:
-        for k in range(self.pattern.length, 0, -1):
-            if self.values[k - 1]:
-                return k
-        return 0
+        return self.support[-1] if self.support else 0
 
 
 def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
@@ -68,47 +94,69 @@ def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
     return ZSequence(pattern, (0,) * pattern.length)
 
 
-def _sigmas(cartan: CartanMatrix, x: ZSequence, i) -> list:
-    """(k, sigma_k) for every position k of color i, largest k first.
+def _extremes(cartan: CartanMatrix, x: ZSequence, i):
+    """(top, first, last): the largest sigma_k over positions k of color i,
+    and the smallest and largest k reaching it.
 
-    One right-to-left pass: sigma_k is x_k plus the running tail, the sum of
-    a_{i, color(j)} * x_j over the positions j above k, so each call costs
-    O(L) however many positions carry color i.
+    One right-to-left walk over the support keeps the running tail, the sum
+    of a_{i, color(j)} * x_j over the positions j passed so far.  A support
+    point k of color i has sigma_k = x_k + tail; every zero position in the
+    run below the previous support point has sigma = tail, so the run counts
+    once, at its first and last position of color i.
     """
-    colors = x.pattern.colors
+    pattern = x.pattern
     row = cartan.entries[cartan.position(i)]
-    coeff = [row[cartan.position(c)] for c in colors]
+    ahead, behind = pattern.offsets(i)
+    colors = pattern.colors
     n = len(colors)
-    out = []
+    coeff = [row[cartan.position(c)] for c in colors]
+    values = x.values
+    top, first, last = NEG_INFINITY, 0, 0
     tail = 0
-    k = len(x.values)
-    slot = (k - 1) % n
-    for xk in reversed(x.values):
+    hi = pattern.length     # the top of the zero run below the last point passed
+    for k in chain(reversed(x.support), (0,)):
+        if k < hi:
+            f = k + 1 + ahead[k % n]
+            if f <= hi:
+                if tail > top:
+                    top, first, last = tail, f, hi - behind[(hi - 1) % n]
+                elif tail == top:
+                    first = f
+        if not k:
+            break
+        slot = (k - 1) % n
+        xk = values[k - 1]
         if colors[slot] == i:
-            out.append((k, xk + tail))
-        if xk:
-            tail += coeff[slot] * xk
-        k -= 1
-        slot = (slot or n) - 1
-    return out
+            s = xk + tail
+            if s > top:
+                top, first, last = s, k, k
+            elif s == top:
+                first = k
+        tail += coeff[slot] * xk
+        hi = k - 1
+    return top, first, last
 
 
 def sigma(cartan: CartanMatrix, x: ZSequence, k: int) -> int:
     """x_k plus the pairing-weighted tail above position k."""
-    if not 1 <= k <= x.pattern.length:
-        raise ValueError(f"position {k} outside 1..{x.pattern.length}")
-    return dict(_sigmas(cartan, x, x.pattern.color_at(k)))[k]
+    pattern = x.pattern
+    if not 1 <= k <= pattern.length:
+        raise ValueError(f"position {k} outside 1..{pattern.length}")
+    row = cartan.entries[cartan.position(pattern.color_at(k))]
+    return x.values[k - 1] + sum(row[cartan.position(pattern.color_at(j))] * x.values[j - 1]
+                                 for j in x.support if j > k)
 
 
 def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
-    return max(s for _, s in _sigmas(cartan, x, i))
+    return _extremes(cartan, x, i)[0]
 
 
 def weight(cartan: CartanMatrix, x: ZSequence):
     coeffs = [0] * len(cartan.index_set)
     colors = x.pattern.colors
-    for slot, c in enumerate(colors):
-        coeffs[cartan.position(c)] -= sum(x.values[slot::len(colors)])
+    n = len(colors)
+    for k in x.support:
+        coeffs[cartan.position(colors[(k - 1) % n])] -= x.values[k - 1]
     return tuple(coeffs)
 
 
@@ -122,11 +170,9 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
     Ties in the maximal sigma are broken toward the smallest position for
     lowering and the largest for raising.
     """
-    sigmas = _sigmas(cartan, x, i)
-    top = max(s for _, s in sigmas)
-    argmax = [k for k, s in sigmas if s == top]
+    top, first, last = _extremes(cartan, x, i)
     if kind == "f":
-        k = min(argmax)
+        k = first
         if k >= x.pattern.guard_start:
             raise TruncationError(
                 f"lowering reaches position {k} inside the guard band; enlarge the truncation")
@@ -134,7 +180,7 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
     if kind == "e":
         if top <= 0:
             return None
-        k = max(argmax)
+        k = last
         if not x.values[k - 1]:
             raise ValueError(
                 f"raising at color {i} picks the zero entry at position {k}: "
@@ -160,7 +206,7 @@ def apply_word(cartan: CartanMatrix, x: ZSequence, word):
 
 
 def support_dict(x: ZSequence) -> dict:
-    return {k: v for k, v in enumerate(x.values, start=1) if v}
+    return {k: x.values[k - 1] for k in x.support}
 
 
 def words_distinct(word_a, word_b, cartan: CartanMatrix = None,
@@ -186,7 +232,10 @@ def words_distinct(word_a, word_b, cartan: CartanMatrix = None,
 
 def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = None):
     """All sequences reachable from zero by lowering words of bounded length."""
-    frontier = {zero_sequence(pattern)}
+    x0 = zero_sequence(pattern)
+    for i in cartan.index_set:
+        x0.pattern.offsets(i)   # a color the pattern lacks fails here, before any step
+    frontier = {x0}
     seen = set(frontier)
     for _ in range(depth):
         new = set()

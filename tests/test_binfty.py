@@ -176,8 +176,16 @@ def test_ambient_axioms_depth_8_length_80():
     assert len(frag.elements) == 4645
 
 
-# Reference statistics: the O(L) per-position sigma loop that the library's
-# single right-to-left pass replaced, and everything built on it.
+@pytest.mark.deep
+def test_ambient_axioms_depth_9_length_160():
+    frag = binfty.fragment(9, pattern=IotaPattern((1, 2, 3, 4), 160))
+    report = cartan.check_crystal_axioms(frag)
+    assert report.ok
+    assert len(frag.elements) == 9569
+
+
+# Reference statistics: the O(L) per-position sigma loop, independent of the
+# library's walk over the support, and everything built on it.
 
 def _naive_sigma(a, x, k):
     pat = x.pattern
@@ -249,17 +257,30 @@ ORACLE_CASES = [
 
 
 @st.composite
-def sparse_sequences(draw):
+def oracle_sequences(draw):
+    """Sparse, dense (every entry in 0..3), support at both ends, or a block of
+    adjacent support points, so the walk's edges are all drawn."""
     a, colors = draw(st.sampled_from(ORACLE_CASES))
     length = draw(st.integers(2 * len(colors), 80))
-    values = [0] * length
-    for _ in range(draw(st.integers(0, 8))):
-        values[draw(st.integers(0, length - 1))] += draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("sparse", "dense", "ends", "adjacent")))
+    if shape == "dense":
+        values = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+    else:
+        values = [0] * length
+        for _ in range(draw(st.integers(0, 8))):
+            values[draw(st.integers(0, length - 1))] += draw(st.integers(1, 3))
+        if shape == "ends":
+            values[0] += draw(st.integers(1, 3))
+            values[-1] += draw(st.integers(1, 3))
+        elif shape == "adjacent":
+            start = draw(st.integers(0, length - 2))
+            for k in range(start, min(length, start + draw(st.integers(2, 6)))):
+                values[k] += draw(st.integers(1, 3))
     return a, ZSequence(IotaPattern(colors, length), tuple(values))
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_sequences())
+@settings(max_examples=400, deadline=None)
+@given(oracle_sequences())
 def test_statistics_and_operators_match_the_naive_sigma(case):
     a, x = case
     assert binfty.weight(a, x) == _naive_weight(a, x)
@@ -277,3 +298,68 @@ def test_pattern_color_outside_the_cartan_matrix_is_rejected():
     with pytest.raises(ValueError, match="5"):
         binfty.words_distinct(g22.parse_word("f5"), g22.parse_word("f1"),
                               pattern=IotaPattern((1, 2, 3, 5), 40))
+
+
+def _padded(x):
+    """x with L zeros appended: the same sequence under truncation length 2L."""
+    pattern = IotaPattern(x.pattern.colors, 2 * x.pattern.length)
+    return ZSequence(pattern, x.values + (0,) * x.pattern.length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_sequences())
+def test_zero_padding_changes_no_statistic(case):
+    a, x = case
+    # The model truncates below its guard band: an entry there can push every
+    # sigma under L below zero, while the padding adds positions of sigma 0.
+    guard = x.pattern.guard_start
+    x = ZSequence(x.pattern, x.values[:guard - 1] + (0,) * (x.pattern.length - guard + 1))
+    y = _padded(x)
+    assert binfty.weight(a, y) == binfty.weight(a, x)
+    for i in sorted(set(x.pattern.colors)):
+        assert binfty.epsilon(a, y, i) == binfty.epsilon(a, x, i)
+        assert binfty.phi(a, y, i) == binfty.phi(a, x, i)
+        for kind in ("e", "f"):
+            out = _outcome(binfty.apply_op, a, x, kind, i)
+            if out is TruncationError:
+                continue
+            expected = _padded(out) if isinstance(out, ZSequence) else out
+            assert _outcome(binfty.apply_op, a, y, kind, i) == expected
+
+
+UNCARRIED = r"color 4 is not carried by the pattern \(1, 2, 3\)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: binfty.epsilon(A22, x, 4),
+    lambda x: binfty.phi(A22, x, 4),
+    lambda x: binfty.apply_op(A22, x, "f", 4),
+    lambda x: binfty.apply_op(A22, x, "e", 4),
+])
+def test_a_color_outside_the_pattern_is_named(call):
+    with pytest.raises(ValueError, match=UNCARRIED):
+        call(binfty.zero_sequence(IotaPattern((1, 2, 3), 40)))
+
+
+def test_words_distinct_names_a_color_outside_the_pattern():
+    with pytest.raises(ValueError, match=UNCARRIED):
+        binfty.words_distinct(g22.parse_word("f4"), g22.parse_word("f1"),
+                              pattern=IotaPattern((1, 2, 3), 40))
+
+
+def test_fragment_rejects_a_color_outside_the_pattern_before_any_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("an operator ran before the pattern was checked")
+
+    monkeypatch.setattr(binfty, "apply_op", no_step)
+    with pytest.raises(ValueError, match=UNCARRIED):
+        binfty.fragment(2, pattern=IotaPattern((1, 2, 3), 40))
+
+
+def test_support_readers_agree_with_the_values():
+    x = seq(IotaPattern((1, 2, 3, 4), 12), {1: 2, 2: 1, 12: 3})
+    assert x.support == (1, 2, 12)
+    assert x.support_end() == 12
+    assert binfty.support_dict(x) == {1: 2, 2: 1, 12: 3}
+    zero = binfty.zero_sequence()
+    assert zero.support == () and zero.support_end() == 0 and binfty.support_dict(zero) == {}

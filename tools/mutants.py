@@ -81,7 +81,9 @@ MUTANTS = (
            "len(self.dims) == 4",
            "tests/test_g22.py::test_constructor_checks_the_fields_as_given"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
-           "k = max(argmax)", "k = min(argmax)", "tests/test_binfty.py"),
+           "k = last", "k = first", "tests/test_binfty.py"),
+    Mutant("binfty zero run: first position of the color one slot late", BINFTY,
+           "f = k + 1 + ahead[k % n]", "f = k + 1 + ahead[(k + 1) % n]", "tests/test_binfty.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
            "value < minima[key]", "value > minima[key]", "tests/test_oracle.py"),
     # Same ranks, same commutativity and generic points: only the law moves.
