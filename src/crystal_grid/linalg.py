@@ -3,19 +3,30 @@
 Everything here is plain Gaussian elimination on tiny matrices.  Entries
 are Python numbers combined with the native ``+ - *``: GF(p) elements are
 ints reduced into [0, p), rational entries are Fraction.  A field supplies
-only what native arithmetic cannot:
+its constants and a few operations on single entries:
 
 - ``zero`` and ``one``;
 - ``from_int(n)``, the image of an integer;
 - ``reduce(x)``, the canonical form of a native sum or product
   (``x % p`` on GF(p), the identity on QQ);
 - ``inv(x)`` for nonzero x;
-- ``rand(rng)``, a uniform element (GF(p) only).
 
-One elimination routine serves both fields: ``rank`` stops at an echelon
-form, ``rref`` (and with it ``nullspace``, ``solve`` and ``inverse``) also
-clears above the pivots.  Matrices carry explicit shapes so that 0xn and
-nx0 cases stay unambiguous.
+and its hot arithmetic one whole row per call, each kernel a single list
+comprehension (GF(p) reduces inline, QQ has nothing to reduce):
+
+- ``axpy(row, f, lead)``, the row update ``row - f * lead``;
+- ``scale(f, row)``, the row ``f * row``;
+- ``dots(row, cols)``, the products of ``row`` with each of ``cols``,
+  one output row of a matrix product;
+- ``rand_row(rng, n)``, n uniform elements drawn by ``n`` successive
+  ``rng.randrange(p)`` calls (GF(p) only).
+
+One elimination routine serves both fields; per pivot it makes one
+``inv`` and one ``scale`` call and one ``axpy`` call per row it clears.
+``rank`` stops at an echelon form of A or of its transpose, whichever has
+fewer rows; ``rref`` (and with it ``nullspace``, ``solve`` and
+``inverse``) also clears above the pivots.  Matrices carry explicit
+shapes so that 0xn and nx0 cases stay unambiguous.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul as _mul
 
 
 def is_prime(n: int) -> bool:
@@ -51,10 +63,23 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
-    def rand(self, rng):
-        return rng.randrange(self.p)
+    def axpy(self, row, f, lead):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, lead)]
+
+    def scale(self, f, row):
+        p = self.p
+        return [f * x % p for x in row]
+
+    def dots(self, row, cols):
+        p = self.p
+        return [sum(map(_mul, row, col)) % p for col in cols]
+
+    def rand_row(self, rng, n):
+        randrange, p = rng.randrange, self.p
+        return [randrange(p) for _ in range(n)]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -84,6 +109,16 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
+    def axpy(self, row, f, lead):
+        return [x - f * y for x, y in zip(row, lead)]
+
+    def scale(self, f, row):
+        return [f * x for x in row]
+
+    def dots(self, row, cols):
+        zero = self.zero
+        return [sum(map(_mul, row, col), zero) for col in cols]
+
     def __repr__(self):
         return "QQ"
 
@@ -108,8 +143,10 @@ class Mat:
     def __post_init__(self):
         if len(self.rows) != self.nrows:
             raise ValueError("row count mismatch")
-        if any(len(r) != self.ncols for r in self.rows):
-            raise ValueError("column count mismatch")
+        ncols = self.ncols
+        for r in self.rows:
+            if len(r) != ncols:
+                raise ValueError("column count mismatch")
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -168,58 +205,60 @@ def neg(field, a: Mat) -> Mat:
 def mul(field, a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise ValueError(f"mul: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    red, zero = field.reduce, field.zero
-    bt = list(zip(*b.rows)) if b.rows else [()] * b.ncols
-    return Mat(a.nrows, b.ncols, tuple(
-        tuple(red(sum((x * y for x, y in zip(ra, col)), zero)) for col in bt)
-        for ra in a.rows))
+    dots = field.dots
+    bt = tuple(zip(*b.rows)) if b.rows else ((),) * b.ncols
+    return Mat(a.nrows, b.ncols, tuple([tuple(dots(ra, bt)) for ra in a.rows]))
 
 
 def is_zero(a: Mat) -> bool:
     return all(all(x == 0 for x in r) for r in a.rows)
 
 
-def _eliminate(field, a: Mat, reduced: bool):
-    """Gaussian elimination; returns (row lists, pivot column indices).
+def _eliminate(field, rows: list, ncols: int, reduced: bool) -> tuple:
+    """Gaussian elimination on ``rows`` in place; returns the pivot columns.
 
-    Each pivot row clears its column from the rows below it.  With
-    ``reduced`` it also clears the rows above and is scaled to a leading
-    one, giving the reduced row echelon form; without, the rows stop at an
-    echelon form, which is all a rank count needs.
+    Each pivot row is scaled to a leading one, then clears its column from
+    the rows below it with one ``axpy`` per row.  With ``reduced`` it also
+    clears the rows above, giving the reduced row echelon form; without,
+    the rows stop at an echelon form, which is all a rank count needs.
+    Updated rows become lists; rows never updated keep their type.
     """
-    red = field.reduce
-    rows = [list(r) for r in a.rows]
-    m = a.nrows
+    axpy = field.axpy
+    m = len(rows)
     pivots = []
-    for c in range(a.ncols):
-        r = len(pivots)
+    r = 0
+    for c in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
+        piv = r
+        while piv < m and not rows[piv][c]:
+            piv += 1
+        if piv == m:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r]
-        inv = field.inv(lead[c])
+        lead = field.scale(field.inv(rows[piv][c]), rows[piv])
+        rows[piv] = rows[r]
+        rows[r] = lead
         for i in range(0 if reduced else r + 1, m):
             f = rows[i][c]
             if f and i != r:
-                f = red(f * inv)
-                rows[i] = [red(x - f * y) for x, y in zip(rows[i], lead)]
-        if reduced:
-            rows[r] = [red(inv * x) for x in lead]
+                rows[i] = axpy(rows[i], f, lead)
         pivots.append(c)
-    return rows, tuple(pivots)
+        r += 1
+    return tuple(pivots)
 
 
 def rref(field, a: Mat):
     """Reduced row echelon form; returns (Mat, pivot column indices)."""
-    rows, pivots = _eliminate(field, a, reduced=True)
-    return Mat(a.nrows, a.ncols, tuple(tuple(row) for row in rows)), pivots
+    rows = list(a.rows)
+    pivots = _eliminate(field, rows, a.ncols, reduced=True)
+    return Mat(a.nrows, a.ncols, tuple([tuple(row) for row in rows])), pivots
 
 
 def rank(field, a: Mat) -> int:
-    return len(_eliminate(field, a, reduced=False)[1])
+    """Rank, by eliminating whichever of A and its transpose has fewer rows."""
+    if a.nrows <= a.ncols:
+        return len(_eliminate(field, list(a.rows), a.ncols, reduced=False))
+    return len(_eliminate(field, list(zip(*a.rows)), a.nrows, reduced=False))
 
 
 def nullspace(field, a: Mat):
@@ -262,8 +301,8 @@ def inverse(field, a: Mat) -> Mat:
 
 
 def random_matrix(field, nrows, ncols, rng) -> Mat:
-    return Mat(nrows, ncols, tuple(
-        tuple(field.rand(rng) for _ in range(ncols)) for _ in range(nrows)))
+    rand_row = field.rand_row
+    return Mat(nrows, ncols, tuple([tuple(rand_row(rng, ncols)) for _ in range(nrows)]))
 
 
 def random_full_rank(field, nrows, ncols, rng) -> Mat:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import mul
 
 from . import linalg
 from .g22 import Component, NUMBER_OF, QUIVER as G22_QUIVER
@@ -451,7 +452,7 @@ def multiplicities_from_profile(profile: RankProfile) -> dict:
     """Invert the profile into interval multiplicities; rejects profiles that
     are not a nonnegative integral combination of the catalog columns."""
     vec = profile.as_vector()
-    sol = [sum(a * b for a, b in zip(row, vec)) for row in _profile_solver()]
+    sol = [sum(map(mul, row, vec)) for row in _profile_solver()]
     ms = {}
     for k, x in enumerate(sol, start=1):
         if x < 0:

@@ -179,14 +179,10 @@ def extension_point(rep: Representation, v, rng) -> Representation:
     q = rep.quiver
     matrix, sources = _square_closing_map(rep, v, starred=False)
     if matrix is None:
-        kernel_vec = [field.rand(rng)
-                      for j in sources for _ in range(rep.dim_at(j))]
+        kernel_vec = field.rand_row(rng, sum(rep.dim_at(j) for j in sources))
     else:
-        basis = linalg.nullspace(field, matrix)
-        kernel_vec = [field.zero] * matrix.ncols
-        for b in basis:
-            c = field.rand(rng)
-            kernel_vec = [field.reduce(x + c * y) for x, y in zip(kernel_vec, b)]
+        basis = linalg.mat(linalg.nullspace(field, matrix), ncols=matrix.ncols)
+        kernel_vec = field.dots(field.rand_row(rng, basis.nrows), linalg.transpose(basis).rows)
     chunks = {}
     offset = 0
     for j in sources:
@@ -228,7 +224,7 @@ def restriction_point(rep: Representation, v, rng):
     if d - span_rank == 0:
         return None
     while True:
-        extra = [tuple(field.rand(rng) for _ in range(d)) for _ in range(d - 1 - span_rank)]
+        extra = [tuple(field.rand_row(rng, d)) for _ in range(d - 1 - span_rank)]
         basis = linalg.transpose(linalg.mat(span + extra, ncols=d))
         if linalg.rank(field, basis) == d - 1:
             break

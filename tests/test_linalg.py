@@ -9,6 +9,84 @@ from crystal_grid.linalg import QQ, Mat, PrimeField
 
 
 F7 = PrimeField(7)
+F32003 = PrimeField(32003)
+
+
+# The oracle: elimination and product one reduced entry at a time, as
+# linalg computed them before the fields grew row kernels.
+
+def _oracle_eliminate(field, a: Mat, reduced: bool):
+    red = field.reduce
+    rows = [list(r) for r in a.rows]
+    m = a.nrows
+    pivots = []
+    for c in range(a.ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r]
+        inv = field.inv(lead[c])
+        for i in range(0 if reduced else r + 1, m):
+            f = rows[i][c]
+            if f and i != r:
+                f = red(f * inv)
+                rows[i] = [red(x - f * y) for x, y in zip(rows[i], lead)]
+        if reduced:
+            rows[r] = [red(inv * x) for x in lead]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def _oracle_mul(field, a: Mat, b: Mat) -> Mat:
+    red, zero = field.reduce, field.zero
+    bt = list(zip(*b.rows)) if b.rows else [()] * b.ncols
+    return Mat(a.nrows, b.ncols, tuple(
+        tuple(red(sum((x * y for x, y in zip(ra, col)), zero)) for col in bt)
+        for ra in a.rows))
+
+
+def _oracle_rank(field, a):
+    return len(_oracle_eliminate(field, a, reduced=False)[1])
+
+
+def _oracle_rref(field, a):
+    rows, pivots = _oracle_eliminate(field, a, reduced=True)
+    return Mat(a.nrows, a.ncols, tuple(tuple(row) for row in rows)), pivots
+
+
+def _oracle_nullspace(field, a):
+    echelon, pivots = _oracle_rref(field, a)
+    basis = []
+    for f in (j for j in range(a.ncols) if j not in pivots):
+        v = [field.zero] * a.ncols
+        v[f] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = field.reduce(-echelon.rows[r][f])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _oracle_solve(field, a, b):
+    column = Mat(a.nrows, 1, tuple((x,) for x in b))
+    echelon, pivots = _oracle_rref(field, linalg.hstack([a, column]))
+    if a.ncols in pivots:
+        return None
+    x = [field.zero] * a.ncols
+    for r, c in enumerate(pivots):
+        x[c] = echelon.rows[r][a.ncols]
+    return tuple(x)
+
+
+def _oracle_inverse(field, a):
+    n = a.nrows
+    echelon, pivots = _oracle_rref(field, linalg.hstack([a, linalg.identity(field, n)]))
+    if pivots != tuple(range(n)):
+        return None
+    return Mat(n, n, tuple(r[n:] for r in echelon.rows))
 
 
 def test_prime_field_rejects_composites():
@@ -23,11 +101,32 @@ def test_prime_field_arithmetic():
     assert F7.reduce(3 * 5) == 1
     assert F7.reduce(-3) == 4
     assert F7.inv(3) == 5
+    assert F32003.inv(2) == 16002
     assert F7.reduce(3 * F7.inv(3)) == F7.one
     assert QQ.reduce(Fraction(-3, 2)) == Fraction(-3, 2)
     assert QQ.inv(Fraction(-3, 2)) == Fraction(-2, 3)
     with pytest.raises(ZeroDivisionError):
         F7.inv(0)
+
+
+def test_row_kernels():
+    assert F7.axpy([1, 2, 3], 3, [1, 1, 5]) == [5, 6, 2]
+    assert F7.scale(3, [1, 2, 6]) == [3, 6, 4]
+    assert F7.dots([1, 2], [(3, 4), (5, 6), (0, 0)]) == [4, 3, 0]
+    assert QQ.axpy([Fraction(1), Fraction(2)], Fraction(1, 2), [Fraction(4), Fraction(-2)]) \
+        == [Fraction(-1), Fraction(3)]
+    assert QQ.scale(Fraction(2, 3), [Fraction(3), Fraction(0)]) == [Fraction(2), Fraction(0)]
+    assert QQ.dots([Fraction(1, 2), Fraction(1)], [(Fraction(2), Fraction(-1))]) == [Fraction(0)]
+    assert repr(QQ.dots([], [(), ()])) == repr([Fraction(0), Fraction(0)])
+
+
+@pytest.mark.parametrize("p", [7, 101, 32003])
+@given(seed=st.integers(0, 2**32), n=st.integers(0, 12))
+@settings(max_examples=20, deadline=None)
+def test_rand_row_draws_randrange_in_order(p, seed, n):
+    rng = random.Random(seed)
+    expected = [rng.randrange(p) for _ in range(n)]
+    assert PrimeField(p).rand_row(random.Random(seed), n) == expected
 
 
 def test_default_prime_is_prime():
@@ -106,8 +205,10 @@ def int_matrices(min_rows=1, max_rows=4, min_cols=1, max_cols=4):
 @settings(max_examples=60, deadline=None)
 @given(FIELDS, int_matrices(min_rows=2, min_cols=3, max_cols=3))
 def test_rank_equals_rank_of_transpose(field, rows):
+    # rank eliminates whichever orientation has fewer rows; rref never
+    # transposes, so the right side eliminates the transpose itself.
     a = linalg.from_int_rows(field, rows)
-    assert linalg.rank(field, a) == linalg.rank(field, linalg.transpose(a))
+    assert linalg.rank(field, a) == len(linalg.rref(field, linalg.transpose(a))[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,3 +240,50 @@ def test_rank_rref_nullspace_inverse_agree(field, rows):
     elif a.nrows == a.ncols:
         with pytest.raises(ValueError):
             linalg.inverse(field, a)
+
+
+def _entries(field):
+    if field == QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    # Small integers give rank-deficient matrices, large ones generic entries.
+    return st.one_of(st.integers(-4, 4), st.integers(0, 10**6)).map(field.from_int)
+
+
+@st.composite
+def field_problems(draw):
+    """A field, a matrix of shape 0..6 x 0..6, a right-hand side and a
+    second factor for a product."""
+    field = draw(st.sampled_from([F7, F32003, QQ]))
+    entries = _entries(field)
+    nrows, ncols, other = (draw(st.integers(0, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        ncols = nrows     # square, for the inverse
+    a = linalg.mat(draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                 min_size=nrows, max_size=nrows)), ncols)
+    b = linalg.mat(draw(st.lists(st.lists(entries, min_size=other, max_size=other),
+                                 min_size=ncols, max_size=ncols)), other)
+    rhs = tuple(draw(st.lists(entries, min_size=nrows, max_size=nrows)))
+    return field, a, b, rhs
+
+
+def _same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)    # also the type of every entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_problems())
+def test_row_kernels_match_the_per_entry_oracle(problem):
+    field, a, b, rhs = problem
+    _same(linalg.rank(field, a), _oracle_rank(field, a))
+    _same(linalg.rref(field, a), _oracle_rref(field, a))
+    _same(linalg.nullspace(field, a), _oracle_nullspace(field, a))
+    _same(linalg.solve(field, a, rhs), _oracle_solve(field, a, rhs))
+    _same(linalg.mul(field, a, b), _oracle_mul(field, a, b))
+    if a.nrows == a.ncols:
+        want = _oracle_inverse(field, a)
+        if want is None:
+            with pytest.raises(ValueError):
+                linalg.inverse(field, a)
+        else:
+            _same(linalg.inverse(field, a), want)

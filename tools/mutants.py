@@ -7,7 +7,7 @@ a pytest node id (``file::test``), runs in that copy.  The mutant is killed
 when those tests fail.  Before any mutant runs, every named test file or
 test must pass on the unmutated copy.
 
-Run from anywhere (about half a minute):
+Run from anywhere (about a minute):
 
     python3 tools/mutants.py
 
@@ -43,6 +43,7 @@ class Mutant:
 
 
 CARTAN = "src/crystal_grid/cartan.py"
+LINALG = "src/crystal_grid/linalg.py"
 G22 = "src/crystal_grid/g22.py"
 BINFTY = "src/crystal_grid/binfty.py"
 ORACLE = "src/crystal_grid/oracle.py"
@@ -92,6 +93,9 @@ MUTANTS = (
            "linalg.mul(field, linalg.transpose(linalg.mat(sorted(linalg.transpose(r).rows),"
            " ncols=r.nrows)), k)",
            "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
+    Mutant("linalg GF(p) row update: adds the multiple of the pivot row", LINALG,
+           "[(x - f * y) % p for x, y in zip(row, lead)]",
+           "[(x + f * y) % p for x, y in zip(row, lead)]", "tests/test_linalg.py"),
     Mutant("sampling suites: no rerun under seed + 1", SUITES,
            "sampled = matches(retry)", "sampled = False",
            "tests/test_cli.py::test_sampling_retries_are_reported"),
