@@ -10,6 +10,14 @@ formula below names candidate rank data, and the candidate is the answer
 exactly when it satisfies the component parametrization, otherwise the
 operator vanishes.
 
+One gate decides that: ranks_valid.  Operator results are built by the
+private factory _component, which runs ranks_valid and nothing else (a
+moved component's fields are int tuples of length 4 and 2 by construction)
+and returns None when the data names no component.  The public Component
+constructor is the boundary for outside data, parsed or caller-supplied: it
+also checks the field types and lengths and raises InvalidComponentError.
+dual raises InvalidComponentError too and never returns None.
+
 Colors 2 and 3 share one branch in every case function: the reflection of
 the square that swaps vertices 2 and 3 fixes d1, d4, r1 and r2, so the two
 cases differ only in which of d2, d3 they read as d_i.  The exact raising
@@ -77,9 +85,19 @@ class Component:
         if not ranks_valid(self.dims, self.ranks):
             raise InvalidComponentError(f"{format_component(self)} is not a component")
 
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
+
+def _component(dims, ranks):
+    """The Component (dims; ranks), or None when that data names no component.
+
+    For operator results only: their fields are int tuples of length 4 and 2
+    by construction, so ranks_valid is the one check that can fail there.
+    """
+    if not ranks_valid(dims, ranks):
+        return None
+    c = object.__new__(Component)
+    object.__setattr__(c, "dims", dims)
+    object.__setattr__(c, "ranks", ranks)
+    return c
 
 
 ZERO_COMPONENT = Component((0, 0, 0, 0), (0, 0))
@@ -144,10 +162,7 @@ def weight(c: Component):
 def _moved(dims, i, delta, ranks):
     """The component with d_i moved by delta and rank data ranks, or None
     when that data names no component."""
-    try:
-        return Component(dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:], ranks)
-    except InvalidComponentError:
-        return None
+    return _component(dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:], ranks)
 
 
 def _middle_dim(c: Component, i: int) -> int:
@@ -331,10 +346,18 @@ def phi_star_prime(c: Component, i: int):
 
 
 def dual(c: Component) -> Component:
-    """Transpose duality on components: flip dims and swap the two ranks."""
+    """Transpose duality on components: flip dims and swap the two ranks.
+
+    Raises InvalidComponentError, never returns None, when the image is no
+    component: check_strict_morphism would read None as "maps to zero".
+    """
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
-    return Component((d4, d3, d2, d1), (r2, r1))
+    dims, ranks = (d4, d3, d2, d1), (r2, r1)
+    image = _component(dims, ranks)
+    if image is None:
+        raise InvalidComponentError(f"{format_component_data(dims, ranks)} is not a component")
+    return image
 
 
 # ---------------------------------------------------------------------------

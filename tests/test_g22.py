@@ -40,13 +40,32 @@ def test_enumerate_takes_any_sequence_of_four_dims():
             g22.enumerate_components(dims)
 
 
+def test_factory_agrees_with_the_public_constructor():
+    # Negative and invalid data included: the factory's one gate rejects
+    # exactly what the constructor rejects on int tuples of the right length.
+    box = range(-1, 4)
+    for dims in itertools.product(box, repeat=4):
+        for ranks in itertools.product(box, repeat=2):
+            made = g22._component(dims, ranks)
+            try:
+                expected = Component(dims, ranks)
+            except InvalidComponentError:
+                assert made is None, (dims, ranks)
+            else:
+                assert type(made) is Component and made == expected, (dims, ranks)
+
+
 def test_operator_results_have_plain_int_fields():
     for c in g22.iter_components(6):
         for i in g22.COLORS:
             for step in (g22.apply_e, g22.apply_f, g22.apply_e_star, g22.apply_f_star):
                 moved = step(c, i)
                 if moved is not None:
+                    assert type(moved) is Component, (c, i)
+                    assert type(moved.dims) is tuple and len(moved.dims) == 4, (c, i)
+                    assert type(moved.ranks) is tuple and len(moved.ranks) == 2, (c, i)
                     assert all(type(x) is int for x in moved.dims + moved.ranks), (c, i)
+                    assert Component(moved.dims, moved.ranks) == moved, (c, i)
 
 
 def test_enumerate_balanced_case():
@@ -546,7 +565,7 @@ def test_apply_word_absorbs_vanishing():
 def test_connectivity_word_replay():
     c = C((1, 1, 1, 2), (1, 1))
     word = g22.connectivity_word(c)
-    assert len(word) == c.total
+    assert len(word) == sum(c.dims)
     result, trace = g22.apply_word(word, c)
     assert result == ZERO_COMPONENT
     assert all(step is not None for step in trace)

@@ -81,6 +81,11 @@ MUTANTS = (
            "isinstance(self.dims, tuple) and len(self.dims) == 4",
            "len(self.dims) == 4",
            "tests/test_g22.py::test_constructor_checks_the_fields_as_given"),
+    Mutant("g22 operator results: the factory's gate removed", G22,
+           "if not ranks_valid(dims, ranks):", "if False:", "tests/test_g22.py"),
+    Mutant("g22 dual: ranks not swapped", G22,
+           "dims, ranks = (d4, d3, d2, d1), (r2, r1)",
+           "dims, ranks = (d4, d3, d2, d1), (r1, r2)", "tests/test_g22.py"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
            "k = last", "k = first", "tests/test_binfty.py"),
     Mutant("binfty zero run: first position of the color one slot late", BINFTY,
