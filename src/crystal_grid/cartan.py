@@ -322,21 +322,6 @@ def export_json(graph: CrystalGraph) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def graph_from_json(text: str) -> CrystalGraph:
-    payload = json.loads(text)
-    nodes = tuple(
-        GraphNode(
-            n["id"],
-            tuple(n["dims"]),
-            tuple(n["ranks"]) if n["ranks"] is not None else None,
-            tuple(n["wt"]),
-        )
-        for n in payload["nodes"]
-    )
-    edges = tuple((e["src"], e["color"], e["dst"]) for e in payload["edges"])
-    return CrystalGraph(nodes, edges)
-
-
 def export_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal_graph {"]
     for n in graph.nodes:

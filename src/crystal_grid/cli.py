@@ -9,6 +9,7 @@ samples, so any run can be reproduced byte for byte.  Exit codes: 0 clean,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -71,7 +72,10 @@ def _pick_seed(args) -> int:
         return args.seed
     env = os.environ.get("CRYSTAL_GRID_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"CRYSTAL_GRID_SEED must be an integer, got {env!r}") from None
     return random.SystemRandom().randrange(2**31)
 
 
@@ -85,17 +89,6 @@ def _config(args, **extra) -> dict:
         cfg["command"] = f"{args.command} {args.subcommand}"
     cfg.update(extra)
     return cfg
-
-
-def cmd_components(args) -> int:
-    comps = g22.enumerate_components(args.dims)
-    payload = {
-        "config": _config(args, dims=list(args.dims)),
-        "count": len(comps),
-        "components": [g22.format_component(c) for c in comps],
-    }
-    _emit(payload)
-    return 0
 
 
 def cmd_graph(args) -> int:
@@ -178,6 +171,17 @@ def cmd_g22_apply(args) -> int:
     return 0
 
 
+def cmd_g22_components(args) -> int:
+    comps = g22.enumerate_components(args.dims)
+    payload = {
+        "config": _config(args, dims=list(args.dims)),
+        "count": len(comps),
+        "components": [g22.format_component(c) for c in comps],
+    }
+    _emit(payload)
+    return 0
+
+
 def cmd_g22_decomp(args) -> int:
     from . import modules22
 
@@ -227,20 +231,17 @@ def cmd_binfty_compare(args) -> int:
     return 0
 
 
+# Each suite's parameter names, which are also the names of its options.
+# Read once, at import, so a wrapper put around a suite later (a profiler,
+# say) does not hide them.
+_SUITE_PARAMETERS = {name: tuple(inspect.signature(suite).parameters)
+                     for name, suite in suites.SUITES.items()}
+
+
 def cmd_verify(args) -> int:
-    seed = _pick_seed(args)
-    suite = suites.SUITES[args.suite]
-    kwargs = {}
-    if args.suite in ("axioms2x2", "star", "duality", "connectivity", "seminormal"):
-        kwargs["bound"] = args.bound
-    if args.suite == "axiomsAn":
-        kwargs["max_n"] = args.max_n
-        kwargs["bound"] = args.bound
-    if args.suite == "oracle":
-        kwargs.update(max_dim=args.max_dim, samples=args.samples, prime=args.prime, seed=seed)
-    if args.suite == "decomp":
-        kwargs.update(max_dim=args.max_dim, prime=args.prime, seed=seed)
-    report = suite(**kwargs)
+    kwargs = {name: _pick_seed(args) if name == "seed" else getattr(args, name)
+              for name in _SUITE_PARAMETERS[args.suite]}
+    report = suites.SUITES[args.suite](**kwargs)
     payload = {"config": _config(args, suite=args.suite, **kwargs)}
     payload.update(report)
     _emit(payload)
@@ -252,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crystal-grid",
         description="Crystal operators on components of grid representation varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("components", help="list the components of a dimension vector")
-    p.add_argument("--dims", type=_dims_arg, required=True)
-    p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("graph", help="breadth-first crystal graph from a seed component")
     p.add_argument("--seed", dest="seed_component", type=_component_arg,
@@ -285,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = g22_sub.add_parser("components", help="list the components of a dimension vector")
     p.add_argument("--dims", type=_dims_arg, required=True)
-    p.set_defaults(func=cmd_components)
+    p.set_defaults(func=cmd_g22_components)
 
     p = g22_sub.add_parser("decomp", help="generic decomposition of a component")
     p.add_argument("--component", type=_component_arg, required=True)

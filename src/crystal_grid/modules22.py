@@ -21,7 +21,7 @@ from operator import mul
 from . import linalg
 from .g22 import Component, NUMBER_OF, QUIVER as G22_QUIVER
 from .linalg import QQ, Mat
-from .reps import Representation, direct_sum, g22_blocks, g22_dims, g22_representation, rank_pair
+from .reps import Representation, direct_sum, g22_blocks, g22_dims, g22_representation
 
 INTERVAL_DIMS = {
     1: (1, 0, 0, 0),
@@ -407,17 +407,19 @@ class RankProfile:
 
 
 def rank_profile(rep: Representation) -> RankProfile:
+    """Every rank of a 2x2-grid point: the four arrows, the two stacked maps
+    and the composite 1 -> 4.  The sink map's sign (f24 beside -f34) only
+    scales columns, so the plain stack has its rank."""
     field = rep.field
     f12, f13, f24, f34 = g22_blocks(rep)
-    source_rank, sink_rank = rank_pair(rep)
     return RankProfile(
         dims=g22_dims(rep),
         r12=linalg.rank(field, f12),
         r13=linalg.rank(field, f13),
         r24=linalg.rank(field, f24),
         r34=linalg.rank(field, f34),
-        source_rank=source_rank,
-        sink_rank=sink_rank,
+        source_rank=linalg.rank(field, linalg.vstack([f12, f13])),
+        sink_rank=linalg.rank(field, linalg.hstack([f24, f34])),
         diag_rank=linalg.rank(field, linalg.mul(field, f24, f12)),
     )
 

@@ -10,6 +10,17 @@ slots.  Chain representations are sampled with unconstrained uniform
 matrices.  Everything runs over an exact prime field, so minima over
 samples are honest lower bounds for generic values; ``sampled_minima`` is
 the one routine that takes them.
+
+The corner statistics are the cokernel of the stacked map into a corner
+(eps) and the kernel of the stacked map out of it (eps_star).  Each is a
+dimension minus one rank of the point's ``modules22.rank_profile``:
+
+    eps_1 = d1                 eps_star_1 = d1 - source_rank
+    eps_2 = d2 - r12           eps_star_2 = d2 - r24
+    eps_3 = d3 - r13           eps_star_3 = d3 - r34
+    eps_4 = d4 - sink_rank     eps_star_4 = d4
+
+so one profile per point (seven ranks and one product) reads all eight.
 """
 
 from __future__ import annotations
@@ -18,10 +29,10 @@ import random
 from dataclasses import dataclass
 
 from . import linalg, modules22
-from .g22 import Component, VERTEX_OF as G22_VERTEX_OF
+from .g22 import Component
 from .grid import build_grid, neighborhoods
 from .linalg import Mat, PrimeField
-from .reps import Representation, g22_representation, make_representation, rank_pair
+from .reps import Representation, g22_representation, make_representation
 
 DEFAULT_PRIME = 32003
 
@@ -102,24 +113,6 @@ def incoming_matrix(rep: Representation, v) -> Mat:
     if not blocks:
         return linalg.zeros(rep.field, rep.dim_at(v), 0)
     return linalg.hstack(blocks)
-
-
-def outgoing_matrix(rep: Representation, v) -> Mat:
-    """Vertical stack of the arrow matrices starting at a vertex."""
-    blocks = [rep.mat_on(v, w) for (u, w) in rep.quiver.arrows if u == v]
-    if not blocks:
-        return linalg.zeros(rep.field, 0, rep.dim_at(v))
-    return linalg.vstack(blocks)
-
-
-def epsilon_of_rep(rep: Representation, v) -> int:
-    """Cokernel dimension of the stacked incoming map at a vertex."""
-    return rep.dim_at(v) - linalg.rank(rep.field, incoming_matrix(rep, v))
-
-
-def epsilon_star_of_rep(rep: Representation, v) -> int:
-    """Kernel dimension of the stacked outgoing map at a vertex."""
-    return rep.dim_at(v) - linalg.rank(rep.field, outgoing_matrix(rep, v))
 
 
 def _square_closing_map(rep: Representation, v, starred: bool):
@@ -249,39 +242,40 @@ def restriction_point(rep: Representation, v, rng):
     return make_representation(q, field, dims, mats)
 
 
-_STATISTICS = {"eps": epsilon_of_rep, "eps_star": epsilon_star_of_rep}
+# The profile rank that each (kind, corner) statistic subtracts from the
+# corner's dimension; None where the stacked map is empty.
+_STACKED_RANK = {
+    ("eps", 1): None, ("eps", 2): "r12", ("eps", 3): "r13", ("eps", 4): "sink_rank",
+    ("eps_star", 1): "source_rank", ("eps_star", 2): "r24", ("eps_star", 3): "r34",
+    ("eps_star", 4): None,
+}
+
+
+def _corner_statistic(profile: modules22.RankProfile, key) -> int:
+    rank = _STACKED_RANK[key]
+    return profile.dims[key[1] - 1] - (0 if rank is None else getattr(profile, rank))
 
 
 def sampled_minima(c: Component, cfg: SampleConfig, floors: dict):
-    """Minima of per-point statistics over independent samples of a component.
+    """Minima of the corner statistics over independent samples of a component.
 
-    ``floors`` maps each (kind, corner) key, kind "eps" or "eps_star", to the
-    value that settles it; sampling stops once every minimum is at its floor,
-    or after cfg.count samples.  Each point's rank pair is asserted to be the
-    component's.  Returns (minima, samples drawn).
+    ``floors`` maps each (kind, corner) key, kind "eps" or "eps_star" and
+    corner 1..4, to the value that settles it; sampling stops once every
+    minimum is at its floor, or after cfg.count samples.  Each point's rank
+    pair is asserted to be the component's.  Returns (minima, samples drawn).
     """
+    for key in floors:
+        if key not in _STACKED_RANK:
+            raise ValueError(f"no corner statistic {key!r}")
     minima = {}
     for index in range(cfg.count):
-        rep = sample_component_point(c, cfg, index)
-        if rank_pair(rep) != c.ranks:
+        profile = modules22.rank_profile(sample_component_point(c, cfg, index))
+        if (profile.source_rank, profile.sink_rank) != c.ranks:
             raise AssertionError("sampled point lost its rank pair")
         for key in floors:
-            kind, i = key
-            value = _STATISTICS[kind](rep, corner_vertex(i))
+            value = _corner_statistic(profile, key)
             if key not in minima or value < minima[key]:
                 minima[key] = value
         if minima == floors:
             break
     return minima, index + 1
-
-
-def corner_vertex(i: int):
-    """Coordinate vertex of the 2x2 grid carrying corner number i."""
-    if i not in G22_VERTEX_OF:
-        raise ValueError(f"corner {i} out of range")
-    return G22_VERTEX_OF[i]
-
-
-def certify_decomposition(rep: Representation) -> dict:
-    """Interval multiplicities certified by the point's rank profile."""
-    return modules22.multiplicities_from_profile(modules22.rank_profile(rep))

@@ -69,10 +69,6 @@ def _path_matrix(rep: Representation, path) -> Mat:
     return linalg.mul(rep.field, rep.mat_on(*second), rep.mat_on(*first))
 
 
-def zero_representation(quiver: GridQuiver, field, dims_by_vertex) -> Representation:
-    return make_representation(quiver, field, dims_by_vertex, {})
-
-
 def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.quiver is not b.quiver and a.quiver != b.quiver:
         raise ValueError("direct sum of representations on different quivers")
@@ -122,15 +118,6 @@ def g22_blocks(rep: Representation):
     v = G22_VERTEX_OF
     return (rep.mat_on(v[1], v[2]), rep.mat_on(v[1], v[3]),
             rep.mat_on(v[2], v[4]), rep.mat_on(v[3], v[4]))
-
-
-def rank_pair(rep: Representation):
-    """The two stacked ranks (out of the source corner, into the sink corner)."""
-    field = rep.field
-    f12, f13, f24, f34 = g22_blocks(rep)
-    r1 = linalg.rank(field, linalg.vstack([f12, f13]))
-    r2 = linalg.rank(field, linalg.hstack([f24, linalg.neg(field, f34)]))
-    return (r1, r2)
 
 
 def g22_dims(rep: Representation):

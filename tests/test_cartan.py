@@ -1,3 +1,4 @@
+import json
 from math import inf
 
 import pytest
@@ -157,7 +158,11 @@ def test_dot_format():
 def test_json_round_trip():
     graph = _g22_graph(3)
     text = cartan.export_json(graph)
-    assert cartan.graph_from_json(text) == graph
+    payload = json.loads(text)
+    assert [(n["id"], tuple(n["dims"]), tuple(n["ranks"]), tuple(n["wt"]))
+            for n in payload["nodes"]] == [(n.node_id, n.dims, n.ranks, n.weight)
+                                            for n in graph.nodes]
+    assert [(e["src"], e["color"], e["dst"]) for e in payload["edges"]] == list(graph.edges)
     assert text.endswith("\n")
     assert '"ranks":' in text and '"wt":' in text
 

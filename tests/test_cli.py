@@ -21,21 +21,21 @@ def run_json(capsys, *argv):
 
 
 def test_components_command(capsys):
-    code, payload = run_json(capsys, "components", "--dims", "2,1,1,2")
+    code, payload = run_json(capsys, "g22", "components", "--dims", "2,1,1,2")
     assert code == 0
     assert payload["count"] == 3
     assert payload["components"] == ["2,1,1,2:0,2", "2,1,1,2:1,1", "2,1,1,2:2,0"]
-    assert payload["config"]["dims"] == [2, 1, 1, 2]
+    assert payload["config"] == {"command": "g22 components", "dims": [2, 1, 1, 2]}
 
 
 def test_components_trivial_and_deficient(capsys):
-    assert run_json(capsys, "components", "--dims", "0,0,0,0")[1]["count"] == 1
+    assert run_json(capsys, "g22", "components", "--dims", "0,0,0,0")[1]["count"] == 1
     assert run_json(capsys, "g22", "components", "--dims", "1,2,2,1")[1]["count"] == 1
 
 
 def test_components_rejects_malformed_dims():
     with pytest.raises(SystemExit) as err:
-        cli.main(["components", "--dims", "2,x,1"])
+        cli.main(["g22", "components", "--dims", "2,x,1"])
     assert err.value.code == 2
 
 
@@ -115,6 +115,22 @@ def test_oracle_seed_env_fallback(capsys, monkeypatch):
     assert payload["seed"] == 123
 
 
+def test_seed_is_picked_only_for_suites_that_sample(capsys, monkeypatch):
+    # A malformed CRYSTAL_GRID_SEED is a usage error only where a seed is
+    # used; see test_invalid_input_is_usage_error for that side.
+    def no_draw():
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.delenv("CRYSTAL_GRID_SEED", raising=False)
+    monkeypatch.setattr(cli.random, "SystemRandom", no_draw)
+    code, payload = run_json(capsys, "verify", "axioms2x2", "--bound", "1")
+    assert code == 0 and payload["config"] == {"command": "verify", "suite": "axioms2x2",
+                                               "bound": 1}
+    monkeypatch.setenv("CRYSTAL_GRID_SEED", "abc")
+    code, payload = run_json(capsys, "verify", "axioms2x2", "--bound", "1")
+    assert code == 0 and payload["ok"] is True
+
+
 def test_binfty_compare(capsys):
     code, payload = run_json(capsys, "binfty", "compare",
                              "--wordA", "f3 f1 f1 f3 f4 f4",
@@ -133,11 +149,16 @@ def test_binfty_rejects_raising_words(capsys):
 def test_graph_json_round_trips(capsys):
     code, out = run(capsys, "graph", "--bound", "4", "--format", "json")
     assert code == 0
-    graph = cartan.graph_from_json(out)
+    payload = json.loads(out)
+    graph = cartan.build_crystal_graph([g22.ZERO_COMPONENT], g22.COLORS, g22.apply_f,
+                                       g22.describe, 4)
+    assert payload["nodes"] == [{"id": n.node_id, "dims": list(n.dims), "ranks": list(n.ranks),
+                                 "wt": list(n.weight)} for n in graph.nodes]
+    assert payload["edges"] == [{"src": s, "color": c, "dst": d} for s, c, d in graph.edges]
     total = sum(g22.component_count((a, b, c, d))
                 for a in range(5) for b in range(5) for c in range(5) for d in range(5)
                 if a + b + c + d <= 4)
-    assert len(graph.nodes) == total
+    assert len(payload["nodes"]) == total
 
 
 def test_graph_deterministic_bytes(capsys):
@@ -283,7 +304,8 @@ def test_grid_info(capsys):
 
 # The stderr message pinned for some of the usage errors below.
 USAGE_MESSAGES = {
-    "components --dims 1,2,3": "expected 4 dimensions d1,d2,d3,d4, got 3",
+    "verify oracle --max-dim 1": "error: CRYSTAL_GRID_SEED must be an integer, got 'abc'\n",
+    "components --dims 1,2,3": "invalid choice: 'components'",
     "g22 components --dims 1,2,3,4,5": "expected 4 dimensions d1,d2,d3,d4, got 5",
 }
 
@@ -295,7 +317,7 @@ USAGE_MESSAGES = {
     ("oracle epsilon --component 1,1,1,2:1,1 --i 1 --prime 4", None),
     ("verify oracle --samples 0", None),
     ("binfty compare --wordA f1 --wordB f1 --length 3", None),
-    ("verify cbs", "abc"),
+    ("verify oracle --max-dim 1", "abc"),
     ("verify axiomsAn --max-n 0", None),
     ("binfty compare --wordA '" + " ".join(["f4 f3 f2 f1"] * 4) + "' --wordB f2 --length 8",
      None),
@@ -358,7 +380,6 @@ def _command(words, *options):
 
 
 _COMMANDS = st.one_of(
-    _command(["components"], _option("--dims", _INTS, True)),
     _command(["g22", "components"], _option("--dims", _INTS, True)),
     _command(["graph"], _option("--seed", _COMPONENT), _option("--bound", _BOUND, True),
              _option("--format", st.sampled_from(["dot", "json"]))),

@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,43 @@ from crystal_grid import an, g22, linalg, modules22 as ma, oracle
 from crystal_grid.g22 import Component, ZERO_COMPONENT
 from crystal_grid.oracle import SampleConfig
 from crystal_grid.reps import (CommutativityError, dual_representation, g22_representation,
-                               zero_representation)
+                               make_representation)
 from crystal_grid.linalg import PrimeField
 
 
 CFG = SampleConfig(prime=32003, count=50, seed=7)
+KEYS = tuple((kind, i) for kind in ("eps", "eps_star") for i in g22.COLORS)
+
+
+def _stacked_statistic(rep, kind, v):
+    """Reference statistic at a vertex, straight from rep.mats: the cokernel of
+    the stacked map into it (eps) or the kernel of the stacked map out of it
+    (eps_star); an empty stack is the zero map."""
+    pairs = tuple(zip(rep.quiver.arrows, rep.mats))
+    if kind == "eps":
+        blocks = [m for (_, t), m in pairs if t == v]
+        stacked = linalg.hstack(blocks) if blocks else None
+    else:
+        blocks = [m for (s, _), m in pairs if s == v]
+        stacked = linalg.vstack(blocks) if blocks else None
+    return rep.dim_at(v) - (0 if stacked is None else linalg.rank(rep.field, stacked))
+
+
+def _statistic(rep, kind, i):
+    """The corner statistic read off the point's rank profile, checked
+    against the reference."""
+    value = oracle._corner_statistic(ma.rank_profile(rep), (kind, i))
+    assert value == _stacked_statistic(rep, kind, g22.VERTEX_OF[i])
+    return value
+
+
+def _rank_pair(rep):
+    profile = ma.rank_profile(rep)
+    return profile.source_rank, profile.sink_rank
+
+
+def _certified(rep):
+    return ma.multiplicities_from_profile(ma.rank_profile(rep))
 
 
 def test_sample_config_validation():
@@ -43,7 +76,7 @@ def test_sampled_points_have_exact_rank_pair():
     for dims in itertools.product(range(3), repeat=4):
         for c in g22.enumerate_components(dims):
             rep = oracle.sample_component_point(c, CFG, 0)
-            assert oracle.rank_pair(rep) == c.ranks
+            assert _rank_pair(rep) == c.ranks
 
 
 # sha256 of the sampled matrices and rank profiles below, recorded when the
@@ -80,23 +113,39 @@ def test_sample_with_zero_sink_rank_kills_inward_maps():
 
 def test_epsilon_of_zero_representation():
     field = PrimeField(101)
-    rep = zero_representation(g22.QUIVER, field, {v: 2 for v in g22.QUIVER.vertices})
-    for v in g22.QUIVER.vertices:
-        assert oracle.epsilon_of_rep(rep, v) == 2
-        assert oracle.epsilon_star_of_rep(rep, v) == 2
+    rep = make_representation(g22.QUIVER, field, {v: 2 for v in g22.QUIVER.vertices}, {})
+    for kind, i in KEYS:
+        assert _statistic(rep, kind, i) == 2
 
 
 def test_epsilon_on_sampled_points():
     rep = oracle.sample_component_point(Component((1, 1, 1, 2), (1, 1)), CFG, 0)
-    assert oracle.epsilon_of_rep(rep, g22.VERTEX_OF[4]) == 1
+    assert _statistic(rep, "eps", 4) == 1
     rep = oracle.sample_component_point(Component((2, 1, 1, 2), (1, 1)), CFG, 0)
-    assert oracle.epsilon_of_rep(rep, g22.VERTEX_OF[2]) == 0
+    assert _statistic(rep, "eps", 2) == 0
 
 
 def test_epsilon_star_on_sampled_points():
     rep = oracle.sample_component_point(Component((3, 1, 1, 2), (1, 1)), CFG, 0)
-    assert oracle.epsilon_star_of_rep(rep, g22.VERTEX_OF[1]) == 2
-    assert oracle.epsilon_star_of_rep(rep, g22.VERTEX_OF[4]) == 2
+    assert _statistic(rep, "eps_star", 1) == 2
+    assert _statistic(rep, "eps_star", 4) == 2
+
+
+@pytest.mark.parametrize("prime", [101, 32003])
+def test_profile_statistics_match_the_stacked_maps(prime):
+    # Two draws of every component with all dimensions at most 3.
+    cfg = SampleConfig(prime=prime, seed=2)
+    points = 0
+    for dims in itertools.product(range(4), repeat=4):
+        for c in g22.enumerate_components(dims):
+            for index in range(2):
+                rep = oracle.sample_component_point(c, cfg, index)
+                profile = ma.rank_profile(rep)
+                for kind, i in KEYS:
+                    assert oracle._corner_statistic(profile, (kind, i)) == \
+                        _stacked_statistic(rep, kind, g22.VERTEX_OF[i]), (c, index, kind, i)
+                points += 1
+    assert points == 728
 
 
 def test_extension_fiber_dimension():
@@ -128,14 +177,23 @@ def test_sampled_minima_take_the_minimum_over_every_draw():
     floors = {(kind, i): -1 for kind in ("eps", "eps_star") for i in g22.COLORS}
     minima, drawn = oracle.sampled_minima(c, cfg, floors)
     assert drawn == cfg.count
-    statistic = {"eps": oracle.epsilon_of_rep, "eps_star": oracle.epsilon_star_of_rep}
     tally = {key: [] for key in floors}
     for index in range(cfg.count):
         rep = oracle.sample_component_point(c, cfg, index)
         for kind, i in floors:
-            tally[(kind, i)].append(statistic[kind](rep, oracle.corner_vertex(i)))
+            tally[(kind, i)].append(_stacked_statistic(rep, kind, g22.VERTEX_OF[i]))
     assert minima == {key: min(values) for key, values in tally.items()}
     assert any(min(values) != max(values) for values in tally.values())
+
+
+@pytest.mark.parametrize("key", [("eps", 5), ("eps_star", 0), ("epsilon", 1), "eps"])
+def test_sampled_minima_reject_an_unknown_statistic_before_drawing(monkeypatch, key):
+    def no_draw(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(oracle, "sample_component_point", no_draw)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        oracle.sampled_minima(ZERO_COMPONENT, CFG, {("eps", 1): 0, key: 0})
 
 
 F3 = PrimeField(3)
@@ -207,23 +265,23 @@ def test_transpose_duality_of_samples():
     for dims in itertools.product(range(3), repeat=4):
         for c in g22.enumerate_components(dims):
             rep = oracle.sample_component_point(c, CFG, 1)
-            assert oracle.rank_pair(dual_representation(rep)) == g22.dual(c).ranks
+            assert _rank_pair(dual_representation(rep)) == g22.dual(c).ranks
 
 
 def test_certify_sampled_decomposition():
     rep = oracle.sample_component_point(Component((1, 1, 1, 2), (1, 1)), CFG, 0)
-    assert oracle.certify_decomposition(rep) == {4: 1, 11: 1}
+    assert _certified(rep) == {4: 1, 11: 1}
 
 
 def test_certify_explicit_direct_sum():
     rep = ma.multiset_rep({2: 1, 3: 1, 11: 1})
-    assert oracle.certify_decomposition(rep) == {2: 1, 3: 1, 11: 1}
+    assert _certified(rep) == {2: 1, 3: 1, 11: 1}
 
 
 def test_certify_zero_representation():
     field = PrimeField(32003)
-    rep = zero_representation(g22.QUIVER, field, {v: 1 for v in g22.QUIVER.vertices})
-    assert oracle.certify_decomposition(rep) == {1: 1, 2: 1, 3: 1, 4: 1}
+    rep = make_representation(g22.QUIVER, field, {v: 1 for v in g22.QUIVER.vertices}, {})
+    assert _certified(rep) == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_an_sampler_reaches_full_rank():
@@ -233,14 +291,14 @@ def test_an_sampler_reaches_full_rank():
         rep = oracle.sample_an_point((2, 2), cfg, k)
         ranks.append(linalg.rank(rep.field, rep.mat_on((1,), (2,))))
     assert max(ranks) == 2
-    assert min(oracle.epsilon_of_rep(oracle.sample_an_point((2, 2), cfg, k), (2,))
+    assert min(_stacked_statistic(oracle.sample_an_point((2, 2), cfg, k), "eps", (2,))
                for k in range(cfg.count)) == 0
 
 
 def test_an_sampler_degenerate_shapes():
     rep = oracle.sample_an_point((0, 3), CFG, 0)
     assert rep.dims == (0, 3)
-    assert oracle.epsilon_of_rep(rep, (2,)) == 3
+    assert _stacked_statistic(rep, "eps", (2,)) == 3
     rep = oracle.sample_an_point((1, 1, 1), CFG, 0)
     assert all(m.nrows == 1 and m.ncols == 1 for m in rep.mats)
 
@@ -250,7 +308,7 @@ def test_an_oracle_concordance_small():
     for dims in itertools.product(range(3), repeat=3):
         for i in (1, 2, 3):
             sampled = min(
-                oracle.epsilon_of_rep(oracle.sample_an_point(dims, cfg, k), (i,))
+                _stacked_statistic(oracle.sample_an_point(dims, cfg, k), "eps", (i,))
                 for k in range(cfg.count))
             assert sampled == an.epsilon(dims, i)
 
@@ -259,15 +317,15 @@ def _probe_lowering(c, i, seed=0):
     """Certified class of a generic simple-quotient extension at corner i."""
     cfg = SampleConfig(seed=seed)
     rep = oracle.sample_component_point(c, cfg, 0)
-    ext = oracle.extension_point(rep, oracle.corner_vertex(i), cfg.rng(1))
-    return oracle.certify_decomposition(ext)
+    ext = oracle.extension_point(rep, g22.VERTEX_OF[i], cfg.rng(1))
+    return _certified(ext)
 
 
 def _probe_raising(c, i, seed=0):
     cfg = SampleConfig(seed=seed)
     rep = oracle.sample_component_point(c, cfg, 0)
-    sub = oracle.restriction_point(rep, oracle.corner_vertex(i), cfg.rng(1))
-    return None if sub is None else oracle.certify_decomposition(sub)
+    sub = oracle.restriction_point(rep, g22.VERTEX_OF[i], cfg.rng(1))
+    return None if sub is None else _certified(sub)
 
 
 def _check_lowering_against_geometry(c, i):

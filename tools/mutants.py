@@ -90,6 +90,8 @@ MUTANTS = (
            "k = last", "k = first", "tests/test_binfty.py"),
     Mutant("binfty zero run: first position of the color one slot late", BINFTY,
            "f = k + 1 + ahead[k % n]", "f = k + 1 + ahead[(k + 1) % n]", "tests/test_binfty.py"),
+    Mutant("oracle corner statistics: eps at corner 3 reads r12", ORACLE,
+           '("eps", 3): "r13"', '("eps", 3): "r12"', "tests/test_oracle.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
            "value < minima[key]", "value > minima[key]", "tests/test_oracle.py"),
     # Same ranks, same commutativity and generic points: only the law moves.
