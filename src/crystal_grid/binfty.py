@@ -137,16 +137,6 @@ def _extremes(cartan: CartanMatrix, x: ZSequence, i):
     return top, first, last
 
 
-def sigma(cartan: CartanMatrix, x: ZSequence, k: int) -> int:
-    """x_k plus the pairing-weighted tail above position k."""
-    pattern = x.pattern
-    if not 1 <= k <= pattern.length:
-        raise ValueError(f"position {k} outside 1..{pattern.length}")
-    row = cartan.entries[cartan.position(pattern.color_at(k))]
-    return x.values[k - 1] + sum(row[cartan.position(pattern.color_at(j))] * x.values[j - 1]
-                                 for j in x.support if j > k)
-
-
 def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
     return _extremes(cartan, x, i)[0]
 
@@ -209,15 +199,14 @@ def support_dict(x: ZSequence) -> dict:
     return {k: x.values[k - 1] for k in x.support}
 
 
-def words_distinct(word_a, word_b, cartan: CartanMatrix = None,
-                   pattern: IotaPattern = None):
+def words_distinct(word_a, word_b, pattern: IotaPattern = None):
     """Compare two lowering words out of the zero sequence.
 
     Returns (distinct, endpoint_a, endpoint_b).  Both words must consist of
     lowering steps only; anything else leaves the embedded image and the
     comparison would be meaningless.
     """
-    cartan = cartan or G22_CARTAN
+    cartan = G22_CARTAN
     for word in (word_a, word_b):
         if any(kind != "f" for kind, _ in word):
             raise ValueError("only lowering words can be compared")
@@ -249,8 +238,8 @@ def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = 
     return tuple(sorted(seen, key=lambda s: (sum(s.values), s.values)))
 
 
-def fragment(depth: int, cartan: CartanMatrix = None, pattern: IotaPattern = None) -> CrystalFragment:
-    cartan = cartan or G22_CARTAN
+def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
+    cartan = G22_CARTAN
     return CrystalFragment(
         cartan=cartan,
         elements=reachable_elements(cartan, depth, pattern),

@@ -40,7 +40,6 @@ QUIVER = build_grid((2, 2))
 
 # Corner numbering: 1 = (1,1) source, 2 = (2,1), 3 = (1,2), 4 = (2,2) sink.
 VERTEX_OF = {1: (1, 1), 2: (2, 1), 3: (1, 2), 4: (2, 2)}
-NUMBER_OF = {v: k for k, v in VERTEX_OF.items()}
 VERTEX_INVOLUTION = {1: 4, 2: 3, 3: 2, 4: 1}
 
 CARTAN = cartan_from_quiver(

@@ -4,12 +4,16 @@ decompositions of components.
 
 The eleven indecomposables are the interval modules M1..M11, each with
 0/1 dimension vector and identity maps wherever both endpoints are
-nonzero.  Four of them (M4, M7, M8, M11) are projective.  Every module's
+nonzero.  Four of them are projective: P_v, the cover of the simple at
+corner v, is M11, M7, M8, M4 for v = 1, 2, 3, 4.  Every module's
 projective resolution is a list of stages P_0, P_1, ... (direct sums of
-the projectives) and a list of differentials d_n: P_n -> P_{n-1}, with
-d_0 the augmentation onto M_k; the differentials are overlap inclusions
-scaled by one scalar each, with one sign forced by exactness.  Ext is
-the cohomology of Hom(P_n, N) along that list.
+the projectives) and a list of integer tables B_0, B_1, ..., one scalar
+per pair of summands, with B_0 the augmentation onto M_k.  A map between
+two intervals is its scalar at every corner where both live, so d_n at
+corner v is mask(v) · B_n · mask(v), the 0/1 diagonal mask(v) keeping the
+summands that live at v.  Since Hom(P_v, N) = N(v), the same tables give
+the cochain complex 0 -> Hom(P_0, N) -> Hom(P_1, N) -> ..., masked at the
+corners that generate the summands; Ext is its cohomology and Hom its Ext^0.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from . import linalg
-from .g22 import Component, NUMBER_OF, QUIVER as G22_QUIVER
-from .linalg import QQ, Mat
+from .g22 import Component
+from .linalg import QQ
 from .reps import Representation, direct_sum, g22_blocks, g22_dims, g22_representation
 
 INTERVAL_DIMS = {
@@ -39,6 +43,9 @@ INTERVAL_DIMS = {
 
 PROJECTIVES = (4, 7, 8, 11)
 
+# The corner generating each projective: Hom(P, N) = N(corner).
+_GENERATOR = {11: 1, 7: 2, 8: 3, 4: 4}
+
 # Irreducible-map arrows of the translation quiver on the catalog.
 AR_QUIVER_ARROWS = (
     (4, 7), (4, 8), (7, 10), (8, 10), (10, 2), (10, 3), (10, 11),
@@ -47,29 +54,21 @@ AR_QUIVER_ARROWS = (
 
 _ARROWS = ((1, 2), (1, 3), (2, 4), (3, 4))
 
-# Corner number sitting at each lexicographic vertex slot of the quiver.
-_CORNERS_LEX = tuple(NUMBER_OF[v] for v in G22_QUIVER.vertices)
-
-
-def _lex_dims(k: int):
-    """Dimension vector of M_k in the quiver's lexicographic vertex order."""
-    return tuple(INTERVAL_DIMS[k][c - 1] for c in _CORNERS_LEX)
-
 
 class InconsistentProfileError(ValueError):
     """A rank profile admitting no nonnegative integral decomposition."""
 
 
-def indecomposable(k: int, field=QQ) -> Representation:
-    """The interval module M_k with identity maps wherever possible."""
+def indecomposable(k: int) -> Representation:
+    """The interval module M_k over QQ with identity maps wherever possible."""
     dims = INTERVAL_DIMS[k]
     mats = []
     for (s, t) in _ARROWS:
         if dims[s - 1] == 1 and dims[t - 1] == 1:
-            mats.append(linalg.identity(field, 1))
+            mats.append(linalg.identity(QQ, 1))
         else:
-            mats.append(linalg.zeros(field, dims[t - 1], dims[s - 1]))
-    return g22_representation(field, dims, *mats)
+            mats.append(linalg.zeros(QQ, dims[t - 1], dims[s - 1]))
+    return g22_representation(QQ, dims, *mats)
 
 
 def normalize_multiset(ms: dict) -> dict:
@@ -90,101 +89,26 @@ def multiset_dims(ms: dict):
     return tuple(dims)
 
 
-def multiset_rep(ms: dict, field=QQ) -> Representation:
-    """Direct sum of the catalog modules with the given multiplicities."""
-    return _direct_sum_of([k for k, m in normalize_multiset(ms).items() for _ in range(m)], field)
-
-
-def _direct_sum_of(kinds, field) -> Representation:
-    """Direct sum of the catalog modules listed in kinds, in that order."""
-    pieces = [indecomposable(k, field) for k in kinds]
+def multiset_rep(ms: dict) -> Representation:
+    """Direct sum over QQ of the catalog modules with the given multiplicities."""
+    pieces = [indecomposable(k) for k, m in normalize_multiset(ms).items() for _ in range(m)]
     if not pieces:
-        return g22_representation(field, (0, 0, 0, 0),
-                                  *(linalg.zeros(field, 0, 0) for _ in range(4)))
+        return g22_representation(QQ, (0, 0, 0, 0), *(linalg.zeros(QQ, 0, 0) for _ in range(4)))
     return reduce(direct_sum, pieces)
 
 
 # ---------------------------------------------------------------------------
-# Hom spaces
-
-
-def _as_rep(x, field=QQ) -> Representation:
-    if isinstance(x, Representation):
-        return x
-    if isinstance(x, int):
-        return indecomposable(x, field)
-    if isinstance(x, dict):
-        return multiset_rep(x, field)
-    raise TypeError(f"cannot interpret {x!r} as a representation")
-
-
-def _hom_layout(n_dims, x_dims):
-    """Flat-coordinate layout of a module map x -> n: per-vertex blocks, row major."""
-    offsets = []
-    pos = 0
-    for v in range(len(x_dims)):
-        offsets.append(pos)
-        pos += n_dims[v] * x_dims[v]
-    return offsets, pos
-
-
-def _hom_basis(x_rep: Representation, n_rep: Representation):
-    """Basis of Hom(x, n) as flat vectors; also returns the layout size."""
-    if x_rep.quiver != n_rep.quiver:
-        raise ValueError("representations live on different quivers")
-    if x_rep.field != n_rep.field:
-        raise ValueError("representations live over different fields")
-    field = x_rep.field
-    q = x_rep.quiver
-    xd, nd = x_rep.dims, n_rep.dims
-    offsets, size = _hom_layout(nd, xd)
-    rows = []
-    for a_idx, (s, t) in enumerate(q.arrows):
-        si, ti = q.vertices.index(s), q.vertices.index(t)
-        fx = x_rep.mats[a_idx]
-        fn = n_rep.mats[a_idx]
-        for x in range(nd[ti]):
-            for y in range(xd[si]):
-                row = [field.zero] * size
-                for b in range(xd[ti]):
-                    row[offsets[ti] + x * xd[ti] + b] += fx.entry(b, y)
-                for a in range(nd[si]):
-                    row[offsets[si] + a * xd[si] + y] -= fn.entry(x, a)
-                rows.append([field.reduce(v) for v in row])
-    system = linalg.mat(rows, ncols=size)
-    return linalg.nullspace(field, system), size
-
-
-def hom_dim(m, n) -> int:
-    """Dimension of the space of module maps m -> n."""
-    if not isinstance(m, Representation) and not isinstance(n, Representation):
-        mm = {m: 1} if isinstance(m, int) else normalize_multiset(m)
-        nn = {n: 1} if isinstance(n, int) else normalize_multiset(n)
-        return sum(mi * nj * _hom_pair(i, j)
-                   for i, mi in mm.items() for j, nj in nn.items())
-    field = m.field if isinstance(m, Representation) else n.field
-    basis, _ = _hom_basis(_as_rep(m, field), _as_rep(n, field))
-    return len(basis)
-
-
-@lru_cache(maxsize=None)
-def _hom_pair(i: int, j: int) -> int:
-    basis, _ = _hom_basis(indecomposable(i), indecomposable(j))
-    return len(basis)
-
-
-# ---------------------------------------------------------------------------
-# Projective resolutions and Ext
+# Projective resolutions, Hom and Ext
 
 
 @dataclass(frozen=True)
 class Resolution:
     """A projective resolution ... -> P_1 -> P_0 -> M_k -> 0 of a catalog module.
 
-    ``stages[n]`` lists the interval summands of P_n.  ``diffs[n]`` holds the
-    scalars of the map d_n: P_n -> P_{n-1}, rows over the summands of P_{n-1}
-    and columns over those of P_n, where P_{-1} = M_k; so ``diffs[0]`` is the
-    augmentation.
+    ``stages[n]`` lists the interval summands of P_n.  ``diffs[n]`` is the
+    table B_n of the map d_n: P_n -> P_{n-1}, rows over the summands of
+    P_{n-1} and columns over those of P_n, where P_{-1} = M_k; so
+    ``diffs[0]`` is the augmentation.
     """
 
     stages: tuple
@@ -210,117 +134,60 @@ def resolution(k: int) -> Resolution:
     return _RESOLUTIONS[k]
 
 
-def _overlap_hom_mats(field, src: int, dst: int, scalar: int):
-    """Matrices of the overlap map M_src -> M_dst, scaled, one per vertex in
-    the quiver's lexicographic order; module-map validity is asserted by the
-    caller."""
-    sd, dd = _lex_dims(src), _lex_dims(dst)
-    mats = []
-    for v in range(4):
-        if sd[v] == 1 and dd[v] == 1:
-            mats.append(Mat(1, 1, ((field.from_int(scalar),),)))
-        else:
-            mats.append(linalg.zeros(field, dd[v], sd[v]))
-    return tuple(mats)
+def _lives(stage, *corners) -> list:
+    """The diagonal of mask(corners): 1 for a summand living at every corner."""
+    return [int(all(INTERVAL_DIMS[s][v - 1] for v in corners)) for s in stage]
 
 
-def _block_map(field, stage_from, stage_to, blocks):
-    """Vertexwise matrices of a block map between nonempty direct sums of
-    intervals: ``blocks[r][c]`` scales the overlap map from summand c of
-    stage_from to summand r of stage_to."""
-    grid = [[_overlap_hom_mats(field, src, dst, blocks[r][c]) for c, src in enumerate(stage_from)]
-            for r, dst in enumerate(stage_to)]
-    return tuple(linalg.vstack([linalg.hstack([m[v] for m in row]) for row in grid])
-                 for v in range(4))
+def _masked(rows, table, cols) -> linalg.Mat:
+    """diag(rows) · table · diag(cols) over QQ."""
+    return linalg.from_int_rows(QQ, [[r * b * c for b, c in zip(line, cols, strict=True)]
+                                     for r, line in zip(rows, table, strict=True)], len(cols))
 
 
-def _is_module_map(x_rep, n_rep, mats) -> bool:
-    field = x_rep.field
-    q = x_rep.quiver
-    for a_idx, (s, t) in enumerate(q.arrows):
-        si, ti = q.vertices.index(s), q.vertices.index(t)
-        left = linalg.mul(field, mats[ti], x_rep.mats[a_idx])
-        right = linalg.mul(field, n_rep.mats[a_idx], mats[si])
-        if left.rows != right.rows:
-            return False
-    return True
-
-
-def resolution_maps(k: int, field=QQ):
-    """Materialize the resolution of M_k as ``(reps, maps)``.
-
-    ``reps[0]`` is M_k and ``reps[n + 1]`` is P_n, whose repeated summands
-    keep the tuple order; ``maps[n]`` holds the vertexwise matrices of d_n:
-    P_n -> P_{n-1}.  Every map is verified to be a module map; exactness is
-    the caller's check.
-    """
-    res = _RESOLUTIONS[k]
-    reps, maps = [indecomposable(k, field)], []
-    below = (k,)
-    for n, (stage, blocks) in enumerate(zip(res.stages, res.diffs, strict=True)):
-        rep = _direct_sum_of(stage, field)
-        d = _block_map(field, stage, below, blocks)
-        if not _is_module_map(rep, reps[-1], d):
-            raise AssertionError(f"d_{n} in the resolution of M{k} is not a module map")
-        reps.append(rep)
-        maps.append(d)
-        below = stage
-    return reps, maps
-
-
-def verify_resolution_exact(k: int, field=QQ) -> bool:
-    """Exactness of 0 -> P_N -> ... -> P_0 -> M_k -> 0, vertex by vertex:
+def verify_resolution_exact(k: int) -> bool:
+    """Exactness of 0 -> P_N -> ... -> P_0 -> M_k -> 0, corner by corner:
     d_0 is onto M_k, d_{n-1} d_n = 0, and dim P_n = rank d_n + rank d_{n+1}
-    (with d_{N+1} = 0)."""
-    reps, maps = resolution_maps(k, field)
-    for v in range(4):
-        ranks = [linalg.rank(field, d[v]) for d in maps] + [0]
-        if ranks[0] != reps[0].dims[v]:
+    (with d_{N+1} = 0).  Each d_n must first be a module map, which raises
+    AssertionError otherwise: d_n(t) · mask(s, t) = mask(s, t) · d_n(s) on
+    every arrow s -> t."""
+    res = _RESOLUTIONS[k]
+    below = ((k,),) + res.stages[:-1]
+    for n, (lower, stage, table) in enumerate(zip(below, res.stages, res.diffs, strict=True)):
+        for s, t in _ARROWS:
+            if (_masked(_lives(lower, t), table, _lives(stage, s, t))
+                    != _masked(_lives(lower, s, t), table, _lives(stage, s))):
+                raise AssertionError(f"d_{n} in the resolution of M{k} is not a module map")
+    for v in (1, 2, 3, 4):
+        maps = [_masked(_lives(lower, v), table, _lives(stage, v))
+                for lower, stage, table in zip(below, res.stages, res.diffs)]
+        ranks = [linalg.rank(QQ, d) for d in maps] + [0]
+        if ranks[0] != INTERVAL_DIMS[k][v - 1]:
             return False
-        if any(not linalg.is_zero(linalg.mul(field, maps[n - 1][v], maps[n][v]))
+        if any(not linalg.is_zero(linalg.mul(QQ, maps[n - 1], maps[n]))
                for n in range(1, len(maps))):
             return False
-        if any(reps[n + 1].dims[v] != ranks[n] + ranks[n + 1] for n in range(len(maps))):
+        if any(sum(_lives(stage, v)) != ranks[n] + ranks[n + 1]
+               for n, stage in enumerate(res.stages)):
             return False
     return True
-
-
-def _compose_flat(field, phi_flat, n_dims, y_dims, x_dims, d_mats):
-    """Map Hom(Y, N) -> Hom(X, N): postcompose coordinates with d: X -> Y."""
-    y_off, _ = _hom_layout(n_dims, y_dims)
-    x_off, x_size = _hom_layout(n_dims, x_dims)
-    out = [field.zero] * x_size
-    for v in range(len(x_dims)):
-        dv = d_mats[v]
-        for a in range(n_dims[v]):
-            for b in range(x_dims[v]):
-                out[x_off[v] + a * x_dims[v] + b] = field.reduce(sum(
-                    (phi_flat[y_off[v] + a * y_dims[v] + m] * dv.entry(m, b)
-                     for m in range(y_dims[v])), field.zero))
-    return tuple(out)
-
-
-def _ext_dims_against(reps, maps, n_rep: Representation):
-    """(dim Ext^0, ..., dim Ext^N) of M_k against n_rep, from M_k's resolution
-    (reps, maps): the cohomology of 0 -> Hom(P_0, N) -> ... -> Hom(P_N, N) -> 0."""
-    field = n_rep.field
-    stages = reps[1:]
-    homs = [_hom_basis(p, n_rep) for p in stages]     # (basis, layout size) per P_n
-    ranks = [0]     # rank of Hom(d_n, N): Hom(P_{n-1}, N) -> Hom(P_n, N)
-    for n in range(1, len(stages)):
-        images = [_compose_flat(field, phi, n_rep.dims, stages[n - 1].dims, stages[n].dims,
-                                maps[n])
-                  for phi in homs[n - 1][0]]
-        ranks.append(linalg.rank(field, linalg.mat(images, ncols=homs[n][1])))
-    ranks.append(0)
-    return tuple(len(basis) - ranks[n] - ranks[n + 1] for n, (basis, _) in enumerate(homs))
 
 
 @lru_cache(maxsize=None)
 def _ext_row(i: int) -> tuple:
-    """Ext dimensions of M_i against M_1, ..., M_11, from one build of M_i's resolution."""
-    reps, maps = resolution_maps(i)
-    return tuple(_ext_dims_against(reps, maps, indecomposable(j)) for j in sorted(INTERVAL_DIMS))
+    """(dim Ext^0, ..., dim Ext^N) of M_i against M_1, ..., M_11: the
+    cohomology of 0 -> Hom(P_0, M_j) -> ... -> Hom(P_N, M_j) -> 0.  A
+    summand P of P_n contributes M_j at P's generating corner, so the mask
+    keeps the summands whose generator M_j lives at, and Hom(d_n, M_j) is
+    B_n between the masks of P_{n-1} and P_n (up to a transpose)."""
+    stages, diffs = _RESOLUTIONS[i].stages, _RESOLUTIONS[i].diffs
+    row = []
+    for j in sorted(INTERVAL_DIMS):
+        masks = [[INTERVAL_DIMS[j][_GENERATOR[p] - 1] for p in stage] for stage in stages]
+        ranks = [0] + [linalg.rank(QQ, _masked(masks[n - 1], diffs[n], masks[n]))
+                       for n in range(1, len(stages))] + [0]
+        row.append(tuple(sum(mask) - ranks[n] - ranks[n + 1] for n, mask in enumerate(masks)))
+    return tuple(row)
 
 
 def _ext_dim(degree: int, m, n) -> int:
@@ -330,6 +197,11 @@ def _ext_dim(degree: int, m, n) -> int:
     # Ext vanishes above the length of the resolution, where the slice is empty.
     return sum(mi * nj * sum(_ext_row(i)[j - 1][degree:degree + 1])
                for i, mi in m_ms.items() for j, nj in n_ms.items())
+
+
+def hom_dim(m, n) -> int:
+    """Dimension of the space of module maps m -> n, as dim Ext^0(m, n)."""
+    return _ext_dim(0, m, n)
 
 
 def ext1_dim(m, n) -> int:

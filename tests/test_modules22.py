@@ -1,10 +1,39 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
 from crystal_grid import g22, linalg, modules22 as ma
 from crystal_grid.linalg import QQ
-from crystal_grid.reps import direct_sum, g22_blocks, g22_dims
+from crystal_grid.reps import Representation, direct_sum, g22_blocks, g22_dims
+
+
+def _intertwiner_hom_dim(x_rep: Representation, n_rep: Representation) -> int:
+    """dim Hom(x, n) as the kernel of the intertwiner system: one unknown per
+    entry of the per-vertex blocks phi_v: x(v) -> n(v), one equation per
+    entry of phi_t x(a) - n(a) phi_s on each arrow a: s -> t.  Independent of
+    the library's resolutions; the reference for every Hom and Ext^0."""
+    q = x_rep.quiver
+    xd, nd = x_rep.dims, n_rep.dims
+    offsets = [sum(nd[u] * xd[u] for u in range(v)) for v in range(len(xd))]
+    size = sum(nd[v] * xd[v] for v in range(len(xd)))
+    rows = []
+    for fx, fn, (s, t) in zip(x_rep.mats, n_rep.mats, q.arrows):
+        si, ti = q.vertices.index(s), q.vertices.index(t)
+        for x in range(nd[ti]):
+            for y in range(xd[si]):
+                row = [QQ.zero] * size
+                for b in range(xd[ti]):
+                    row[offsets[ti] + x * xd[ti] + b] += fx.entry(b, y)
+                for a in range(nd[si]):
+                    row[offsets[si] + a * xd[si] + y] -= fn.entry(x, a)
+                rows.append(row)
+    return len(linalg.nullspace(QQ, linalg.mat(rows, ncols=size)))
+
+
+@lru_cache(maxsize=None)
+def _catalog_hom(i: int, j: int) -> int:
+    return _intertwiner_hom_dim(ma.indecomposable(i), ma.indecomposable(j))
 
 
 def test_catalog_has_eleven_interval_classes():
@@ -45,9 +74,9 @@ def test_hom_dims():
 
 
 def test_hom_accepts_multisets_and_reps():
-    assert ma.hom_dim({4: 1, 11: 1}, {4: 1, 11: 1}) == 3
-    rep = ma.multiset_rep({4: 1, 11: 1})
-    assert ma.hom_dim(rep, rep) == 3
+    ms = {4: 1, 11: 1}
+    rep = ma.multiset_rep(ms)
+    assert ma.hom_dim(ms, ms) == _intertwiner_hom_dim(rep, rep) == 3
 
 
 def test_hom_is_biadditive():
@@ -55,8 +84,8 @@ def test_hom_is_biadditive():
         ms = {i: 1}
         ms[j] = ms.get(j, 0) + 1
         split = ma.hom_dim(ms, {i: 1})
-        merged = ma.hom_dim(direct_sum(ma.indecomposable(i), ma.indecomposable(j)),
-                            ma.indecomposable(i))
+        merged = _intertwiner_hom_dim(direct_sum(ma.indecomposable(i), ma.indecomposable(j)),
+                                      ma.indecomposable(i))
         assert split == merged
 
 
@@ -105,6 +134,14 @@ def test_broken_resolutions_are_not_exact(monkeypatch, k, broken):
     assert not ma.verify_resolution_exact(k)
 
 
+def test_augmentation_that_is_no_module_map_is_rejected(monkeypatch):
+    # The overlap map M11 -> M2 is nonzero only at corner 2, so on the arrow
+    # 1 -> 2 it does not commute with M11's identity.
+    monkeypatch.setitem(ma._RESOLUTIONS, 2, ma.Resolution(((11,),), (((1,),),)))
+    with pytest.raises(AssertionError, match="d_0 in the resolution of M2 is not a module map"):
+        ma.verify_resolution_exact(2)
+
+
 # Ext^1(M_i, M_j) = 1 exactly at these pairs; Ext^2 only at (1, 4).
 _EXT1_PAIRS = {
     (1, 2), (1, 3), (1, 9), (1, 10), (2, 4), (2, 8), (3, 4), (3, 7), (5, 3), (5, 8),
@@ -117,16 +154,22 @@ def test_ext_tables_are_pinned():
     assert ma.ext1_table() == {p: int(p in _EXT1_PAIRS) for p in pairs}
     assert {p: ma.ext2_dim(*p) for p in pairs} == {p: int(p == (1, 4)) for p in pairs}
     # Ext^0, the kernel at Hom(P_0, N), is Hom(M, N).
-    assert all(ma._ext_row(i)[j - 1][0] == ma.hom_dim(i, j) for i, j in pairs)
+    assert all(ma._ext_row(i)[j - 1][0] == _catalog_hom(i, j) for i, j in pairs)
+
+
+# The corner v whose simple each projective covers.
+_COVERED_CORNER = {11: 1, 7: 2, 8: 3, 4: 4}
 
 
 def test_euler_characteristic_of_resolutions():
+    for p, v in _COVERED_CORNER.items():
+        assert all(_catalog_hom(p, j) == ma.INTERVAL_DIMS[j][v - 1] for j in range(1, 12))
     for k in range(1, 12):
         res = ma.resolution(k)
         for j in range(1, 12):
-            alternating = sum((-1) ** n * sum(ma.hom_dim(p, j) for p in stage)
+            alternating = sum((-1) ** n * sum(_catalog_hom(p, j) for p in stage)
                               for n, stage in enumerate(res.stages))
-            assert alternating == ma.hom_dim(k, j) - ma.ext1_dim(k, j) + ma.ext2_dim(k, j)
+            assert alternating == _catalog_hom(k, j) - ma.ext1_dim(k, j) + ma.ext2_dim(k, j)
 
 
 def test_ext_is_additive_in_second_argument():

@@ -48,6 +48,7 @@ G22 = "src/crystal_grid/g22.py"
 BINFTY = "src/crystal_grid/binfty.py"
 ORACLE = "src/crystal_grid/oracle.py"
 SUITES = "src/crystal_grid/suites.py"
+MODULES22 = "src/crystal_grid/modules22.py"
 
 MUTANTS = (
     Mutant("weight step: alpha_i with the wrong sign", CARTAN,
@@ -103,6 +104,13 @@ MUTANTS = (
     Mutant("linalg GF(p) row update: adds the multiple of the pivot row", LINALG,
            "[(x - f * y) % p for x, y in zip(row, lead)]",
            "[(x + f * y) % p for x, y in zip(row, lead)]", "tests/test_linalg.py"),
+    Mutant("modules22 Ext cochains: P_2 read at corner 3", MODULES22,
+           "_GENERATOR = {11: 1, 7: 2, 8: 3, 4: 4}", "_GENERATOR = {11: 1, 7: 3, 8: 3, 4: 4}",
+           "tests/test_modules22.py"),
+    Mutant("modules22 resolution of M1: last differential's sign flipped", MODULES22,
+           "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (-1,)))),",
+           "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (1,)))),",
+           "tests/test_modules22.py"),
     Mutant("sampling suites: no rerun under seed + 1", SUITES,
            "sampled = matches(retry)", "sampled = False",
            "tests/test_cli.py::test_sampling_retries_are_reported"),
