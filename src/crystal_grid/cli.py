@@ -111,9 +111,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_grid_info(args) -> int:
-    from . import grid as grid_mod
+    from .grid import build_grid
 
-    q = grid_mod.build_grid(args.grid)
+    q = build_grid(args.grid)
     a = cartan.cartan_from_quiver(q)
     payload = {
         "config": _config(args, grid=list(args.grid)),

@@ -25,7 +25,7 @@ from operator import mul
 from . import linalg
 from .g22 import Component
 from .linalg import QQ
-from .reps import Representation, direct_sum, g22_blocks, g22_dims, g22_representation
+from .reps import ARROWS, Representation, direct_sum
 
 INTERVAL_DIMS = {
     1: (1, 0, 0, 0),
@@ -52,8 +52,6 @@ AR_QUIVER_ARROWS = (
     (11, 9), (2, 9), (3, 9), (9, 5), (9, 6), (5, 1), (6, 1),
 )
 
-_ARROWS = ((1, 2), (1, 3), (2, 4), (3, 4))
-
 
 class InconsistentProfileError(ValueError):
     """A rank profile admitting no nonnegative integral decomposition."""
@@ -62,13 +60,9 @@ class InconsistentProfileError(ValueError):
 def indecomposable(k: int) -> Representation:
     """The interval module M_k over QQ with identity maps wherever possible."""
     dims = INTERVAL_DIMS[k]
-    mats = []
-    for (s, t) in _ARROWS:
-        if dims[s - 1] == 1 and dims[t - 1] == 1:
-            mats.append(linalg.identity(QQ, 1))
-        else:
-            mats.append(linalg.zeros(QQ, dims[t - 1], dims[s - 1]))
-    return g22_representation(QQ, dims, *mats)
+    return Representation(QQ, dims, *(
+        linalg.identity(QQ, 1) if dims[s - 1] and dims[t - 1]
+        else linalg.zeros(QQ, dims[t - 1], dims[s - 1]) for s, t in ARROWS))
 
 
 def normalize_multiset(ms: dict) -> dict:
@@ -93,7 +87,7 @@ def multiset_rep(ms: dict) -> Representation:
     """Direct sum over QQ of the catalog modules with the given multiplicities."""
     pieces = [indecomposable(k) for k, m in normalize_multiset(ms).items() for _ in range(m)]
     if not pieces:
-        return g22_representation(QQ, (0, 0, 0, 0), *(linalg.zeros(QQ, 0, 0) for _ in range(4)))
+        return Representation(QQ, (0, 0, 0, 0), *(linalg.zeros(QQ, 0, 0) for _ in ARROWS))
     return reduce(direct_sum, pieces)
 
 
@@ -139,10 +133,15 @@ def _lives(stage, *corners) -> list:
     return [int(all(INTERVAL_DIMS[s][v - 1] for v in corners)) for s in stage]
 
 
+def _mask(rows, table, cols) -> list:
+    """diag(rows) · table · diag(cols) as integer rows."""
+    return [[r * b * c for b, c in zip(line, cols, strict=True)]
+            for r, line in zip(rows, table, strict=True)]
+
+
 def _masked(rows, table, cols) -> linalg.Mat:
     """diag(rows) · table · diag(cols) over QQ."""
-    return linalg.from_int_rows(QQ, [[r * b * c for b, c in zip(line, cols, strict=True)]
-                                     for r, line in zip(rows, table, strict=True)], len(cols))
+    return linalg.from_int_rows(QQ, _mask(rows, table, cols), len(cols))
 
 
 def verify_resolution_exact(k: int) -> bool:
@@ -154,9 +153,9 @@ def verify_resolution_exact(k: int) -> bool:
     res = _RESOLUTIONS[k]
     below = ((k,),) + res.stages[:-1]
     for n, (lower, stage, table) in enumerate(zip(below, res.stages, res.diffs, strict=True)):
-        for s, t in _ARROWS:
-            if (_masked(_lives(lower, t), table, _lives(stage, s, t))
-                    != _masked(_lives(lower, s, t), table, _lives(stage, s))):
+        for s, t in ARROWS:
+            if (_mask(_lives(lower, t), table, _lives(stage, s, t))
+                    != _mask(_lives(lower, s, t), table, _lives(stage, s))):
                 raise AssertionError(f"d_{n} in the resolution of M{k} is not a module map")
     for v in (1, 2, 3, 4):
         maps = [_masked(_lives(lower, v), table, _lives(stage, v))
@@ -283,9 +282,9 @@ def rank_profile(rep: Representation) -> RankProfile:
     and the composite 1 -> 4.  The sink map's sign (f24 beside -f34) only
     scales columns, so the plain stack has its rank."""
     field = rep.field
-    f12, f13, f24, f34 = g22_blocks(rep)
+    f12, f13, f24, f34 = rep.maps
     return RankProfile(
-        dims=g22_dims(rep),
+        dims=rep.dims,
         r12=linalg.rank(field, f12),
         r13=linalg.rank(field, f13),
         r24=linalg.rank(field, f24),

@@ -1,15 +1,14 @@
-"""Exact sampling oracle for components of grid representation varieties.
+"""Exact sampling oracle for components of the 2x2-grid representation varieties.
 
-A point of a named 2x2-grid component is a two-step complex (a pair of
-composable maps with zero composite) built from full-rank factors: the
-outward map is A·B and the inward map is C·R·K, where K spans the left
-kernel of A.  Its two stacked ranks equal the component's rank data
-exactly, not just generically, and its law is that of the block normal
-form conjugated by independent uniform invertible matrices at the three
-slots.  Chain representations are sampled with unconstrained uniform
-matrices.  Everything runs over an exact prime field, so minima over
-samples are honest lower bounds for generic values; ``sampled_minima`` is
-the one routine that takes them.
+A point of a named component is a ``reps.Representation`` whose two
+stacked maps form a two-step complex (a pair of composable maps with zero
+composite) built from full-rank factors: the outward map is A·B and the
+inward map is C·R·K, where K spans the left kernel of A.  Its two stacked
+ranks equal the component's rank data exactly, not just generically, and
+its law is that of the block normal form conjugated by independent uniform
+invertible matrices at the three slots.  Everything runs over an exact
+prime field, so minima over samples are honest lower bounds for generic
+values; ``sampled_minima`` is the one routine that takes them.
 
 The corner statistics are the cokernel of the stacked map into a corner
 (eps) and the kernel of the stacked map out of it (eps_star).  Each is a
@@ -30,9 +29,8 @@ from dataclasses import dataclass
 
 from . import linalg, modules22
 from .g22 import Component
-from .grid import build_grid, neighborhoods
 from .linalg import Mat, PrimeField
-from .reps import Representation, g22_representation, make_representation
+from .reps import Representation
 
 DEFAULT_PRIME = 32003
 
@@ -85,161 +83,13 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     f13 = Mat(d3, d1, out_map.rows[d2:])
     f24 = Mat(d4, d2, tuple(row[:d2] for row in in_map.rows))
     f34 = linalg.neg(field, Mat(d4, d3, tuple(row[d2:] for row in in_map.rows)))
-    return g22_representation(field, c.dims, f12, f13, f24, f34)
+    return Representation(field, c.dims, f12, f13, f24, f34)
 
 
 def _factor_maps(field, a: Mat, b: Mat, r: Mat, cm: Mat):
     """The outward map A·B and the inward map C·(R·K), K a basis of the left kernel of A."""
     k = linalg.mat(linalg.nullspace(field, linalg.transpose(a)), ncols=a.nrows)
     return linalg.mul(field, a, b), linalg.mul(field, cm, linalg.mul(field, r, k))
-
-
-def sample_an_point(dims, cfg: SampleConfig, index: int = 0) -> Representation:
-    """Uniform random chain representation; there are no relations to respect."""
-    field = cfg.field()
-    rng = cfg.rng(index)
-    n = len(dims)
-    quiver = build_grid((n,))
-    dims_by_vertex = {(k + 1,): dims[k] for k in range(n)}
-    mats = {}
-    for (s, t) in quiver.arrows:
-        mats[(s, t)] = linalg.random_matrix(field, dims_by_vertex[t], dims_by_vertex[s], rng)
-    return make_representation(quiver, field, dims_by_vertex, mats)
-
-
-def incoming_matrix(rep: Representation, v) -> Mat:
-    """Horizontal stack of the arrow matrices ending at a vertex."""
-    blocks = [rep.mat_on(u, v) for (u, w) in rep.quiver.arrows if w == v]
-    if not blocks:
-        return linalg.zeros(rep.field, rep.dim_at(v), 0)
-    return linalg.hstack(blocks)
-
-
-def _square_closing_map(rep: Representation, v, starred: bool):
-    """The signed square-closing matrix at a vertex and its source list.
-
-    Assembled over the out-neighborhood (in-neighborhood and transposes
-    for the starred version), with the earlier neighbor of each square
-    carrying + and the later one -.  Returns (matrix, sources); the
-    matrix is None when there are at most one source (the map is zero).
-    """
-    field = rep.field
-    nb = neighborhoods(rep.quiver, v)
-    sources = nb.in1 if starred else nb.out1
-    corners = nb.in2 if starred else nb.out2
-    pairing = nb.tail if starred else nb.head
-    if len(sources) <= 1:
-        return None, sources
-    blocks = {}
-    for (j1, j2), k in pairing.items():
-        if starred:
-            blocks[(j1, k)] = linalg.transpose(rep.mat_on(k, j1))
-            blocks[(j2, k)] = linalg.neg(field, linalg.transpose(rep.mat_on(k, j2)))
-        else:
-            blocks[(j1, k)] = rep.mat_on(j1, k)
-            blocks[(j2, k)] = linalg.neg(field, rep.mat_on(j2, k))
-    rows = []
-    for k in corners:
-        row = []
-        for j in sources:
-            blk = blocks.get((j, k))
-            if blk is None:
-                blk = linalg.zeros(field, rep.dim_at(k), rep.dim_at(j))
-            row.append(blk)
-        rows.append(linalg.hstack(row))
-    return linalg.vstack(rows), sources
-
-
-def extension_fiber_dim(rep: Representation, v, starred: bool = False) -> int:
-    """Kernel dimension of the signed square-closing map at a vertex."""
-    matrix, sources = _square_closing_map(rep, v, starred)
-    if not sources:
-        return 0
-    if matrix is None:
-        return rep.dim_at(sources[0])
-    return matrix.ncols - linalg.rank(rep.field, matrix)
-
-
-def extension_point(rep: Representation, v, rng) -> Representation:
-    """A generic extension of the simple at a vertex by the representation.
-
-    The vertex gains one dimension; inward arrows are zero-padded (the
-    quotient simple receives nothing), and outward arrows gain a column
-    drawn from the kernel of the square-closing map, which is exactly the
-    commutativity constraint on the new basis vector.
-    """
-    field = rep.field
-    q = rep.quiver
-    matrix, sources = _square_closing_map(rep, v, starred=False)
-    if matrix is None:
-        kernel_vec = field.rand_row(rng, sum(rep.dim_at(j) for j in sources))
-    else:
-        basis = linalg.mat(linalg.nullspace(field, matrix), ncols=matrix.ncols)
-        kernel_vec = field.dots(field.rand_row(rng, basis.nrows), linalg.transpose(basis).rows)
-    chunks = {}
-    offset = 0
-    for j in sources:
-        chunks[j] = kernel_vec[offset:offset + rep.dim_at(j)]
-        offset += rep.dim_at(j)
-    dims = {u: rep.dim_at(u) for u in q.vertices}
-    dims[v] += 1
-    mats = {}
-    for (s, t) in q.arrows:
-        m = rep.mat_on(s, t)
-        if t == v:
-            mats[(s, t)] = linalg.vstack([m, linalg.zeros(field, 1, m.ncols)])
-        elif s == v:
-            col = Mat(m.nrows, 1, tuple((x,) for x in chunks[t]))
-            mats[(s, t)] = linalg.hstack([m, col])
-        else:
-            mats[(s, t)] = m
-    return make_representation(q, field, dims, mats)
-
-
-def restriction_point(rep: Representation, v, rng):
-    """A generic corank-1 subrepresentation cutting the vertex down by one.
-
-    The hyperplane at the vertex must contain the images of all inward
-    arrows, so this exists exactly when the cokernel there is nonzero;
-    returns None otherwise.
-    """
-    field = rep.field
-    q = rep.quiver
-    d = rep.dim_at(v)
-    inc = incoming_matrix(rep, v)
-    span = []
-    span_rank = 0
-    for j in range(inc.ncols):
-        candidate = span + [tuple(inc.rows[k][j] for k in range(d))]
-        if linalg.rank(field, linalg.mat(candidate, ncols=d)) > span_rank:
-            span = candidate
-            span_rank += 1
-    if d - span_rank == 0:
-        return None
-    while True:
-        extra = [tuple(field.rand_row(rng, d)) for _ in range(d - 1 - span_rank)]
-        basis = linalg.transpose(linalg.mat(span + extra, ncols=d))
-        if linalg.rank(field, basis) == d - 1:
-            break
-    dims = {u: rep.dim_at(u) for u in q.vertices}
-    dims[v] = d - 1
-    mats = {}
-    for (s, t) in q.arrows:
-        m = rep.mat_on(s, t)
-        if t == v:
-            cols = []
-            for j in range(m.ncols):
-                col = tuple(m.rows[k][j] for k in range(m.nrows))
-                x = linalg.solve(field, basis, col)
-                if x is None:
-                    raise AssertionError("inward image escaped the chosen hyperplane")
-                cols.append(x)
-            mats[(s, t)] = linalg.transpose(linalg.mat(cols, ncols=d - 1))
-        elif s == v:
-            mats[(s, t)] = linalg.mul(field, m, basis)
-        else:
-            mats[(s, t)] = m
-    return make_representation(q, field, dims, mats)
 
 
 # The profile rank that each (kind, corner) statistic subtracts from the

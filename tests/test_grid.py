@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from crystal_grid import cartan, grid
+from crystal_grid import cartan, g22, grid
 
 
 def test_two_by_two_grid_counts():
@@ -55,70 +55,60 @@ def test_relations_are_unit_squares():
         assert sum(e - s for s, e in zip(start, end)) == 2
 
 
+def _flip(q, v):
+    """The coordinate flip v |-> m - v + 1, an isomorphism onto the opposite quiver."""
+    return tuple(m - x + 1 for m, x in zip(q.shape, v))
+
+
+def _out(q, v):
+    return {w for u, w in q.arrows if u == v}
+
+
+def _in(q, v):
+    return {u for u, w in q.arrows if w == v}
+
+
 def test_neighborhoods_source_corner():
     q = grid.build_grid((2, 2))
-    nb = grid.neighborhoods(q, (1, 1))
-    assert set(nb.out1) == {(2, 1), (1, 2)}
-    assert nb.out2 == ((2, 2),)
-    assert nb.in1 == ()
-    assert nb.head == {((1, 2), (2, 1)): (2, 2)}
+    assert _out(q, (1, 1)) == {(2, 1), (1, 2)}
+    assert _in(q, (1, 1)) == set()
+    # the one square closes the two out-neighbors at the sink
+    assert q.relations == (((((1, 1), (2, 1)), ((2, 1), (2, 2))),
+                            (((1, 1), (1, 2)), ((1, 2), (2, 2)))),)
 
 
 def test_neighborhoods_sink_corner():
     q = grid.build_grid((2, 2))
-    nb = grid.neighborhoods(q, (2, 2))
-    assert set(nb.in1) == {(1, 2), (2, 1)}
-    assert nb.in2 == ((1, 1),)
-    assert nb.out1 == ()
+    assert _in(q, (2, 2)) == {(1, 2), (2, 1)}
+    assert _out(q, (2, 2)) == set()
 
 
 def test_neighborhoods_chain_interior():
     q = grid.build_grid((3,))
-    nb = grid.neighborhoods(q, (2,))
-    assert nb.out1 == ((3,),)
-    assert nb.out2 == ()
-    assert nb.in1 == ((1,),)
+    assert _out(q, (2,)) == {(3,)}
+    assert _in(q, (2,)) == {(1,)}
 
 
-def test_neighborhoods_rejects_outside_vertex():
-    q = grid.build_grid((2, 2))
-    with pytest.raises(ValueError):
-        grid.neighborhoods(q, (3, 1))
+def test_neighborhoods_swap_under_involution():
+    # The flip sends each square v -> u -> w onto the square flip(w) -> flip(u) -> flip(v).
+    q = grid.build_grid((3, 2))
+    squares = {(a[0][0], a[0][1], b[0][1], a[1][1]) for a, b in q.relations}
+    assert {(_flip(q, w), _flip(q, u2), _flip(q, u1), _flip(q, v))
+            for v, u1, u2, w in squares} == squares
 
 
 def test_involution_corner_numbering():
-    q = grid.build_grid((2, 2))
-    assert grid.involution(q, (1, 1)) == (2, 2)
-    assert grid.involution(q, (2, 1)) == (1, 2)
-
-
-def test_involution_on_chain():
-    q = grid.build_grid((6,))
-    for i in range(1, 7):
-        assert grid.involution(q, (i,)) == (6 - i + 1,)
-
-
-def test_involution_is_involutive():
-    q = grid.build_grid((3, 2))
-    for v in q.vertices:
-        assert grid.involution(q, grid.involution(q, v)) == v
+    # g22's corner involution is the coordinate flip of the 2x2 grid.
+    for k, v in g22.VERTEX_OF.items():
+        assert g22.VERTEX_OF[g22.VERTEX_INVOLUTION[k]] == _flip(g22.QUIVER, v)
 
 
 def test_involution_reverses_arrows():
     q = grid.build_grid((3, 2))
     arrows = set(q.arrows)
     for u, w in itertools.product(q.vertices, repeat=2):
-        flipped = (grid.involution(q, w), grid.involution(q, u))
+        flipped = (_flip(q, w), _flip(q, u))
         assert ((u, w) in arrows) == (flipped in arrows)
-
-
-def test_neighborhoods_swap_under_involution():
-    q = grid.build_grid((3, 2))
-    for v in q.vertices:
-        nb = grid.neighborhoods(q, v)
-        dual_nb = grid.neighborhoods(q, grid.involution(q, v))
-        assert sorted(grid.involution(q, w) for w in nb.out1) == sorted(dual_nb.in1)
-        assert sorted(grid.involution(q, w) for w in nb.out2) == sorted(dual_nb.in2)
 
 
 def test_cartan_invariant_under_involution():
@@ -127,6 +117,6 @@ def test_cartan_invariant_under_involution():
     assert a.is_symmetric()
     for i, u in enumerate(q.vertices):
         for j, w in enumerate(q.vertices):
-            iu = a.position(grid.involution(q, u))
-            iw = a.position(grid.involution(q, w))
+            iu = a.position(_flip(q, u))
+            iw = a.position(_flip(q, w))
             assert a.entries[i][j] == a.entries[iu][iw]

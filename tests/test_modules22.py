@@ -5,7 +5,7 @@ import pytest
 
 from crystal_grid import g22, linalg, modules22 as ma
 from crystal_grid.linalg import QQ
-from crystal_grid.reps import Representation, direct_sum, g22_blocks, g22_dims
+from crystal_grid.reps import ARROWS, Representation, direct_sum
 
 
 def _intertwiner_hom_dim(x_rep: Representation, n_rep: Representation) -> int:
@@ -13,13 +13,12 @@ def _intertwiner_hom_dim(x_rep: Representation, n_rep: Representation) -> int:
     entry of the per-vertex blocks phi_v: x(v) -> n(v), one equation per
     entry of phi_t x(a) - n(a) phi_s on each arrow a: s -> t.  Independent of
     the library's resolutions; the reference for every Hom and Ext^0."""
-    q = x_rep.quiver
     xd, nd = x_rep.dims, n_rep.dims
     offsets = [sum(nd[u] * xd[u] for u in range(v)) for v in range(len(xd))]
     size = sum(nd[v] * xd[v] for v in range(len(xd)))
     rows = []
-    for fx, fn, (s, t) in zip(x_rep.mats, n_rep.mats, q.arrows):
-        si, ti = q.vertices.index(s), q.vertices.index(t)
+    for fx, fn, (s, t) in zip(x_rep.maps, n_rep.maps, ARROWS):
+        si, ti = s - 1, t - 1
         for x in range(nd[ti]):
             for y in range(xd[si]):
                 row = [QQ.zero] * size
@@ -49,22 +48,21 @@ def test_translation_quiver_arrows_carry_maps():
 
 def test_full_interval_is_all_identities():
     rep = ma.indecomposable(11)
-    assert g22_dims(rep) == (1, 1, 1, 1)
-    for block in g22_blocks(rep):
+    assert rep.dims == (1, 1, 1, 1)
+    for block in rep.maps:
         assert block == linalg.identity(QQ, 1)
 
 
 def test_simple_at_source_corner():
     rep = ma.indecomposable(1)
-    assert g22_dims(rep) == (1, 0, 0, 0)
-    assert all(linalg.is_zero(b) for b in g22_blocks(rep))
+    assert rep.dims == (1, 0, 0, 0)
+    assert all(linalg.is_zero(b) for b in rep.maps)
 
 
 def test_hook_through_sink():
     rep = ma.indecomposable(7)
-    assert g22_dims(rep) == (0, 1, 0, 1)
-    f12, f13, f24, f34 = g22_blocks(rep)
-    assert f24 == linalg.identity(QQ, 1)
+    assert rep.dims == (0, 1, 0, 1)
+    assert rep.f24 == linalg.identity(QQ, 1)
 
 
 def test_hom_dims():

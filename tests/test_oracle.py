@@ -10,35 +10,39 @@ import pytest
 from crystal_grid import an, g22, linalg, modules22 as ma, oracle
 from crystal_grid.g22 import Component, ZERO_COMPONENT
 from crystal_grid.oracle import SampleConfig
-from crystal_grid.reps import (CommutativityError, dual_representation, g22_representation,
-                               make_representation)
-from crystal_grid.linalg import PrimeField
+from crystal_grid.reps import ARROWS, CommutativityError, Representation, direct_sum
+from crystal_grid.linalg import Mat, PrimeField
 
 
 CFG = SampleConfig(prime=32003, count=50, seed=7)
 KEYS = tuple((kind, i) for kind in ("eps", "eps_star") for i in g22.COLORS)
 
 
-def _stacked_statistic(rep, kind, v):
-    """Reference statistic at a vertex, straight from rep.mats: the cokernel of
-    the stacked map into it (eps) or the kernel of the stacked map out of it
-    (eps_star); an empty stack is the zero map."""
-    pairs = tuple(zip(rep.quiver.arrows, rep.mats))
+def _stacked_statistic(rep, kind, i):
+    """Reference statistic at corner i, straight from the four maps: the
+    cokernel of the stacked map into it (eps) or the kernel of the stacked
+    map out of it (eps_star); an empty stack is the zero map."""
+    pairs = tuple(zip(ARROWS, rep.maps))
     if kind == "eps":
-        blocks = [m for (_, t), m in pairs if t == v]
+        blocks = [m for (_, t), m in pairs if t == i]
         stacked = linalg.hstack(blocks) if blocks else None
     else:
-        blocks = [m for (s, _), m in pairs if s == v]
+        blocks = [m for (s, _), m in pairs if s == i]
         stacked = linalg.vstack(blocks) if blocks else None
-    return rep.dim_at(v) - (0 if stacked is None else linalg.rank(rep.field, stacked))
+    return rep.dims[i - 1] - (0 if stacked is None else linalg.rank(rep.field, stacked))
 
 
 def _statistic(rep, kind, i):
     """The corner statistic read off the point's rank profile, checked
     against the reference."""
     value = oracle._corner_statistic(ma.rank_profile(rep), (kind, i))
-    assert value == _stacked_statistic(rep, kind, g22.VERTEX_OF[i])
+    assert value == _stacked_statistic(rep, kind, i)
     return value
+
+
+def _zero_point(field, d):
+    """The point with every dimension d and every map zero."""
+    return Representation(field, (d,) * 4, *(linalg.zeros(field, d, d) for _ in ARROWS))
 
 
 def _rank_pair(rep):
@@ -61,15 +65,24 @@ def test_sample_config_validation():
 
 def test_representation_constructor_checks_commutativity():
     field = PrimeField(101)
-    good = g22_representation(field, (1, 1, 1, 1),
-                              linalg.identity(field, 1), linalg.identity(field, 1),
-                              linalg.identity(field, 1), linalg.identity(field, 1))
-    assert good.total_dim == 4
+    one = linalg.identity(field, 1)
+    good = Representation(field, (1, 1, 1, 1), one, one, one, one)
+    assert good.maps == (one,) * 4
     with pytest.raises(CommutativityError):
-        g22_representation(field, (1, 1, 1, 1),
-                           linalg.identity(field, 1), linalg.identity(field, 1),
-                           linalg.identity(field, 1),
-                           linalg.from_int_rows(field, [[2]]))
+        Representation(field, (1, 1, 1, 1), one, one, one, linalg.from_int_rows(field, [[2]]))
+    # Each arrow's shape is checked before the square, so a wrongly shaped map
+    # is reported as such, not as a failed product.
+    for k, (s, t) in enumerate(ARROWS):
+        maps = [one] * 4
+        maps[k] = linalg.zeros(field, 1, 2)
+        with pytest.raises(ValueError, match=f"f{s}{t} has shape 1x2"):
+            Representation(field, (1, 1, 1, 1), *maps)
+    with pytest.raises(ValueError, match="four nonnegative"):
+        Representation(field, (1, 1, 1), one, one, one, one)
+    with pytest.raises(ValueError, match="four nonnegative"):
+        Representation(field, (1, 1, -1, 1), one, one, one, one)
+    with pytest.raises(ValueError, match="different fields"):
+        direct_sum(good, _zero_point(PrimeField(103), 1))
 
 
 def test_sampled_points_have_exact_rank_pair():
@@ -80,8 +93,9 @@ def test_sampled_points_have_exact_rank_pair():
 
 
 # sha256 of the sampled matrices and rank profiles below, recorded when the
-# GF(p) arithmetic still reduced one entry at a time; any change to the
-# sampler's draws or to the linear algebra's results moves it.
+# GF(p) arithmetic still reduced one entry at a time and a point stored its
+# maps in grid-coordinate arrow order, (f13, f12, f34, f24); any change to
+# the sampler's draws or to the linear algebra's results moves it.
 PINNED_SAMPLE_DIGEST = "1169485701382e189822ecf4252ba1dc84f83e1e3782a055aee8bce12f551e94"
 
 
@@ -91,29 +105,26 @@ def test_sampled_points_are_byte_reproducible():
         for c in g22.enumerate_components(dims):
             for index in range(3):
                 rep = oracle.sample_component_point(c, CFG, index)
-                digest.update(repr((tuple(m.rows for m in rep.mats),
+                digest.update(repr(((rep.f13.rows, rep.f12.rows, rep.f34.rows, rep.f24.rows),
                                     ma.rank_profile(rep).as_vector())).encode())
     assert digest.hexdigest() == PINNED_SAMPLE_DIGEST
 
 
 def test_sample_of_base_point_is_empty():
     rep = oracle.sample_component_point(ZERO_COMPONENT, CFG, 0)
-    assert rep.total_dim == 0
+    assert rep.dims == (0, 0, 0, 0)
 
 
 def test_sample_with_zero_sink_rank_kills_inward_maps():
     c = Component((2, 1, 1, 2), (2, 0))
     rep = oracle.sample_component_point(c, CFG, 3)
-    from crystal_grid.reps import g22_blocks
-
-    f12, f13, f24, f34 = g22_blocks(rep)
+    f12, f13, f24, f34 = rep.maps
     assert linalg.is_zero(f24) and linalg.is_zero(f34)
     assert linalg.rank(rep.field, linalg.vstack([f12, f13])) == 2
 
 
 def test_epsilon_of_zero_representation():
-    field = PrimeField(101)
-    rep = make_representation(g22.QUIVER, field, {v: 2 for v in g22.QUIVER.vertices}, {})
+    rep = _zero_point(PrimeField(101), 2)
     for kind, i in KEYS:
         assert _statistic(rep, kind, i) == 2
 
@@ -143,20 +154,20 @@ def test_profile_statistics_match_the_stacked_maps(prime):
                 profile = ma.rank_profile(rep)
                 for kind, i in KEYS:
                     assert oracle._corner_statistic(profile, (kind, i)) == \
-                        _stacked_statistic(rep, kind, g22.VERTEX_OF[i]), (c, index, kind, i)
+                        _stacked_statistic(rep, kind, i), (c, index, kind, i)
                 points += 1
     assert points == 728
 
 
 def test_extension_fiber_dimension():
     rep = oracle.sample_component_point(Component((1, 1, 1, 2), (1, 1)), CFG, 0)
-    assert oracle.extension_fiber_dim(rep, g22.VERTEX_OF[1]) == 1
+    assert extension_fiber_dim(rep, 1) == 1
     # single outgoing arrow: the fiber is the whole target space
-    assert oracle.extension_fiber_dim(rep, g22.VERTEX_OF[2]) == 2
+    assert extension_fiber_dim(rep, 2) == 2
     # no outgoing arrows at the sink
-    assert oracle.extension_fiber_dim(rep, g22.VERTEX_OF[4]) == 0
+    assert extension_fiber_dim(rep, 4) == 0
     # starred version at the sink pairs the two inward arrows
-    assert oracle.extension_fiber_dim(rep, g22.VERTEX_OF[4], starred=True) == 1
+    assert extension_fiber_dim(rep, 4, starred=True) == 1
 
 
 def test_estimates_match_closed_forms():
@@ -181,7 +192,7 @@ def test_sampled_minima_take_the_minimum_over_every_draw():
     for index in range(cfg.count):
         rep = oracle.sample_component_point(c, cfg, index)
         for kind, i in floors:
-            tally[(kind, i)].append(_stacked_statistic(rep, kind, g22.VERTEX_OF[i]))
+            tally[(kind, i)].append(_stacked_statistic(rep, kind, i))
     assert minima == {key: min(values) for key, values in tally.items()}
     assert any(min(values) != max(values) for values in tally.values())
 
@@ -261,11 +272,26 @@ def test_factor_sampler_has_the_conjugation_law(d1, mid, d4, r1, r2):
     assert _normalized(_factor_law(*shape)) == _normalized(_conjugation_law(*shape))
 
 
+def _transpose(rep):
+    """The transpose point on the opposite grid: corners 1..4 become 4..1."""
+    t = linalg.transpose
+    return Representation(rep.field, rep.dims[::-1], t(rep.f34), t(rep.f24), t(rep.f13), t(rep.f12))
+
+
 def test_transpose_duality_of_samples():
+    # The transpose swaps r12 with r34, r13 with r24 and source with sink,
+    # keeps the composite, and turns eps_star at corner 5 - i into eps at i.
     for dims in itertools.product(range(3), repeat=4):
         for c in g22.enumerate_components(dims):
             rep = oracle.sample_component_point(c, CFG, 1)
-            assert _rank_pair(dual_representation(rep)) == g22.dual(c).ranks
+            p, q = ma.rank_profile(rep), ma.rank_profile(_transpose(rep))
+            assert (q.source_rank, q.sink_rank) == g22.dual(c).ranks
+            assert q == ma.RankProfile(p.dims[::-1], r12=p.r34, r13=p.r24, r24=p.r13,
+                                       r34=p.r12, source_rank=p.sink_rank,
+                                       sink_rank=p.source_rank, diag_rank=p.diag_rank)
+            for i in g22.COLORS:
+                assert (oracle._corner_statistic(q, ("eps", i))
+                        == oracle._corner_statistic(p, ("eps_star", 5 - i))), (c, i)
 
 
 def test_certify_sampled_decomposition():
@@ -279,52 +305,170 @@ def test_certify_explicit_direct_sum():
 
 
 def test_certify_zero_representation():
-    field = PrimeField(32003)
-    rep = make_representation(g22.QUIVER, field, {v: 1 for v in g22.QUIVER.vertices}, {})
+    rep = _zero_point(PrimeField(32003), 1)
     assert _certified(rep) == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+# ---------------------------------------------------------------------------
+# The chain: a point is the tuple of its maps V_1 -> V_2 -> ... -> V_n.
+
+
+def sample_an_point(dims, cfg: SampleConfig, index: int = 0) -> tuple:
+    """Uniform random chain maps; there are no relations to respect."""
+    field, rng = cfg.field(), cfg.rng(index)
+    return tuple(linalg.random_matrix(field, dims[k + 1], dims[k], rng)
+                 for k in range(len(dims) - 1))
+
+
+def _chain_statistics(field, dims, maps, i):
+    """(dim coker(V_{i-1} -> V_i), dim ker(V_i -> V_{i+1})) of a chain point;
+    a map past either end is zero."""
+    into = linalg.rank(field, maps[i - 2]) if i > 1 else 0
+    out = linalg.rank(field, maps[i - 1]) if i < len(dims) else 0
+    return dims[i - 1] - into, dims[i - 1] - out
 
 
 def test_an_sampler_reaches_full_rank():
     cfg = SampleConfig(prime=101, count=50, seed=3)
-    ranks = []
-    for k in range(cfg.count):
-        rep = oracle.sample_an_point((2, 2), cfg, k)
-        ranks.append(linalg.rank(rep.field, rep.mat_on((1,), (2,))))
-    assert max(ranks) == 2
-    assert min(_stacked_statistic(oracle.sample_an_point((2, 2), cfg, k), "eps", (2,))
-               for k in range(cfg.count)) == 0
+    points = [sample_an_point((2, 2), cfg, k) for k in range(cfg.count)]
+    assert max(linalg.rank(cfg.field(), maps[0]) for maps in points) == 2
+    assert min(_chain_statistics(cfg.field(), (2, 2), maps, 2)[0] for maps in points) == 0
 
 
 def test_an_sampler_degenerate_shapes():
-    rep = oracle.sample_an_point((0, 3), CFG, 0)
-    assert rep.dims == (0, 3)
-    assert _stacked_statistic(rep, "eps", (2,)) == 3
-    rep = oracle.sample_an_point((1, 1, 1), CFG, 0)
-    assert all(m.nrows == 1 and m.ncols == 1 for m in rep.mats)
+    maps = sample_an_point((0, 3), CFG, 0)
+    assert (maps[0].nrows, maps[0].ncols) == (3, 0)
+    assert _chain_statistics(CFG.field(), (0, 3), maps, 2) == (3, 3)
+    maps = sample_an_point((1, 1, 1), CFG, 0)
+    assert len(maps) == 2 and all(m.nrows == 1 and m.ncols == 1 for m in maps)
 
 
 def test_an_oracle_concordance_small():
     cfg = SampleConfig(prime=32003, count=50, seed=5)
     for dims in itertools.product(range(3), repeat=3):
+        points = [sample_an_point(dims, cfg, k) for k in range(cfg.count)]
         for i in (1, 2, 3):
-            sampled = min(
-                _stacked_statistic(oracle.sample_an_point(dims, cfg, k), "eps", (i,))
-                for k in range(cfg.count))
-            assert sampled == an.epsilon(dims, i)
+            eps, eps_star = (min(values) for values in zip(
+                *(_chain_statistics(cfg.field(), dims, maps, i) for maps in points)))
+            assert eps == an.epsilon(dims, i), (dims, i)
+            assert eps_star == an.epsilon_star(dims, i), (dims, i)
+
+
+# ---------------------------------------------------------------------------
+# Geometry probes: generic points of the correspondences that define the
+# operators, certified by the rank profile, against the case tables.
+
+
+def incoming_matrix(rep, i) -> Mat:
+    """The maps into corner i side by side; into the sink, [f34 | f24]."""
+    blocks = {1: [], 2: [rep.f12], 3: [rep.f13], 4: [rep.f34, rep.f24]}[i]
+    return linalg.hstack(blocks) if blocks else linalg.zeros(rep.field, rep.dims[0], 0)
+
+
+def _square_closing_map(rep, i, starred: bool):
+    """The signed square-closing map at corner i and its source corners.
+
+    Out of the source it is [f34 | -f24] over V3 then V2; the starred map
+    into the sink is [f13ᵀ | -f12ᵀ], again over V3 then V2.  Elsewhere there
+    is at most one source and the map is None (it is zero).
+    """
+    field, t = rep.field, linalg.transpose
+    if (i, starred) == (1, False):
+        return linalg.hstack([rep.f34, linalg.neg(field, rep.f24)]), (3, 2)
+    if (i, starred) == (4, True):
+        return linalg.hstack([t(rep.f13), linalg.neg(field, t(rep.f12))]), (3, 2)
+    if starred:
+        return None, tuple(s for s, t in ARROWS if t == i)
+    return None, tuple(t for s, t in ARROWS if s == i)
+
+
+def extension_fiber_dim(rep, i, starred: bool = False) -> int:
+    """Kernel dimension of the signed square-closing map at corner i."""
+    matrix, sources = _square_closing_map(rep, i, starred)
+    if not sources:
+        return 0
+    if matrix is None:
+        return rep.dims[sources[0] - 1]
+    return matrix.ncols - linalg.rank(rep.field, matrix)
+
+
+def extension_point(rep, i, rng):
+    """A generic extension of the simple at corner i by the point.
+
+    Corner i gains one dimension; inward maps are zero-padded (the quotient
+    simple receives nothing), and outward maps gain a column drawn from the
+    kernel of the square-closing map, which is exactly the commutativity
+    constraint on the new basis vector.
+    """
+    field = rep.field
+    matrix, sources = _square_closing_map(rep, i, starred=False)
+    if matrix is None:
+        vec = field.rand_row(rng, sum(rep.dims[j - 1] for j in sources))
+    else:
+        basis = linalg.mat(linalg.nullspace(field, matrix), ncols=matrix.ncols)
+        vec = field.dots(field.rand_row(rng, basis.nrows), linalg.transpose(basis).rows)
+    chunks, offset = {}, 0
+    for j in sources:
+        chunks[j] = vec[offset:offset + rep.dims[j - 1]]
+        offset += rep.dims[j - 1]
+    maps = []
+    for (s, t), m in zip(ARROWS, rep.maps):
+        if t == i:
+            m = linalg.vstack([m, linalg.zeros(field, 1, m.ncols)])
+        elif s == i:
+            m = linalg.hstack([m, Mat(m.nrows, 1, tuple((x,) for x in chunks[t]))])
+        maps.append(m)
+    dims = tuple(d + (k == i) for k, d in enumerate(rep.dims, start=1))
+    return Representation(field, dims, *maps)
+
+
+def restriction_point(rep, i, rng):
+    """A generic corank-1 subpoint cutting corner i down by one.
+
+    The hyperplane at corner i must contain the images of all inward maps,
+    so this exists exactly when the cokernel there is nonzero; returns None
+    otherwise.
+    """
+    field = rep.field
+    d = rep.dims[i - 1]
+    inc = incoming_matrix(rep, i)
+    span = []
+    for col in linalg.transpose(inc).rows:
+        if linalg.rank(field, linalg.mat(span + [col], ncols=d)) > len(span):
+            span.append(col)
+    if d == len(span):
+        return None
+    while True:
+        extra = [tuple(field.rand_row(rng, d)) for _ in range(d - 1 - len(span))]
+        basis = linalg.transpose(linalg.mat(span + extra, ncols=d))
+        if linalg.rank(field, basis) == d - 1:
+            break
+    maps = []
+    for (s, t), m in zip(ARROWS, rep.maps):
+        if t == i:
+            cols = [linalg.solve(field, basis, col) for col in linalg.transpose(m).rows]
+            if None in cols:
+                raise AssertionError("inward image escaped the chosen hyperplane")
+            m = linalg.transpose(linalg.mat(cols, ncols=d - 1))
+        elif s == i:
+            m = linalg.mul(field, m, basis)
+        maps.append(m)
+    dims = tuple(x - (k == i) for k, x in enumerate(rep.dims, start=1))
+    return Representation(field, dims, *maps)
 
 
 def _probe_lowering(c, i, seed=0):
     """Certified class of a generic simple-quotient extension at corner i."""
     cfg = SampleConfig(seed=seed)
     rep = oracle.sample_component_point(c, cfg, 0)
-    ext = oracle.extension_point(rep, g22.VERTEX_OF[i], cfg.rng(1))
+    ext = extension_point(rep, i, cfg.rng(1))
     return _certified(ext)
 
 
 def _probe_raising(c, i, seed=0):
     cfg = SampleConfig(seed=seed)
     rep = oracle.sample_component_point(c, cfg, 0)
-    sub = oracle.restriction_point(rep, g22.VERTEX_OF[i], cfg.rng(1))
+    sub = restriction_point(rep, i, cfg.rng(1))
     return None if sub is None else _certified(sub)
 
 
@@ -397,6 +541,6 @@ def test_seed_reproducibility():
     c = Component((2, 1, 1, 2), (1, 1))
     a = oracle.sample_component_point(c, CFG, 4)
     b = oracle.sample_component_point(c, CFG, 4)
-    assert a.mats == b.mats
+    assert a.maps == b.maps
     other = oracle.sample_component_point(c, SampleConfig(seed=8), 4)
-    assert a.mats != other.mats
+    assert a.maps != other.maps

@@ -49,6 +49,7 @@ BINFTY = "src/crystal_grid/binfty.py"
 ORACLE = "src/crystal_grid/oracle.py"
 SUITES = "src/crystal_grid/suites.py"
 MODULES22 = "src/crystal_grid/modules22.py"
+REPS = "src/crystal_grid/reps.py"
 
 MUTANTS = (
     Mutant("weight step: alpha_i with the wrong sign", CARTAN,
@@ -111,6 +112,13 @@ MUTANTS = (
            "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (-1,)))),",
            "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (1,)))),",
            "tests/test_modules22.py"),
+    Mutant("reps square check: a product compared with itself", REPS,
+           "!= linalg.mul(self.field, self.f34, self.f13).rows",
+           "!= linalg.mul(self.field, self.f24, self.f12).rows",
+           "tests/test_oracle.py::test_representation_constructor_checks_commutativity"),
+    Mutant("reps shape check: f12 skipped", REPS,
+           "zip(ARROWS, self.maps)", "zip(ARROWS[1:], self.maps[1:])",
+           "tests/test_oracle.py::test_representation_constructor_checks_commutativity"),
     Mutant("sampling suites: no rerun under seed + 1", SUITES,
            "sampled = matches(retry)", "sampled = False",
            "tests/test_cli.py::test_sampling_retries_are_reported"),
