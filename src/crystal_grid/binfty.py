@@ -13,16 +13,29 @@ Every statistic reads only the support of the sequence, which each
 ``ZSequence`` computes once: between two support points the tail is
 constant, so a run of zeros is one candidate for the maximal sigma, and
 the pattern's per-color slot offsets locate its first and last position
-of the color.  A statistic costs O(support + period), not O(L); only
-building the sequence an operator returns still copies its L entries.
+of the color.  The Cartan pairings along the pattern are tabled once per
+pattern (``CartanMatrix.pattern_rows``), so a statistic costs
+O(support + period), not O(L), with no per-call set-up.  The same walk
+gives phi: its final tail is sum_k a_{i, color(k)} x_k = -<h_i, wt(x)>
+for any Cartan matrix, symmetric or not, so phi_i = epsilon_i - tail.
+
+An operator result is built by the private factory ``_bump`` without the
+public constructor's pass over the L entries: one entry moves by one, the
+values are sliced around it, and the stored support gains or loses that
+position after one bisect, so no rescan of the sequence takes place.  The
+constructor's checks hold there by construction (length L, entries
+nonnegative, nothing in the guard band); the public ``ZSequence(...)``
+stays the boundary for outside data and rejects an entry in the guard
+band, where the truncation would make the statistics depend on L.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .cartan import NEG_INFINITY, CartanMatrix, CrystalFragment, TruncationError, pairing
+from .cartan import NEG_INFINITY, CartanMatrix, CrystalFragment, TruncationError
 from .g22 import CARTAN as G22_CARTAN
 
 DEFAULT_PATTERN = (1, 2, 3, 4)
@@ -82,8 +95,13 @@ class ZSequence:
         if min(self.values) < 0:
             raise ValueError("negative entries are not allowed")
         # The positions 1..L of the nonzero entries, in increasing order.
-        object.__setattr__(self, "support",
-                           tuple(compress(range(1, len(self.values) + 1), self.values)))
+        support = tuple(compress(range(1, len(self.values) + 1), self.values))
+        guard = self.pattern.guard_start
+        if support and support[-1] >= guard:
+            k = support[bisect_left(support, guard)]
+            raise ValueError(f"nonzero entry at position {k} inside the guard band "
+                             f"(positions {guard}..{self.pattern.length})")
+        object.__setattr__(self, "support", support)
 
     def support_end(self) -> int:
         return self.support[-1] if self.support else 0
@@ -95,8 +113,8 @@ def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
 
 
 def _extremes(cartan: CartanMatrix, x: ZSequence, i):
-    """(top, first, last): the largest sigma_k over positions k of color i,
-    and the smallest and largest k reaching it.
+    """(top, first, last, tail): the largest sigma_k over positions k of
+    color i, the smallest and largest k reaching it, and the whole tail.
 
     One right-to-left walk over the support keeps the running tail, the sum
     of a_{i, color(j)} * x_j over the positions j passed so far.  A support
@@ -105,11 +123,11 @@ def _extremes(cartan: CartanMatrix, x: ZSequence, i):
     once, at its first and last position of color i.
     """
     pattern = x.pattern
-    row = cartan.entries[cartan.position(i)]
+    pos = cartan.position(i)
     ahead, behind = pattern.offsets(i)
     colors = pattern.colors
     n = len(colors)
-    coeff = [row[cartan.position(c)] for c in colors]
+    coeff = cartan.pattern_rows(colors)[1][pos]
     values = x.values
     top, first, last = NEG_INFINITY, 0, 0
     tail = 0
@@ -134,7 +152,7 @@ def _extremes(cartan: CartanMatrix, x: ZSequence, i):
                 first = k
         tail += coeff[slot] * xk
         hi = k - 1
-    return top, first, last
+    return top, first, last, tail
 
 
 def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
@@ -142,16 +160,19 @@ def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
 
 
 def weight(cartan: CartanMatrix, x: ZSequence):
+    positions = cartan.pattern_rows(x.pattern.colors)[0]
+    n = len(positions)
+    values = x.values
     coeffs = [0] * len(cartan.index_set)
-    colors = x.pattern.colors
-    n = len(colors)
     for k in x.support:
-        coeffs[cartan.position(colors[(k - 1) % n])] -= x.values[k - 1]
+        coeffs[positions[(k - 1) % n]] -= values[k - 1]
     return tuple(coeffs)
 
 
 def phi(cartan: CartanMatrix, x: ZSequence, i) -> int:
-    return epsilon(cartan, x, i) + pairing(cartan, i, weight(cartan, x))
+    """epsilon_i + <h_i, wt(x)>, where <h_i, wt(x)> is minus the walk's final tail."""
+    top, _, _, tail = _extremes(cartan, x, i)
+    return top - tail
 
 
 def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
@@ -160,7 +181,7 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
     Ties in the maximal sigma are broken toward the smallest position for
     lowering and the largest for raising.
     """
-    top, first, last = _extremes(cartan, x, i)
+    top, first, last, _ = _extremes(cartan, x, i)
     if kind == "f":
         k = first
         if k >= x.pattern.guard_start:
@@ -180,9 +201,26 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
 
 
 def _bump(x: ZSequence, k: int, delta: int) -> ZSequence:
-    vals = list(x.values)
-    vals[k - 1] += delta
-    return ZSequence(x.pattern, tuple(vals))
+    """x with entry k moved by delta = +1 or -1, for operator results only.
+
+    apply_op has kept k below the guard band when lowering and checked that
+    entry k is nonzero when raising, so the result passes the constructor's
+    checks by construction; only the support changes, at position k.
+    """
+    values = x.values
+    old = values[k - 1]
+    support = x.support
+    if not old:
+        j = bisect_left(support, k)
+        support = support[:j] + (k,) + support[j:]
+    elif old + delta == 0:
+        j = bisect_left(support, k)
+        support = support[:j] + support[j + 1:]
+    y = object.__new__(ZSequence)
+    object.__setattr__(y, "pattern", x.pattern)
+    object.__setattr__(y, "values", values[:k - 1] + (old + delta,) + values[k:])
+    object.__setattr__(y, "support", support)
+    return y
 
 
 def apply_word(cartan: CartanMatrix, x: ZSequence, word):

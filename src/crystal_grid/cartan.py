@@ -41,12 +41,28 @@ class CartanMatrix:
                         raise ValueError("zero pattern must be symmetric")
         # Built once: the axiom checker reads a position per element and color.
         object.__setattr__(self, "_position", {v: k for k, v in enumerate(self.index_set)})
+        # Filled once per color pattern by pattern_rows.
+        object.__setattr__(self, "_pattern_rows", {})
 
     def position(self, i) -> int:
         try:
             return self._position[i]
         except (KeyError, TypeError):
             raise KeyError(f"unknown vertex {i!r}") from None
+
+    def pattern_rows(self, colors: tuple):
+        """(positions, rows) along a periodic color pattern, built once per pattern.
+
+        positions[s] is the index-set position of the color in slot s, and
+        rows[p][s] = a_{i, colors[s]} for the vertex i at position p.  A color
+        outside the index set raises the KeyError of ``position``.
+        """
+        tables = self._pattern_rows.get(colors)
+        if tables is None:
+            positions = tuple(self.position(c) for c in colors)
+            rows = tuple(tuple(row[p] for p in positions) for row in self.entries)
+            tables = self._pattern_rows[colors] = (positions, rows)
+        return tables
 
     def is_symmetric(self) -> bool:
         return all(row[j] == self.entries[j][i]

@@ -291,7 +291,7 @@ def rank_profile(rep: Representation) -> RankProfile:
         r34=linalg.rank(field, f34),
         source_rank=linalg.rank(field, linalg.vstack([f12, f13])),
         sink_rank=linalg.rank(field, linalg.hstack([f24, f34])),
-        diag_rank=linalg.rank(field, linalg.mul(field, f24, f12)),
+        diag_rank=linalg.rank(field, rep.f14),
     )
 
 

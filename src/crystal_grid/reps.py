@@ -4,7 +4,8 @@ Corners are numbered 1 (source), 2, 3 and 4 (sink), with the arrows
 ``ARROWS``: 1->2, 1->3, 2->4 and 3->4.  A point is the four dimensions and
 the four maps f12, f13, f24, f34 under the one relation f24·f12 = f34·f13.
 The constructor checks the shapes and the square exactly, so an invalid
-point can never be carried around.
+point can never be carried around, and keeps the composite it checked as
+``f14`` = f24·f12, the map 1 -> 4, so no reader multiplies it again.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class Representation:
             if (m.nrows, m.ncols) != (self.dims[t - 1], self.dims[s - 1]):
                 raise ValueError(f"f{s}{t} has shape {m.nrows}x{m.ncols}, "
                                  f"expected {self.dims[t - 1]}x{self.dims[s - 1]}")
-        if (linalg.mul(self.field, self.f24, self.f12).rows
-                != linalg.mul(self.field, self.f34, self.f13).rows):
+        f14 = linalg.mul(self.field, self.f24, self.f12)
+        if f14.rows != linalg.mul(self.field, self.f34, self.f13).rows:
             raise CommutativityError("the square f24·f12 = f34·f13 does not commute")
+        object.__setattr__(self, "f14", f14)
 
     @property
     def maps(self) -> tuple:

@@ -92,6 +92,10 @@ MUTANTS = (
            "k = last", "k = first", "tests/test_binfty.py"),
     Mutant("binfty zero run: first position of the color one slot late", BINFTY,
            "f = k + 1 + ahead[k % n]", "f = k + 1 + ahead[(k + 1) % n]", "tests/test_binfty.py"),
+    Mutant("binfty operator results: a support point whose entry became 0 is kept", BINFTY,
+           "elif old + delta == 0:", "elif False:", "tests/test_binfty.py"),
+    Mutant("binfty phi: the walk's tail added instead of subtracted", BINFTY,
+           "return top - tail", "return top + tail", "tests/test_binfty.py"),
     Mutant("oracle corner statistics: eps at corner 3 reads r12", ORACLE,
            '("eps", 3): "r13"', '("eps", 3): "r12"', "tests/test_oracle.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
