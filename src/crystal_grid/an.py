@@ -73,19 +73,6 @@ def epsilon_star(dims, i) -> int:
     return max(0, d - right)
 
 
-def _pairing(dims, i) -> int:
-    left, d, right = _neighbors(dims, i)
-    return -2 * d + left + right
-
-
-def phi(dims, i) -> int:
-    return epsilon(dims, i) + _pairing(dims, i)
-
-
-def phi_star(dims, i) -> int:
-    return epsilon_star(dims, i) + _pairing(dims, i)
-
-
 def dual(dims):
     """Relabel by the coordinate flip; conjugates the two operator families."""
     return tuple(reversed(dims))
@@ -109,14 +96,13 @@ def iter_dims(n: int, bound: int):
 
 
 def fragment(n: int, bound: int, star: bool = False) -> CrystalFragment:
-    eps, ph = (epsilon_star, phi_star) if star else (epsilon, phi)
+    eps = epsilon_star if star else epsilon
     up, down = (apply_e_star, apply_f_star) if star else (apply_e, apply_f)
     return CrystalFragment(
         cartan=chain_cartan(n),
         elements=tuple(sorted(iter_dims(n, bound))),
         wt=weight,
         epsilon=eps,
-        phi=ph,
         apply_e=up,
         apply_f=down,
     )

@@ -15,9 +15,8 @@ constant, so a run of zeros is one candidate for the maximal sigma, and
 the pattern's per-color slot offsets locate its first and last position
 of the color.  The Cartan pairings along the pattern are tabled once per
 pattern (``CartanMatrix.pattern_rows``), so a statistic costs
-O(support + period), not O(L), with no per-call set-up.  The same walk
-gives phi: its final tail is sum_k a_{i, color(k)} x_k = -<h_i, wt(x)>
-for any Cartan matrix, symmetric or not, so phi_i = epsilon_i - tail.
+O(support + period), not O(L), with no per-call set-up.  phi_i is not
+computed here: the crystal checkers derive it as epsilon_i + <h_i, wt(x)>.
 
 An operator result is built by the private factory ``_bump`` without the
 public constructor's pass over the L entries: one entry moves by one, the
@@ -113,8 +112,8 @@ def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
 
 
 def _extremes(cartan: CartanMatrix, x: ZSequence, i):
-    """(top, first, last, tail): the largest sigma_k over positions k of
-    color i, the smallest and largest k reaching it, and the whole tail.
+    """(top, first, last): the largest sigma_k over positions k of color i
+    and the smallest and largest k reaching it.
 
     One right-to-left walk over the support keeps the running tail, the sum
     of a_{i, color(j)} * x_j over the positions j passed so far.  A support
@@ -152,7 +151,7 @@ def _extremes(cartan: CartanMatrix, x: ZSequence, i):
                 first = k
         tail += coeff[slot] * xk
         hi = k - 1
-    return top, first, last, tail
+    return top, first, last
 
 
 def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
@@ -169,19 +168,13 @@ def weight(cartan: CartanMatrix, x: ZSequence):
     return tuple(coeffs)
 
 
-def phi(cartan: CartanMatrix, x: ZSequence, i) -> int:
-    """epsilon_i + <h_i, wt(x)>, where <h_i, wt(x)> is minus the walk's final tail."""
-    top, _, _, tail = _extremes(cartan, x, i)
-    return top - tail
-
-
 def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
     """Raising ("e") or lowering ("f") at color i; None encodes vanishing.
 
     Ties in the maximal sigma are broken toward the smallest position for
     lowering and the largest for raising.
     """
-    top, first, last, _ = _extremes(cartan, x, i)
+    top, first, last = _extremes(cartan, x, i)
     if kind == "f":
         k = first
         if k >= x.pattern.guard_start:
@@ -283,7 +276,6 @@ def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
         elements=reachable_elements(cartan, depth, pattern),
         wt=lambda x: weight(cartan, x),
         epsilon=lambda x, i: epsilon(cartan, x, i),
-        phi=lambda x, i: phi(cartan, x, i),
         apply_e=lambda x, i: apply_op(cartan, x, "e", i),
         apply_f=lambda x, i: apply_op(cartan, x, "f", i),
     )

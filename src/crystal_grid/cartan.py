@@ -1,10 +1,12 @@
 """Cartan data, the abstract crystal contract, and crystal graphs.
 
 A crystal here is a set with a weight map into the root lattice, integer
-statistics epsilon_i / phi_i, and partial raising / lowering operators,
-subject to the usual five axioms.  Checks run on finite enumerated
-fragments; applications that leave the fragment's weight bound are
-treated as unknown, not as violations.
+statistics epsilon_i, and partial raising / lowering operators, subject to
+the usual five axioms.  phi_i is not a map of its own: the first axiom is
+its definition, phi_i = epsilon_i + <h_i, wt> with the pairing read off the
+Cartan matrix by ``pairing``.  Checks run on finite enumerated fragments;
+applications that leave the fragment's weight bound are treated as
+unknown, not as violations.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class CartanMatrix:
             tables = self._pattern_rows[colors] = (positions, rows)
         return tables
 
-    def is_symmetric(self) -> bool:
-        return all(row[j] == self.entries[j][i]
-                   for i, row in enumerate(self.entries) for j in range(len(row)))
-
 
 def cartan_from_quiver(quiver, vertex_order=None, labels=None) -> CartanMatrix:
     """Symmetric Cartan matrix of a quiver: 2 on the diagonal, minus the
@@ -118,7 +116,6 @@ class CrystalFragment:
     elements: tuple
     wt: object
     epsilon: object
-    phi: object
     apply_e: object
     apply_f: object
 
@@ -135,12 +132,6 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def by_rule(self) -> dict:
-        out = {}
-        for v in self.violations:
-            out.setdefault(v[0], []).append(v)
-        return out
-
 
 def _alpha_step(cartan, i, coeffs, sign):
     pos = cartan.position(i)
@@ -148,8 +139,12 @@ def _alpha_step(cartan, i, coeffs, sign):
 
 
 def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
-    """Exhaustively test the five crystal axioms on a fragment.
+    """Exhaustively test the crystal axioms on a fragment.
 
+    Axiom 1 defines phi_i = epsilon_i + <h_i, wt>, so no phi clause is
+    tested: with wt(e_i b) = wt(b) + alpha_i and a_ii = 2, phi_i rises by one
+    exactly when epsilon_i drops by one, and lowering is the mirror case.
+    Axiom 5 reads epsilon_i = -infinity, which is phi_i = -infinity.
     Violations are reported as (axiom number, element, color, message).
     """
     bad = []
@@ -157,17 +152,12 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
         w = frag.wt(b)
         for i in frag.colors:
             eps = frag.epsilon(b, i)
-            phi = frag.phi(b, i)
-            if phi != NEG_INFINITY and phi != eps + pairing(frag.cartan, i, w):
-                bad.append((1, b, i, f"phi={phi} but eps+pairing={eps + pairing(frag.cartan, i, w)}"))
             up = frag.apply_e(b, i)
             if up is not None:
                 if frag.wt(up) != _alpha_step(frag.cartan, i, w, +1):
                     bad.append((2, b, i, "weight of raised element is not wt+alpha_i"))
                 if frag.epsilon(up, i) != eps - 1:
                     bad.append((2, b, i, f"epsilon {frag.epsilon(up, i)} != {eps} - 1 after raising"))
-                if frag.phi(up, i) != phi + 1:
-                    bad.append((2, b, i, f"phi {frag.phi(up, i)} != {phi} + 1 after raising"))
                 if frag.apply_f(up, i) != b:
                     bad.append((4, b, i, "lowering does not invert raising"))
             try:
@@ -179,17 +169,21 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
                     bad.append((3, b, i, "weight of lowered element is not wt-alpha_i"))
                 if frag.epsilon(down, i) != eps + 1:
                     bad.append((3, b, i, f"epsilon {frag.epsilon(down, i)} != {eps} + 1 after lowering"))
-                if frag.phi(down, i) != phi - 1:
-                    bad.append((3, b, i, f"phi {frag.phi(down, i)} != {phi} - 1 after lowering"))
                 if frag.apply_e(down, i) != b:
                     bad.append((4, b, i, "raising does not invert lowering"))
-            if phi == NEG_INFINITY and (up is not None or down is not None):
-                bad.append((5, b, i, "operators defined although phi is -infinity"))
+            if eps == NEG_INFINITY and (up is not None or down is not None):
+                bad.append((5, b, i, "operators defined although epsilon is -infinity"))
     return CheckReport(tuple(bad))
 
 
 def check_strict_morphism(dom: CrystalFragment, cod: CrystalFragment, rho) -> CheckReport:
-    """Test the three morphism clauses for rho: dom -> cod + {0} (rho returns None for 0)."""
+    """Test the three morphism clauses for rho: dom -> cod + {0} (rho returns None for 0).
+
+    Both fragments must share one Cartan matrix; then preserving wt and
+    epsilon_i preserves phi_i = epsilon_i + <h_i, wt>.
+    """
+    if dom.cartan != cod.cartan:
+        raise ValueError("fragments over different Cartan matrices")
     bad = []
     for b in dom.elements:
         image = rho(b)
@@ -200,8 +194,6 @@ def check_strict_morphism(dom: CrystalFragment, cod: CrystalFragment, rho) -> Ch
         for i in dom.colors:
             if dom.epsilon(b, i) != cod.epsilon(image, i):
                 bad.append((1, b, i, "epsilon not preserved"))
-            if dom.phi(b, i) != cod.phi(image, i):
-                bad.append((1, b, i, "phi not preserved"))
             up = dom.apply_e(b, i)
             if up is not None and rho(up) is not None:
                 if cod.apply_e(image, i) != rho(up):

@@ -29,21 +29,18 @@ def _dims_arg(text: str):
     return dims
 
 
-def _nonnegative_int_arg(text: str) -> int:
+def _nonnegative_int_arg(text: str, least: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+    if value < least:
+        raise argparse.ArgumentTypeError("must be positive" if least else "must be nonnegative")
     return value
 
 
 def _positive_int_arg(text: str) -> int:
-    value = _nonnegative_int_arg(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+    return _nonnegative_int_arg(text, least=1)
 
 
 def _component_arg(text: str):
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid_info)
 
     p = sub.add_parser("an", help="apply an operator word on the chain crystal")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int_arg, required=True)
     p.add_argument("--start", type=_dims_arg, required=True)
     p.add_argument("--apply", type=_word_arg, required=True)
     p.set_defaults(func=cmd_an)

@@ -266,21 +266,6 @@ def epsilon(c: Component, i: int) -> int:
     return max(0, _middle_dim(c, i) - r1)
 
 
-def _pairing(c: Component, i: int) -> int:
-    """<h_i, wt(c)> read off CARTAN: -2 d_i plus the dims at the two square
-    neighbours of i, which are 2 and 3 for colors 1 and 4, 1 and 4 for 2 and 3."""
-    d1, d2, d3, d4 = c.dims
-    if i == 1:
-        return -2 * d1 + d2 + d3
-    if i == 4:
-        return -2 * d4 + d2 + d3
-    return -2 * _middle_dim(c, i) + d1 + d4
-
-
-def phi(c: Component, i: int) -> int:
-    return epsilon(c, i) + _pairing(c, i)
-
-
 def epsilon_star(c: Component, i: int) -> int:
     d1, _, _, d4 = c.dims
     r1, r2 = c.ranks
@@ -289,10 +274,6 @@ def epsilon_star(c: Component, i: int) -> int:
     if i == 4:
         return d4
     return max(0, _middle_dim(c, i) - r2)
-
-
-def phi_star(c: Component, i: int) -> int:
-    return epsilon_star(c, i) + _pairing(c, i)
 
 
 def epsilon_prime(c: Component, i: int) -> int:
@@ -394,18 +375,12 @@ def format_word(word) -> str:
     return " ".join(f"{kind}{color}" for kind, color in word)
 
 
-def apply_step(c, kind: str, i: int):
-    if c is None:
-        return None
-    return _STEP_FUNCTIONS[kind](c, i)
-
-
 def apply_word(word, c: Component):
     """Apply a word right-to-left; returns (result-or-None, trace of states)."""
     trace = [c]
     current = c
     for kind, color in reversed(word):
-        current = apply_step(current, kind, color)
+        current = _STEP_FUNCTIONS[kind](current, color)
         trace.append(current)
         if current is None:
             break
@@ -437,14 +412,13 @@ def describe(c: Component):
 
 
 def fragment(bound: int, star: bool = False) -> CrystalFragment:
-    eps, ph = (epsilon_star, phi_star) if star else (epsilon, phi)
+    eps = epsilon_star if star else epsilon
     up, down = (apply_e_star, apply_f_star) if star else (apply_e, apply_f)
     return CrystalFragment(
         cartan=CARTAN,
         elements=tuple(iter_components(bound)),
         wt=weight,
         epsilon=eps,
-        phi=ph,
         apply_e=up,
         apply_f=down,
     )
@@ -466,7 +440,6 @@ def relabeled_fragment(bound: int) -> CrystalFragment:
         elements=tuple(iter_components(bound)),
         wt=wt_,
         epsilon=lambda c, i: epsilon(c, a[i]),
-        phi=lambda c, i: phi(c, a[i]),
         apply_e=lambda c, i: apply_e(c, a[i]),
         apply_f=lambda c, i: apply_f(c, a[i]),
     )

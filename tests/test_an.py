@@ -51,13 +51,6 @@ def test_epsilon_examples():
     assert an.epsilon((0, 5), 2) == 5
 
 
-def test_phi_is_epsilon_plus_pairing():
-    a = an.chain_cartan(3)
-    for dims in an.iter_dims(3, 5):
-        for i in (1, 2, 3):
-            assert an.phi(dims, i) == an.epsilon(dims, i) + cartan.pairing(a, i, an.weight(dims))
-
-
 def test_dual_reverses():
     assert an.dual((1, 2, 3)) == (3, 2, 1)
     assert an.dual(an.dual((4, 0, 7))) == (4, 0, 7)
@@ -113,7 +106,7 @@ def test_mutual_inversion_exhaustive():
 
 
 @pytest.mark.parametrize("fn", [an.apply_e, an.apply_f, an.apply_e_star, an.apply_f_star,
-                                an.epsilon, an.epsilon_star, an.phi, an.phi_star],
+                                an.epsilon, an.epsilon_star],
                          ids=lambda fn: fn.__name__)
 def test_out_of_range_color_raises(fn):
     for color in (0, 4):

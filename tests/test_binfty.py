@@ -225,10 +225,6 @@ def _naive_weight(a, x):
     return tuple(coeffs)
 
 
-def _naive_phi(a, x, i):
-    return _naive_epsilon(a, x, i) + cartan.pairing(a, i, _naive_weight(a, x))
-
-
 def _naive_apply_op(a, x, kind, i, tie):
     positions = _naive_positions(x, i)
     sigmas = {k: _naive_sigma(a, x, k) for k in positions}
@@ -300,7 +296,6 @@ def test_statistics_and_operators_match_the_naive_sigma(case):
     assert binfty.weight(a, x) == _naive_weight(a, x)
     for i in sorted(set(x.pattern.colors)):
         assert binfty.epsilon(a, x, i) == _naive_epsilon(a, x, i)
-        assert binfty.phi(a, x, i) == _naive_phi(a, x, i)
         for kind in ("e", "f"):
             out = _outcome(binfty.apply_op, a, x, kind, i)
             expected = _outcome(_naive_apply_op, a, x, kind, i, "min")
@@ -331,7 +326,6 @@ def test_zero_padding_changes_no_statistic(case):
     assert binfty.weight(a, y) == binfty.weight(a, x)
     for i in sorted(set(x.pattern.colors)):
         assert binfty.epsilon(a, y, i) == binfty.epsilon(a, x, i)
-        assert binfty.phi(a, y, i) == binfty.phi(a, x, i)
         for kind in ("e", "f"):
             out = _outcome(binfty.apply_op, a, x, kind, i)
             if out is TruncationError:
@@ -345,7 +339,6 @@ UNCARRIED = r"color 4 is not carried by the pattern \(1, 2, 3\)"
 
 @pytest.mark.parametrize("call", [
     lambda x: binfty.epsilon(A22, x, 4),
-    lambda x: binfty.phi(A22, x, 4),
     lambda x: binfty.apply_op(A22, x, "f", 4),
     lambda x: binfty.apply_op(A22, x, "e", 4),
 ])

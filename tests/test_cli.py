@@ -307,6 +307,8 @@ USAGE_MESSAGES = {
     "verify oracle --max-dim 1": "error: CRYSTAL_GRID_SEED must be an integer, got 'abc'\n",
     "components --dims 1,2,3": "invalid choice: 'components'",
     "g22 components --dims 1,2,3,4,5": "expected 4 dimensions d1,d2,d3,d4, got 5",
+    "an --n 0 --start 0 --apply f1": "argument --n: must be positive",
+    "an --n -1 --start 0 --apply f1": "argument --n: must be positive",
 }
 
 
@@ -325,6 +327,8 @@ USAGE_MESSAGES = {
     ("binfty compare --wordA f5 --wordB f1 --pattern 1,2,3,5", None),
     ("an --n 2 --start 1,0 --apply 'f*3'", None),
     ("an --n 2 --start 0,0 --apply 'f3 e1'", None),
+    ("an --n 0 --start 0 --apply f1", None),
+    ("an --n -1 --start 0 --apply f1", None),
     ("components --dims 1,2,3", None),
     ("g22 components --dims 1,2,3,4,5", None),
 ])

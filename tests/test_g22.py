@@ -4,7 +4,6 @@ from math import inf
 import pytest
 
 from crystal_grid import g22
-from crystal_grid.cartan import pairing
 from crystal_grid.g22 import Component, ZERO_COMPONENT, InvalidComponentError
 
 
@@ -196,15 +195,6 @@ def test_epsilon_star_values():
     assert g22.epsilon_star(C((3, 1, 1, 2), (1, 1)), 4) == 2
     assert g22.epsilon_star(C((3, 1, 1, 2), (1, 1)), 1) == 2
     assert g22.epsilon_star(C((2, 1, 1, 2), (1, 1)), 2) == 0
-
-
-def test_phi_is_epsilon_plus_pairing():
-    # The generic pairing against CARTAN is the oracle for the closed form.
-    for c in g22.iter_components(10):
-        for i in g22.COLORS:
-            assert g22.phi(c, i) == g22.epsilon(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
-            assert g22.phi_star(c, i) == g22.epsilon_star(c, i) + pairing(
-                g22.CARTAN, i, g22.weight(c))
 
 
 # --- the retired case tables ----------------------------------------------------
@@ -436,23 +426,13 @@ def _table_phi_star_prime(c: Component, i: int):
     raise ValueError(f"color {i} out of range")
 
 
-def _table_phi(c, i):
-    return _table_epsilon(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
-
-
-def _table_phi_star(c, i):
-    return _table_epsilon_star(c, i) + pairing(g22.CARTAN, i, g22.weight(c))
-
-
 _TABLES = {
     g22.apply_e: _table_apply_e,
     g22.apply_f: _table_apply_f,
     g22.apply_e_star: _table_apply_e_star,
     g22.apply_f_star: _table_apply_f_star,
     g22.epsilon: _table_epsilon,
-    g22.phi: _table_phi,
     g22.epsilon_star: _table_epsilon_star,
-    g22.phi_star: _table_phi_star,
     g22.epsilon_prime: _table_epsilon_prime,
     g22.phi_prime: _table_phi_prime,
     g22.epsilon_star_prime: _table_epsilon_star_prime,

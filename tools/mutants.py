@@ -58,13 +58,13 @@ MUTANTS = (
            "if frag.apply_f(up, i) != b:", "if False:", "tests/test_cartan.py"),
     Mutant("axiom 4: raising inverts lowering", CARTAN,
            "if frag.apply_e(down, i) != b:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 5: no operator where phi = -inf", CARTAN,
-           "if phi == NEG_INFINITY and (up is not None or down is not None):", "if False:",
+    Mutant("axiom 2: epsilon after raising", CARTAN,
+           "if frag.epsilon(up, i) != eps - 1:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 5: no operator where epsilon = -inf", CARTAN,
+           "if eps == NEG_INFINITY and (up is not None or down is not None):", "if False:",
            "tests/test_cartan.py"),
-    Mutant("axiom 3: phi after lowering", CARTAN,
-           "if frag.phi(down, i) != phi - 1:", "if False:", "tests/test_cartan.py"),
-    Mutant("morphism: phi preserved", CARTAN,
-           "if dom.phi(b, i) != cod.phi(image, i):", "if False:", "tests/test_cartan.py"),
+    Mutant("morphism: Cartan guard removed", CARTAN,
+           "if dom.cartan != cod.cartan:", "if False:", "tests/test_cartan.py"),
     Mutant("morphism: lowering commutes", CARTAN,
            "if cod.apply_f(image, i) != rho(down):", "if False:", "tests/test_cartan.py"),
     Mutant("g22 e at colors 2/3: vanishing guard", G22,
@@ -76,9 +76,6 @@ MUTANTS = (
            "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
     Mutant("g22 epsilon*' at color 4: source wall", G22,
            "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
-    Mutant("g22 closed-form pairing at color 1: wrong neighbour", G22,
-           "return -2 * d1 + d2 + d3", "return -2 * d1 + d2 + d4",
-           "tests/test_g22.py::test_phi_is_epsilon_plus_pairing"),
     Mutant("g22 Component: list fields accepted", G22,
            "isinstance(self.dims, tuple) and len(self.dims) == 4",
            "len(self.dims) == 4",
@@ -94,8 +91,6 @@ MUTANTS = (
            "f = k + 1 + ahead[k % n]", "f = k + 1 + ahead[(k + 1) % n]", "tests/test_binfty.py"),
     Mutant("binfty operator results: a support point whose entry became 0 is kept", BINFTY,
            "elif old + delta == 0:", "elif False:", "tests/test_binfty.py"),
-    Mutant("binfty phi: the walk's tail added instead of subtracted", BINFTY,
-           "return top - tail", "return top + tail", "tests/test_binfty.py"),
     Mutant("oracle corner statistics: eps at corner 3 reads r12", ORACLE,
            '("eps", 3): "r13"', '("eps", 3): "r12"', "tests/test_oracle.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
