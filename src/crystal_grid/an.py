@@ -106,7 +106,3 @@ def fragment(n: int, bound: int, star: bool = False) -> CrystalFragment:
         apply_e=up,
         apply_f=down,
     )
-
-
-def describe(dims):
-    return dims, None

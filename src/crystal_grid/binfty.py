@@ -24,8 +24,9 @@ values are sliced around it, and the stored support gains or loses that
 position after one bisect, so no rescan of the sequence takes place.  The
 constructor's checks hold there by construction (length L, entries
 nonnegative, nothing in the guard band); the public ``ZSequence(...)``
-stays the boundary for outside data and rejects an entry in the guard
-band, where the truncation would make the statistics depend on L.
+stays the boundary for outside data: it rejects a list field, which
+would fail later when hashed, and an entry in the guard band, where the
+truncation would make the statistics depend on L.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class IotaPattern:
     length: int
 
     def __post_init__(self):
+        if not isinstance(self.colors, tuple):
+            raise ValueError(f"color pattern must be a tuple, got a {type(self.colors).__name__}")
         if not self.colors:
             raise ValueError("empty color pattern")
         if len(self.colors) > 1 and any(
@@ -89,6 +92,8 @@ class ZSequence:
     values: tuple
 
     def __post_init__(self):
+        if not isinstance(self.values, tuple):
+            raise ValueError(f"values must be a tuple, got a {type(self.values).__name__}")
         if len(self.values) != self.pattern.length:
             raise ValueError("value vector does not match the truncation length")
         if min(self.values) < 0:
@@ -224,10 +229,6 @@ def apply_word(cartan: CartanMatrix, x: ZSequence, word):
             return None
         current = apply_op(cartan, current, kind, color)
     return current
-
-
-def support_dict(x: ZSequence) -> dict:
-    return {k: x.values[k - 1] for k in x.support}
 
 
 def words_distinct(word_a, word_b, pattern: IotaPattern = None):

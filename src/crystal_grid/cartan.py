@@ -1,4 +1,4 @@
-"""Cartan data, the abstract crystal contract, and crystal graphs.
+"""Cartan data and the abstract crystal contract.
 
 A crystal here is a set with a weight map into the root lattice, integer
 statistics epsilon_i, and partial raising / lowering operators, subject to
@@ -11,9 +11,7 @@ unknown, not as violations.
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 
@@ -206,135 +204,3 @@ def check_strict_morphism(dom: CrystalFragment, cod: CrystalFragment, rho) -> Ch
                 if cod.apply_f(image, i) != rho(down):
                     bad.append((3, b, i, "lowering does not commute with the map"))
     return CheckReport(tuple(bad))
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    node_id: str
-    dims: tuple
-    ranks: object          # tuple or None
-    weight: tuple
-
-
-@dataclass(frozen=True)
-class CrystalGraph:
-    nodes: tuple
-    edges: tuple           # (source id, color, target id)
-
-
-def _node_key(dims, ranks):
-    return (sum(dims), dims, ranks if ranks is not None else ())
-
-
-def _node_id(dims, ranks):
-    head = ",".join(str(d) for d in dims)
-    if ranks is None:
-        return head
-    return head + ":" + ",".join(str(r) for r in ranks)
-
-
-def build_crystal_graph(seeds, colors, apply_f, describe, bound) -> CrystalGraph:
-    """Breadth-first closure of the seeds under all lowering operators.
-
-    ``describe`` maps an element to (dims, ranks-or-None); elements whose
-    total dimension would exceed ``bound`` are not explored.  Node and edge
-    order is deterministic: lexicographic on (total, dims, ranks).
-    """
-    seeds = list(seeds)
-    for s in seeds:
-        dims, _ = describe(s)
-        if sum(dims) > bound:
-            raise ValueError(f"bound {bound} is below a seed of total dimension {sum(dims)}")
-    seen = {_node_id(*describe(s)): s
-            for s in sorted(seeds, key=lambda b: _node_key(*describe(b)))}
-    queue = deque(seen.items())
-    edges = []
-    while queue:
-        bid, b = queue.popleft()
-        for i in colors:
-            try:
-                t = apply_f(b, i)
-            except TruncationError:
-                continue
-            if t is None:
-                continue
-            dims, ranks = describe(t)
-            if sum(dims) > bound:
-                continue
-            tid = _node_id(dims, ranks)
-            edges.append((bid, i, tid))
-            if tid not in seen:
-                seen[tid] = t
-                queue.append((tid, t))
-    items = sorted(seen.items(), key=lambda kv: _node_key(*describe(kv[1])))
-    nodes = []
-    order = {}
-    for pos, (nid, elem) in enumerate(items):
-        dims, ranks = describe(elem)
-        nodes.append(GraphNode(nid, dims, ranks, tuple(-d for d in dims)))
-        order[nid] = pos
-    edges.sort(key=lambda e: (order[e[0]], e[1], order[e[2]]))
-    return CrystalGraph(tuple(nodes), tuple(edges))
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    connected: bool
-    missing: tuple
-    witnesses: dict = field(compare=False)
-
-
-def is_connected_within(graph: CrystalGraph, expected_ids=None) -> ConnectivityReport:
-    """Reachability from the base node (total dimension 0) along graph edges.
-
-    Every reached node gets a raising word back to the base: the reversed
-    colors of its breadth-first path.  ``expected_ids`` may list node ids
-    that must all be present and reachable (e.g. the full enumeration of
-    components below the bound).
-    """
-    if not graph.nodes:
-        return ConnectivityReport(True, (), {})
-    base = graph.nodes[0]
-    if sum(base.dims) != 0:
-        raise ValueError("graph has no base node of total dimension 0")
-    out = {}
-    for (src, color, dst) in graph.edges:
-        out.setdefault(src, []).append((color, dst))
-    paths = {base.node_id: ()}
-    queue = deque([base.node_id])
-    while queue:
-        nid = queue.popleft()
-        for color, dst in out.get(nid, ()):
-            if dst not in paths:
-                paths[dst] = paths[nid] + (color,)
-                queue.append(dst)
-    witnesses = {nid: tuple(reversed(p)) for nid, p in paths.items()}
-    targets = set(expected_ids) if expected_ids is not None else {n.node_id for n in graph.nodes}
-    missing = tuple(sorted(t for t in targets if t not in paths))
-    return ConnectivityReport(not missing, missing, witnesses)
-
-
-def export_json(graph: CrystalGraph) -> str:
-    payload = {
-        "nodes": [
-            {
-                "id": n.node_id,
-                "dims": list(n.dims),
-                "ranks": list(n.ranks) if n.ranks is not None else None,
-                "wt": list(n.weight),
-            }
-            for n in graph.nodes
-        ],
-        "edges": [{"src": s, "color": c, "dst": d} for (s, c, d) in graph.edges],
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def export_dot(graph: CrystalGraph) -> str:
-    lines = ["digraph crystal_graph {"]
-    for n in graph.nodes:
-        lines.append(f'  "{n.node_id}";')
-    for (src, color, dst) in graph.edges:
-        lines.append(f'  "{src}" -> "{dst}" [label="{color}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -89,12 +89,19 @@ def _config(args, **extra) -> dict:
 
 
 def cmd_graph(args) -> int:
-    graph = cartan.build_crystal_graph([args.seed_component], g22.COLORS, g22.apply_f,
-                                       g22.describe, args.bound)
+    nodes, edges = g22.lowering_graph([args.seed_component], args.bound)
+    ids = {c: g22.format_component(c) for c in nodes}
     if args.format == "dot":
-        text = cartan.export_dot(graph)
+        lines = ["digraph crystal_graph {"]
+        lines += [f'  "{ids[c]}";' for c in nodes]
+        lines += [f'  "{ids[s]}" -> "{ids[t]}" [label="{i}"];' for s, i, t in edges]
+        text = "\n".join(lines) + "\n}\n"
     else:
-        text = cartan.export_json(graph)
+        text = json.dumps({
+            "nodes": [{"id": ids[c], "dims": list(c.dims), "ranks": list(c.ranks),
+                       "wt": list(g22.weight(c))} for c in nodes],
+            "edges": [{"src": ids[s], "color": i, "dst": ids[t]} for s, i, t in edges],
+        }, separators=(",", ":")) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -30,6 +30,7 @@ counts differ from epsilon and epsilon* on one wall each:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from math import inf as INFINITY
 
@@ -118,15 +119,6 @@ def parse_component(text: str) -> Component:
     except ValueError:
         raise ValueError(f"expected 'd1,d2,d3,d4:r1,r2', got {text!r}") from None
     return Component(dims, ranks)
-
-
-def component_count(dims) -> int:
-    """Number of components for a dimension vector, in closed form."""
-    d1, d2, d3, d4 = dims
-    s = d2 + d3
-    if d1 + d4 < s:
-        return 1
-    return min(d1, s) - max(0, s - d4) + 1
 
 
 def enumerate_components(dims):
@@ -395,6 +387,37 @@ def connectivity_word(c: Component):
         + (("e", 1),) * d1 + (("e", 4),) * (d4 - r2)
 
 
+def lowering_graph(seeds, bound: int):
+    """Breadth-first closure of the seeds under apply_f, up to total dimension bound.
+
+    Returns (nodes, edges): the components reached, sorted by (total, dims,
+    ranks), and the (source, color, target) steps among them, sorted by
+    (source order, color, target order).  A seed above the bound is a
+    ValueError.
+    """
+    seeds = list(seeds)
+    for s in seeds:
+        if sum(s.dims) > bound:
+            raise ValueError(f"bound {bound} is below a seed of total dimension {sum(s.dims)}")
+    seen = set(seeds)
+    queue = deque(seen)
+    edges = []
+    while queue:
+        c = queue.popleft()
+        for i in COLORS:
+            t = apply_f(c, i)
+            if t is None or sum(t.dims) > bound:
+                continue
+            edges.append((c, i, t))
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    nodes = sorted(seen, key=lambda c: (sum(c.dims), c.dims, c.ranks))
+    order = {c: k for k, c in enumerate(nodes)}
+    edges.sort(key=lambda e: (order[e[0]], e[1], order[e[2]]))
+    return nodes, edges
+
+
 def counterexample_words():
     """Two lowering words that collide on components but not in the ambient
     free-crystal model."""
@@ -405,10 +428,6 @@ def counterexample_words():
 
 # ---------------------------------------------------------------------------
 # Fragments for exhaustive checks
-
-
-def describe(c: Component):
-    return c.dims, c.ranks
 
 
 def fragment(bound: int, star: bool = False) -> CrystalFragment:

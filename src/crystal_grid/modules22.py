@@ -46,12 +46,6 @@ PROJECTIVES = (4, 7, 8, 11)
 # The corner generating each projective: Hom(P, N) = N(corner).
 _GENERATOR = {11: 1, 7: 2, 8: 3, 4: 4}
 
-# Irreducible-map arrows of the translation quiver on the catalog.
-AR_QUIVER_ARROWS = (
-    (4, 7), (4, 8), (7, 10), (8, 10), (10, 2), (10, 3), (10, 11),
-    (11, 9), (2, 9), (3, 9), (9, 5), (9, 6), (5, 1), (6, 1),
-)
-
 
 class InconsistentProfileError(ValueError):
     """A rank profile admitting no nonnegative integral decomposition."""

@@ -112,3 +112,17 @@ def test_out_of_range_color_raises(fn):
     for color in (0, 4):
         with pytest.raises(ValueError, match=f"color {color} out of range"):
             fn((1, 0, 2), color)
+
+
+def test_connectivity_chain_crystal():
+    # Breadth-first over the lowering operators: every length-4 vector with
+    # total at most 6 is reached from zero.
+    seen = {(0, 0, 0, 0)}
+    queue = [(0, 0, 0, 0)]
+    for x in queue:
+        for i in range(1, 5):
+            y = an.apply_f(x, i)
+            if y is not None and sum(y) <= 6 and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    assert seen == set(an.iter_dims(4, 6))

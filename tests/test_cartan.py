@@ -1,4 +1,3 @@
-import json
 from dataclasses import fields
 from math import inf
 from types import SimpleNamespace
@@ -108,109 +107,6 @@ def test_axiom_check_flags_corrupted_epsilon():
     assert {rule for rule, *_ in report.violations} == {2, 3}
     assert all("epsilon" in message for *_, message in report.violations)
     assert (1, 1) in {b for _, b, _, _ in report.violations}
-
-
-def _g22_graph(bound, seeds=None):
-    seeds = seeds if seeds is not None else [g22.ZERO_COMPONENT]
-    return cartan.build_crystal_graph(seeds, g22.COLORS, g22.apply_f, g22.describe, bound)
-
-
-def test_graph_contains_sink_chain():
-    graph = _g22_graph(2)
-    ids = {n.node_id for n in graph.nodes}
-    assert {"0,0,0,0:0,0", "0,0,0,1:0,0", "0,0,0,2:0,0"} <= ids
-    assert ("0,0,0,0:0,0", 4, "0,0,0,1:0,0") in graph.edges
-    assert ("0,0,0,1:0,0", 4, "0,0,0,2:0,0") in graph.edges
-
-
-def test_graph_bound_zero_is_single_node():
-    graph = _g22_graph(0)
-    assert len(graph.nodes) == 1
-    assert graph.edges == ()
-
-
-def test_graph_from_nonzero_seed():
-    seed = g22.Component((1, 1, 1, 1), (1, 1))
-    graph = _g22_graph(5, [seed])
-    assert ("1,1,1,1:1,1", 1, "2,1,1,1:1,1") in graph.edges
-
-
-def test_graph_rejects_bound_below_seed():
-    with pytest.raises(ValueError):
-        _g22_graph(2, [g22.Component((1, 1, 1, 1), (1, 1))])
-
-
-def test_graph_weight_drops_along_edges():
-    graph = _g22_graph(4)
-    nodes = {n.node_id: n for n in graph.nodes}
-    for (src, color, dst) in graph.edges:
-        w_src, w_dst = nodes[src].weight, nodes[dst].weight
-        diff = [a - b for a, b in zip(w_src, w_dst)]
-        assert diff == [1 if k == color - 1 else 0 for k in range(4)]
-
-
-def test_graph_exports_are_deterministic():
-    first = _g22_graph(4)
-    second = _g22_graph(4)
-    assert cartan.export_json(first) == cartan.export_json(second)
-    assert cartan.export_dot(first) == cartan.export_dot(second)
-
-
-def test_dot_format():
-    empty = cartan.CrystalGraph((), ())
-    assert cartan.export_dot(empty) == "digraph crystal_graph {\n}\n"
-    graph = _g22_graph(1)
-    dot = cartan.export_dot(graph)
-    assert '"0,0,0,0:0,0" -> "0,0,0,1:0,0" [label="4"];' in dot
-    assert dot.endswith("}\n")
-
-
-def test_json_round_trip():
-    graph = _g22_graph(3)
-    text = cartan.export_json(graph)
-    payload = json.loads(text)
-    assert [(n["id"], tuple(n["dims"]), tuple(n["ranks"]), tuple(n["wt"]))
-            for n in payload["nodes"]] == [(n.node_id, n.dims, n.ranks, n.weight)
-                                            for n in graph.nodes]
-    assert [(e["src"], e["color"], e["dst"]) for e in payload["edges"]] == list(graph.edges)
-    assert text.endswith("\n")
-    assert '"ranks":' in text and '"wt":' in text
-
-
-def test_connectivity_single_node():
-    report = cartan.is_connected_within(_g22_graph(0))
-    assert report.connected
-    assert report.witnesses == {"0,0,0,0:0,0": ()}
-
-
-def test_connectivity_with_universe():
-    bound = 6
-    graph = _g22_graph(bound)
-    ids = [g22.format_component(c) for c in g22.iter_components(bound)]
-    report = cartan.is_connected_within(graph, expected_ids=ids)
-    assert report.connected
-    # every witness word really walks back to the base point
-    comps = {g22.format_component(c): c for c in g22.iter_components(bound)}
-    for nid, word in report.witnesses.items():
-        state = comps[nid]
-        for color in word:
-            state = g22.apply_e(state, color)
-            assert state is not None
-        assert state == g22.ZERO_COMPONENT
-
-
-def test_connectivity_reports_missing():
-    graph = _g22_graph(2)
-    report = cartan.is_connected_within(graph, expected_ids=["9,9,9,9:0,0"])
-    assert not report.connected
-    assert report.missing == ("9,9,9,9:0,0",)
-
-
-def test_connectivity_chain_crystal():
-    graph = cartan.build_crystal_graph(
-        [(0, 0, 0, 0)], an.chain_cartan(4).index_set, an.apply_f, an.describe, 6)
-    ids = [",".join(map(str, d)) for d in an.iter_dims(4, 6)]
-    assert cartan.is_connected_within(graph, expected_ids=ids).connected
 
 
 def test_morphism_identity_passes():

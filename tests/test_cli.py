@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -6,7 +7,7 @@ import shlex
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_grid import cartan, cli, g22, oracle, suites
+from crystal_grid import cli, g22, oracle, suites
 
 
 def run(capsys, *argv):
@@ -149,16 +150,32 @@ def test_binfty_rejects_raising_words(capsys):
 def test_graph_json_round_trips(capsys):
     code, out = run(capsys, "graph", "--bound", "4", "--format", "json")
     assert code == 0
+    assert out.endswith("}\n")
     payload = json.loads(out)
-    graph = cartan.build_crystal_graph([g22.ZERO_COMPONENT], g22.COLORS, g22.apply_f,
-                                       g22.describe, 4)
-    assert payload["nodes"] == [{"id": n.node_id, "dims": list(n.dims), "ranks": list(n.ranks),
-                                 "wt": list(n.weight)} for n in graph.nodes]
-    assert payload["edges"] == [{"src": s, "color": c, "dst": d} for s, c, d in graph.edges]
-    total = sum(g22.component_count((a, b, c, d))
-                for a in range(5) for b in range(5) for c in range(5) for d in range(5)
-                if a + b + c + d <= 4)
-    assert len(payload["nodes"]) == total
+    nodes, edges = g22.lowering_graph([g22.ZERO_COMPONENT], 4)
+    assert nodes == list(g22.iter_components(4))
+    name = g22.format_component
+    assert payload["nodes"] == [{"id": name(c), "dims": list(c.dims), "ranks": list(c.ranks),
+                                 "wt": list(g22.weight(c))} for c in nodes]
+    assert payload["edges"] == [{"src": name(s), "color": i, "dst": name(t)}
+                                for s, i, t in edges]
+
+
+def test_dot_format(capsys):
+    code, out = run(capsys, "graph", "--bound", "1", "--format", "dot")
+    assert code == 0
+    assert out == """digraph crystal_graph {
+  "0,0,0,0:0,0";
+  "0,0,0,1:0,0";
+  "0,0,1,0:0,0";
+  "0,1,0,0:0,0";
+  "1,0,0,0:0,0";
+  "0,0,0,0:0,0" -> "1,0,0,0:0,0" [label="1"];
+  "0,0,0,0:0,0" -> "0,1,0,0:0,0" [label="2"];
+  "0,0,0,0:0,0" -> "0,0,1,0:0,0" [label="3"];
+  "0,0,0,0:0,0" -> "0,0,0,1:0,0" [label="4"];
+}
+"""
 
 
 def test_graph_deterministic_bytes(capsys):
@@ -166,6 +183,29 @@ def test_graph_deterministic_bytes(capsys):
     _, second = run(capsys, "graph", "--bound", "3", "--format", "dot")
     assert first == second
     assert '[label="' in first
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param("graph --bound 5 --format json",
+                 "406d7e6c464800c1915bd86b09a020666c364d2cc872044336d9970c2ec293c2",
+                 id="graph-zero-json"),
+    pytest.param("graph --bound 5 --format dot",
+                 "eadadac924ff8b016adb27495e180c68cf6399ecbb49d022fa34717e7702f231",
+                 id="graph-zero-dot"),
+    pytest.param("graph --seed 1,1,1,1:1,1 --bound 7 --format json",
+                 "d64570adfaacab94ebe6a1b84cba2789c0dfd1758db84a0cdbcf0bfcba9fc519",
+                 id="graph-seed-json"),
+    pytest.param("graph --seed 1,1,1,1:1,1 --bound 7 --format dot",
+                 "f5c5bf577fd15f95b19bf2907638eac1ea4adf92a186c70604ed76b0a3719867",
+                 id="graph-seed-dot"),
+    pytest.param("verify connectivity --bound 12",
+                 "db94ca6290fd3f22746ea446179de136d871911f7ac5e1c74fc83b3cfb0c84bb",
+                 id="connectivity"),
+])
+def test_graph_and_connectivity_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_graph_bound_below_seed(capsys):
@@ -178,6 +218,15 @@ def test_graph_to_file(tmp_path, capsys):
     code, _ = run(capsys, "graph", "--bound", "2", "--format", "dot", "--out", str(target))
     assert code == 0
     assert target.read_text().startswith("digraph crystal_graph {")
+
+
+def test_connectivity_reports_missing(monkeypatch):
+    nodes, edges = g22.lowering_graph([g22.ZERO_COMPONENT], 2)
+    monkeypatch.setattr(g22, "lowering_graph", lambda seeds, bound: (nodes[:-1], edges))
+    report = suites.suite_connectivity(2)
+    assert report["missing"] == [g22.format_component(nodes[-1])]
+    assert report["missing_count"] == 1
+    assert report["graph_connected"] is False and report["ok"] is False
 
 
 def test_verify_counterexample(capsys):

@@ -90,7 +90,7 @@ def test_count_formula_against_rank_scan():
         direct = sum(
             g22.ranks_valid(dims, (r1, r2))
             for r1 in range(6) for r2 in range(6))
-        assert direct == g22.component_count(dims) == len(g22.enumerate_components(dims))
+        assert direct == len(g22.enumerate_components(dims))
 
 
 # --- raising operators -------------------------------------------------------
@@ -560,6 +560,51 @@ def test_connectivity_word_order():
     assert word == (("e", 3), ("e", 2), ("e", 1), ("e", 1), ("e", 4), ("e", 4))
     result, _ = g22.apply_word(word, C((2, 1, 1, 2), (2, 0)))
     assert result == ZERO_COMPONENT
+
+
+# --- lowering graph -----------------------------------------------------------------
+
+
+def test_graph_contains_sink_chain():
+    nodes, edges = g22.lowering_graph([ZERO_COMPONENT], 2)
+    chain = [C((0, 0, 0, k), (0, 0)) for k in range(3)]
+    assert set(chain) <= set(nodes)
+    assert (chain[0], 4, chain[1]) in edges
+    assert (chain[1], 4, chain[2]) in edges
+
+
+def test_graph_bound_zero_is_single_node():
+    assert g22.lowering_graph([ZERO_COMPONENT], 0) == ([ZERO_COMPONENT], [])
+
+
+def test_graph_from_nonzero_seed():
+    seed = C((1, 1, 1, 1), (1, 1))
+    nodes, edges = g22.lowering_graph([seed], 5)
+    assert nodes[0] == seed
+    assert (seed, 1, C((2, 1, 1, 1), (1, 1))) in edges
+
+
+def test_graph_rejects_bound_below_seed():
+    with pytest.raises(ValueError, match="bound 2 is below a seed of total dimension 4"):
+        g22.lowering_graph([C((1, 1, 1, 1), (1, 1))], 2)
+
+
+def test_graph_weight_drops_along_edges():
+    _, edges = g22.lowering_graph([ZERO_COMPONENT], 4)
+    assert edges
+    for src, color, dst in edges:
+        diff = [a - b for a, b in zip(g22.weight(src), g22.weight(dst))]
+        assert diff == [1 if k == color - 1 else 0 for k in range(4)]
+
+
+def test_connectivity_with_universe():
+    # The closure of the base point is every component below the bound, in
+    # the enumeration's order.
+    nodes, edges = g22.lowering_graph([ZERO_COMPONENT], 6)
+    assert nodes == list(g22.iter_components(6))
+    order = {c: k for k, c in enumerate(nodes)}
+    keys = [(order[s], i, order[t]) for s, i, t in edges]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_counterexample_words_collide():

@@ -85,6 +85,12 @@ MUTANTS = (
     Mutant("g22 dual: ranks not swapped", G22,
            "dims, ranks = (d4, d3, d2, d1), (r2, r1)",
            "dims, ranks = (d4, d3, d2, d1), (r1, r2)", "tests/test_g22.py"),
+    Mutant("g22 lowering graph: a step onto the bound is cut", G22,
+           "sum(t.dims) > bound", "sum(t.dims) >= bound",
+           "tests/test_g22.py::test_graph_contains_sink_chain"),
+    Mutant("g22 lowering graph: edges left in breadth-first order", G22,
+           "    edges.sort(key=lambda e: (order[e[0]], e[1], order[e[2]]))\n", "",
+           "tests/test_g22.py::test_connectivity_with_universe"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
            "k = last", "k = first", "tests/test_binfty.py"),
     Mutant("binfty zero run: first position of the color one slot late", BINFTY,
