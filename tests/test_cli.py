@@ -185,6 +185,30 @@ def test_graph_deterministic_bytes(capsys):
     assert '[label="' in first
 
 
+def test_json_round_trip(capsys):
+    seed = g22.parse_component("1,1,1,1:1,1")
+    code, out = run(capsys, "graph", "--seed", "1,1,1,1:1,1", "--bound", "6",
+                    "--format", "json")
+    assert code == 0
+    assert out.endswith("\n")
+    payload = json.loads(out)
+    nodes, edges = g22.lowering_graph([seed], 6)
+    name = g22.format_component
+    assert payload["nodes"][0]["id"] == name(seed)
+    assert [(n["id"], tuple(n["dims"]), tuple(n["ranks"]), tuple(n["wt"]))
+            for n in payload["nodes"]] == [(name(c), c.dims, c.ranks, g22.weight(c))
+                                           for c in nodes]
+    assert [(e["src"], e["color"], e["dst"]) for e in payload["edges"]] == [
+        (name(s), i, name(t)) for s, i, t in edges]
+
+
+def test_graph_exports_are_deterministic(capsys):
+    for fmt in ("json", "dot"):
+        argv = ("graph", "--seed", "1,1,1,1:1,1", "--bound", "6", "--format", fmt)
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second and first[0] == 0
+
+
 @pytest.mark.parametrize("argv, digest", [
     pytest.param("graph --bound 5 --format json",
                  "406d7e6c464800c1915bd86b09a020666c364d2cc872044336d9970c2ec293c2",
