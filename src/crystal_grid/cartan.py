@@ -172,35 +172,3 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
             if eps == NEG_INFINITY and (up is not None or down is not None):
                 bad.append((5, b, i, "operators defined although epsilon is -infinity"))
     return CheckReport(tuple(bad))
-
-
-def check_strict_morphism(dom: CrystalFragment, cod: CrystalFragment, rho) -> CheckReport:
-    """Test the three morphism clauses for rho: dom -> cod + {0} (rho returns None for 0).
-
-    Both fragments must share one Cartan matrix; then preserving wt and
-    epsilon_i preserves phi_i = epsilon_i + <h_i, wt>.
-    """
-    if dom.cartan != cod.cartan:
-        raise ValueError("fragments over different Cartan matrices")
-    bad = []
-    for b in dom.elements:
-        image = rho(b)
-        if image is None:
-            continue
-        if dom.wt(b) != cod.wt(image):
-            bad.append((1, b, None, "weight not preserved"))
-        for i in dom.colors:
-            if dom.epsilon(b, i) != cod.epsilon(image, i):
-                bad.append((1, b, i, "epsilon not preserved"))
-            up = dom.apply_e(b, i)
-            if up is not None and rho(up) is not None:
-                if cod.apply_e(image, i) != rho(up):
-                    bad.append((2, b, i, "raising does not commute with the map"))
-            try:
-                down = dom.apply_f(b, i)
-            except TruncationError:
-                down = None
-            if down is not None and rho(down) is not None:
-                if cod.apply_f(image, i) != rho(down):
-                    bad.append((3, b, i, "lowering does not commute with the map"))
-    return CheckReport(tuple(bad))

@@ -16,7 +16,8 @@ moved component's fields are int tuples of length 4 and 2 by construction)
 and returns None when the data names no component.  The public Component
 constructor is the boundary for outside data, parsed or caller-supplied: it
 also checks the field types and lengths and raises InvalidComponentError.
-dual raises InvalidComponentError too and never returns None.
+dual raises InvalidComponentError too and never returns None, which
+``verify duality`` would read as a vanished operator.
 
 Colors 2 and 3 share one branch in every case function: the reflection of
 the square that swaps vertices 2 and 3 fixes d1, d4, r1 and r2, so the two
@@ -321,7 +322,8 @@ def dual(c: Component) -> Component:
     """Transpose duality on components: flip dims and swap the two ranks.
 
     Raises InvalidComponentError, never returns None, when the image is no
-    component: check_strict_morphism would read None as "maps to zero".
+    component: ``verify duality`` reads None as a vanished operator, so a
+    None image would match a star operator that vanishes.
     """
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
@@ -440,25 +442,4 @@ def fragment(bound: int, star: bool = False) -> CrystalFragment:
         epsilon=eps,
         apply_e=up,
         apply_f=down,
-    )
-
-
-def relabeled_fragment(bound: int) -> CrystalFragment:
-    """The plain structure with colors composed with the vertex involution.
-
-    The duality map is a strict morphism from the star fragment onto this
-    relabeled fragment.
-    """
-    a = VERTEX_INVOLUTION
-
-    def wt_(c):
-        return tuple(-c.dims[a[i] - 1] for i in COLORS)
-
-    return CrystalFragment(
-        cartan=CARTAN,
-        elements=tuple(iter_components(bound)),
-        wt=wt_,
-        epsilon=lambda c, i: epsilon(c, a[i]),
-        apply_e=lambda c, i: apply_e(c, a[i]),
-        apply_f=lambda c, i: apply_f(c, a[i]),
     )

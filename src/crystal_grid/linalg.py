@@ -148,9 +148,6 @@ class Mat:
             if len(r) != ncols:
                 raise ValueError("column count mismatch")
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
 
 def mat(rows, ncols=None) -> Mat:
     """Build a Mat from an iterable of rows; ncols is required when empty."""

@@ -118,10 +118,6 @@ _RESOLUTIONS = {
 }
 
 
-def resolution(k: int) -> Resolution:
-    return _RESOLUTIONS[k]
-
-
 def _lives(stage, *corners) -> list:
     """The diagonal of mask(corners): 1 for a summand living at every corner."""
     return [int(all(INTERVAL_DIMS[s][v - 1] for v in corners)) for s in stage]

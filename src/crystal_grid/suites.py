@@ -80,28 +80,43 @@ def _iterate_count(c, i, step, cap: int) -> int:
 
 
 def suite_duality(bound: int = 8) -> dict:
+    """Transpose duality as a strict morphism from the star crystal onto the
+    plain crystal with its colors relabeled by the vertex involution sigma.
+
+    For each component c, with d = dual(c), one pass checks four clauses:
+    the involution, dual(d) = c; the weight, wt(c)_i = wt(d)_sigma(i); the
+    statistic, epsilon*_i(c) = epsilon_sigma(i)(d); and the conjugation,
+    e*_i(c) = dual(e_sigma(i)(d)) and likewise for f*, where a vanished
+    operator (None) must vanish on both sides.  phi needs no clause: axiom 1
+    derives it from wt and epsilon.  Weight and statistic mismatches are the
+    morphism violations; the other two clauses are conjugation failures.
+    """
     a = g22.VERTEX_INVOLUTION
     bad = []
+    morphism = 0
     for c in g22.iter_components(bound):
-        if g22.dual(g22.dual(c)) != c:
+        d = g22.dual(c)
+        if g22.dual(d) != c:
             bad.append(("involution", g22.format_component(c)))
+        wt_c, wt_d = g22.weight(c), g22.weight(d)
+        if any(wt_c[i - 1] != wt_d[a[i] - 1] for i in g22.COLORS):
+            morphism += 1
         for i in g22.COLORS:
+            if g22.epsilon_star(c, i) != g22.epsilon(d, a[i]):
+                morphism += 1
             for star_op, plain_op in ((g22.apply_e_star, g22.apply_e),
                                       (g22.apply_f_star, g22.apply_f)):
-                direct = star_op(c, i)
-                routed = plain_op(g22.dual(c), a[i])
+                routed = plain_op(d, a[i])
                 routed = g22.dual(routed) if routed is not None else None
-                if direct != routed:
+                if star_op(c, i) != routed:
                     bad.append(("conjugation", g22.format_component(c), i))
-    morphism = cartan.check_strict_morphism(
-        g22.fragment(bound, star=True), g22.relabeled_fragment(bound), g22.dual)
     return {
         "suite": "duality",
         "bound": bound,
         "conjugation_failures": bad[:20],
         "conjugation_failure_count": len(bad),
-        "morphism_violations": len(morphism.violations),
-        "ok": not bad and morphism.ok,
+        "morphism_violations": morphism,
+        "ok": not bad and not morphism,
     }
 
 

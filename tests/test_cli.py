@@ -225,6 +225,15 @@ def test_graph_exports_are_deterministic(capsys):
     pytest.param("verify connectivity --bound 12",
                  "db94ca6290fd3f22746ea446179de136d871911f7ac5e1c74fc83b3cfb0c84bb",
                  id="connectivity"),
+    pytest.param("verify duality --bound 4",
+                 "d8b3af14f94c93a901ccbbe328ef04acb316c6bb1c65a1fd74b61859c872a76c",
+                 id="duality-4"),
+    pytest.param("verify duality --bound 10",
+                 "3ce04c95bf132a02183a187a8a8fd632325e8b82c22f83561ab50f6aa301bad9",
+                 id="duality-10"),
+    pytest.param("verify duality --bound 14",
+                 "eece3c9a11ba8d12591865243ad7f38145fb31c6bc6eda446ca43e575b28a93a",
+                 id="duality-14", marks=pytest.mark.deep),
 ])
 def test_graph_and_connectivity_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split())

@@ -23,9 +23,9 @@ def _intertwiner_hom_dim(x_rep: Representation, n_rep: Representation) -> int:
             for y in range(xd[si]):
                 row = [QQ.zero] * size
                 for b in range(xd[ti]):
-                    row[offsets[ti] + x * xd[ti] + b] += fx.entry(b, y)
+                    row[offsets[ti] + x * xd[ti] + b] += fx.rows[b][y]
                 for a in range(nd[si]):
-                    row[offsets[si] + a * xd[si] + y] -= fn.entry(x, a)
+                    row[offsets[si] + a * xd[si] + y] -= fn.rows[x][a]
                 rows.append(row)
     return len(linalg.nullspace(QQ, linalg.mat(rows, ncols=size)))
 
@@ -129,7 +129,7 @@ _BROKEN_RESOLUTIONS = (
     (1, ma.Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (1,))))),
     (1, ma.Resolution(((11,), (7, 8)), (((1,),), ((1, 1),)))),
     (10, ma.Resolution(((7, 8),), (((1, 1),),))),
-    (5, ma.resolution(2)),
+    (5, ma._RESOLUTIONS[2]),
 )
 
 
@@ -170,7 +170,7 @@ def test_euler_characteristic_of_resolutions():
     for p, v in _COVERED_CORNER.items():
         assert all(_catalog_hom(p, j) == ma.INTERVAL_DIMS[j][v - 1] for j in range(1, 12))
     for k in range(1, 12):
-        res = ma.resolution(k)
+        res = ma._RESOLUTIONS[k]
         for j in range(1, 12):
             alternating = sum((-1) ** n * sum(_catalog_hom(p, j) for p in stage)
                               for n, stage in enumerate(res.stages))

@@ -63,10 +63,12 @@ MUTANTS = (
     Mutant("axiom 5: no operator where epsilon = -inf", CARTAN,
            "if eps == NEG_INFINITY and (up is not None or down is not None):", "if False:",
            "tests/test_cartan.py"),
-    Mutant("morphism: Cartan guard removed", CARTAN,
-           "if dom.cartan != cod.cartan:", "if False:", "tests/test_cartan.py"),
-    Mutant("morphism: lowering commutes", CARTAN,
-           "if cod.apply_f(image, i) != rho(down):", "if False:", "tests/test_cartan.py"),
+    Mutant("duality: statistic clause off", SUITES,
+           "if g22.epsilon_star(c, i) != g22.epsilon(d, a[i]):", "if False:",
+           "tests/test_cartan.py::test_morphism_check_flags_exactly_the_broken_clause"),
+    Mutant("duality: weight clause off", SUITES,
+           "if any(wt_c[i - 1] != wt_d[a[i] - 1] for i in g22.COLORS):", "if False:",
+           "tests/test_cartan.py::test_morphism_collapse_fails_weight_clause"),
     Mutant("g22 e at colors 2/3: vanishing guard", G22,
            "if _middle_dim(c, i) <= r1:", "if _middle_dim(c, i) < r1:", "tests/test_g22.py"),
     Mutant("g22 f* at colors 2/3: source rank grows", G22,
