@@ -40,18 +40,26 @@ def suite_axioms_an(max_n: int = 5, bound: int = 8) -> dict:
 
 def suite_star(bound: int = 8) -> dict:
     """Star-family axioms plus agreement of the applicability counts with
-    operator iteration (capped where the count is infinite)."""
-    report = cartan.check_crystal_axioms(g22.fragment(bound, star=True))
+    operator iteration (capped where the count is infinite).
+
+    Iteration walks each chain once: _iteration_counts counts every
+    component from the count of the component one step on, and a walk past
+    the bound stops at the cap 2 * bound + 4, which an infinite phi' or
+    phi*' must reach.
+    """
+    frag = g22.fragment(bound, star=True)
+    report = cartan.check_crystal_axioms(frag)
     cap = 2 * bound + 4
+    counts = _iteration_counts(frag.elements, cap)
     mismatches = []
-    for c in g22.iter_components(bound):
+    for n, c in enumerate(frag.elements):
         for i in g22.COLORS:
-            if _iterate_count(c, i, g22.apply_e, cap) != g22.epsilon_prime(c, i):
+            if counts["e", i][n] != g22.epsilon_prime(c, i):
                 mismatches.append(("eps_prime", g22.format_component(c), i))
-            if _iterate_count(c, i, g22.apply_e_star, cap) != g22.epsilon_star_prime(c, i):
+            if counts["e*", i][n] != g22.epsilon_star_prime(c, i):
                 mismatches.append(("eps_star_prime", g22.format_component(c), i))
-            for fn, inv in ((g22.apply_f, g22.phi_prime), (g22.apply_f_star, g22.phi_star_prime)):
-                seen = _iterate_count(c, i, fn, cap)
+            for kind, inv in (("f", g22.phi_prime), ("f*", g22.phi_star_prime)):
+                seen = counts[kind, i][n]
                 expected = inv(c, i)
                 if expected == inf:
                     if seen < cap:
@@ -66,6 +74,38 @@ def suite_star(bound: int = 8) -> dict:
         "iteration_mismatch_count": len(mismatches),
         "ok": report.ok and not mismatches,
     }
+
+
+def _iteration_counts(elements, cap: int) -> dict:
+    """{(kind, i): counts}, where counts[n] is how often the g22 operator of
+    kind e, e*, f or f* applies at color i in a row from elements[n], capped
+    at cap.
+
+    One sweep per pair: every step moves the total dimension by 1, so in
+    graph order (reversed for the lowering kinds) the component one step on
+    is usually counted already, and count = min(cap, 1 + its count).  Any
+    other step falls back to the capped walk, so the order only saves
+    operator calls and no count depends on it.
+    """
+    index = {c: n for n, c in enumerate(elements)}
+    forward, backward = range(len(elements)), range(len(elements) - 1, -1, -1)
+    tables = {}
+    for kind, step, order in (("e", g22.apply_e, forward), ("e*", g22.apply_e_star, forward),
+                              ("f", g22.apply_f, backward), ("f*", g22.apply_f_star, backward)):
+        for i in g22.COLORS:
+            counts = [-1] * len(elements)
+            for n in order:
+                target = step(elements[n], i)
+                if target is None:
+                    counts[n] = 0
+                    continue
+                m = index.get(target)
+                if m is not None and counts[m] >= 0:
+                    counts[n] = min(cap, 1 + counts[m])
+                else:
+                    counts[n] = 1 + _iterate_count(target, i, step, cap - 1)
+            tables[kind, i] = counts
+    return tables
 
 
 def _iterate_count(c, i, step, cap: int) -> int:

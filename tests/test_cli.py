@@ -234,6 +234,15 @@ def test_graph_exports_are_deterministic(capsys):
     pytest.param("verify duality --bound 14",
                  "eece3c9a11ba8d12591865243ad7f38145fb31c6bc6eda446ca43e575b28a93a",
                  id="duality-14", marks=pytest.mark.deep),
+    pytest.param("verify star --bound 4",
+                 "96ee75daf9cca4ceff3bb0a07b4618103cc93747d9918a0dbef054f337475211",
+                 id="star-4"),
+    pytest.param("verify star --bound 10",
+                 "750049217de2a4084eeca85e2c87c98a8cbeee071d27af9305752a7cb2bf65b5",
+                 id="star-10"),
+    pytest.param("verify star --bound 14",
+                 "9a30077749d2f495e17ba166da678099524ff6108969a9572ddf4171f240b7d1",
+                 id="star-14", marks=pytest.mark.deep),
 ])
 def test_graph_and_connectivity_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split())
@@ -285,7 +294,7 @@ def test_verify_axioms_small_bound(capsys):
 @pytest.mark.deep
 @pytest.mark.parametrize("suite, bound, counted, count", [
     ("axioms2x2", 20, "elements", 19932),
-    ("star", 14, None, None),
+    ("star", 16, None, None),
     ("duality", 14, None, None),
     ("connectivity", 16, "components", 8121),
 ])

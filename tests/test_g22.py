@@ -1,9 +1,10 @@
 import itertools
+import json
 from math import inf
 
 import pytest
 
-from crystal_grid import g22
+from crystal_grid import cli, g22, suites
 from crystal_grid.g22 import Component, ZERO_COMPONENT, InvalidComponentError
 
 
@@ -460,7 +461,7 @@ def test_out_of_range_color_raises():
 # --- iteration agreement -------------------------------------------------------
 
 
-def _count_applications(c, i, step, cap=24):
+def _count_applications(c, i, step, cap):
     n = 0
     while n < cap:
         c = step(c, i)
@@ -470,20 +471,61 @@ def _count_applications(c, i, step, cap=24):
     return n
 
 
-def test_prime_invariants_count_iterations():
-    cap = 24
-    for c in g22.iter_components(6):
+def _walked_star_mismatches(bound):
+    """verify star's mismatch list, from one capped walk per component and color."""
+    cap = 2 * bound + 4
+    mismatches = []
+    for c in g22.iter_components(bound):
+        name = g22.format_component(c)
         for i in g22.COLORS:
-            assert _count_applications(c, i, g22.apply_e) == g22.epsilon_prime(c, i)
-            assert _count_applications(c, i, g22.apply_e_star) == g22.epsilon_star_prime(c, i)
-            for step, inv in ((g22.apply_f, g22.phi_prime),
-                              (g22.apply_f_star, g22.phi_star_prime)):
+            if _count_applications(c, i, g22.apply_e, cap) != g22.epsilon_prime(c, i):
+                mismatches.append(["eps_prime", name, i])
+            if _count_applications(c, i, g22.apply_e_star, cap) != g22.epsilon_star_prime(c, i):
+                mismatches.append(["eps_star_prime", name, i])
+            for step, inv in ((g22.apply_f, g22.phi_prime), (g22.apply_f_star, g22.phi_star_prime)):
                 counted = _count_applications(c, i, step, cap)
                 expected = inv(c, i)
                 if expected == inf:
-                    assert counted == cap
-                else:
-                    assert counted == expected
+                    if counted < cap:
+                        mismatches.append(["unbounded", name, i])
+                elif counted != expected:
+                    mismatches.append(["finite", name, i])
+    return mismatches
+
+
+def test_prime_invariants_count_iterations():
+    assert _walked_star_mismatches(6) == []
+
+
+_STEPS = {"e": g22.apply_e, "e*": g22.apply_e_star, "f": g22.apply_f, "f*": g22.apply_f_star}
+
+
+def test_iteration_counts_match_per_element_walks():
+    bound = 8
+    cap = 2 * bound + 4
+    elements = tuple(g22.iter_components(bound))
+    # Reversed, no step target is counted before its source: every count walks.
+    for order in (elements, elements[::-1]):
+        tables = suites._iteration_counts(order, cap)
+        assert set(tables) == {(kind, i) for kind in _STEPS for i in g22.COLORS}
+        for (kind, i), counts in tables.items():
+            walked = [_count_applications(c, i, _STEPS[kind], cap) for c in order]
+            assert counts == walked, (kind, i)
+
+
+def test_verify_star_reports_a_chain_broken_in_the_middle(monkeypatch, capsys):
+    broken = C((1, 0, 0, 1), (0, 0))
+    above = [c for c in g22.iter_components(6) for i in g22.COLORS if g22.apply_e(c, i) == broken]
+    assert above and any(g22.apply_e(broken, i) is not None for i in g22.COLORS)
+    apply_e = g22.apply_e
+    monkeypatch.setattr(g22, "apply_e", lambda c, i: None if c == broken else apply_e(c, i))
+    expected = _walked_star_mismatches(6)
+    assert len(expected) == 10
+    code = cli.main(["verify", "star", "--bound", "6"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["ok"] is False
+    assert payload["iteration_mismatch_count"] == len(expected)
+    assert payload["iteration_mismatches"] == expected[:20]
 
 
 def test_epsilon_prime_never_exceeds_epsilon():
@@ -507,15 +549,10 @@ def test_dual_examples():
 
 
 def test_star_family_is_dual_conjugate():
+    """The exact counts, which verify duality does not check."""
     a = g22.VERTEX_INVOLUTION
     for c in g22.iter_components(6):
         for i in g22.COLORS:
-            for star_op, plain_op in ((g22.apply_e_star, g22.apply_e),
-                                      (g22.apply_f_star, g22.apply_f)):
-                routed = plain_op(g22.dual(c), a[i])
-                routed = g22.dual(routed) if routed is not None else None
-                assert star_op(c, i) == routed
-            assert g22.epsilon_star(c, i) == g22.epsilon(g22.dual(c), a[i])
             assert g22.epsilon_star_prime(c, i) == g22.epsilon_prime(g22.dual(c), a[i])
             assert g22.phi_star_prime(c, i) == g22.phi_prime(g22.dual(c), a[i])
 

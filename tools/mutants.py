@@ -69,6 +69,13 @@ MUTANTS = (
     Mutant("duality: weight clause off", SUITES,
            "if any(wt_c[i - 1] != wt_d[a[i] - 1] for i in g22.COLORS):", "if False:",
            "tests/test_cartan.py::test_morphism_collapse_fails_weight_clause"),
+    Mutant("star counts: a step onto a counted component adds nothing", SUITES,
+           "min(cap, 1 + counts[m])", "min(cap, counts[m])",
+           "tests/test_g22.py::test_iteration_counts_match_per_element_walks"),
+    Mutant("star counts: a walk from an uncounted component drops its first step", SUITES,
+           "1 + _iterate_count(target, i, step, cap - 1)",
+           "_iterate_count(target, i, step, cap - 1)",
+           "tests/test_g22.py::test_iteration_counts_match_per_element_walks"),
     Mutant("g22 e at colors 2/3: vanishing guard", G22,
            "if _middle_dim(c, i) <= r1:", "if _middle_dim(c, i) < r1:", "tests/test_g22.py"),
     Mutant("g22 f* at colors 2/3: source rank grows", G22,
