@@ -471,9 +471,13 @@ def _count_applications(c, i, step, cap):
     return n
 
 
-def _walked_star_mismatches(bound):
-    """verify star's mismatch list, from one capped walk per component and color."""
-    cap = 2 * bound + 4
+def _walked_star_mismatches(bound, cap=None):
+    """verify star's mismatch list, from one capped walk per component and color.
+
+    The cap defaults to the suite's 2*bound + 4; a larger cap checks that an
+    infinite count keeps going further than the suite asks.
+    """
+    cap = 2 * bound + 4 if cap is None else cap
     mismatches = []
     for c in g22.iter_components(bound):
         name = g22.format_component(c)
@@ -494,7 +498,7 @@ def _walked_star_mismatches(bound):
 
 
 def test_prime_invariants_count_iterations():
-    assert _walked_star_mismatches(6) == []
+    assert _walked_star_mismatches(6, cap=24) == []
 
 
 _STEPS = {"e": g22.apply_e, "e*": g22.apply_e_star, "f": g22.apply_f, "f*": g22.apply_f_star}
