@@ -11,29 +11,34 @@ its constants and a few operations on single entries:
   (``x % p`` on GF(p), the identity on QQ);
 - ``inv(x)`` for nonzero x;
 
-and its hot arithmetic one whole row per call, each kernel a single list
-comprehension (GF(p) reduces inline, QQ has nothing to reduce):
+and its hot loops whole:
 
-- ``axpy(row, f, lead)``, the row update ``row - f * lead``;
-- ``scale(f, row)``, the row ``f * row``;
 - ``dots(row, cols)``, the products of ``row`` with each of ``cols``,
   one output row of a matrix product;
-- ``rand_row(rng, n)``, n uniform elements drawn by ``n`` successive
-  ``rng.randrange(p)`` calls (GF(p) only).
+- ``eliminate(rows, ncols, reduced)``, Gaussian elimination in place,
+  returning the pivot columns;
+- ``rand_row(rng, n)``, n uniform elements, the values and the stream
+  of ``n`` successive ``rng.randrange(p)`` calls (GF(p) only).
 
-One elimination routine serves both fields; per pivot it makes one
-``inv`` and one ``scale`` call and one ``axpy`` call per row it clears.
-``rank`` stops at an echelon form of A or of its transpose, whichever has
-fewer rows; ``rref`` (and with it ``nullspace``, ``solve`` and
-``inverse``) also clears above the pivots.  Matrices carry explicit
-shapes so that 0xn and nx0 cases stay unambiguous.
+Each field has one elimination routine.  The GF(p) kernel inlines the
+pivot search, the pivot's inverse (one ``pow``) and the row update
+``row - f * lead``, one list comprehension reducing mod p, so it calls no
+field method per row or pivot.  When only an echelon form is asked for
+it leaves the pivot row unscaled and multiplies each row's factor by the
+pivot's inverse instead.
+The QQ routine scales each pivot row to a leading one through ``inv``.
+``pivot_columns`` stops at an echelon form of A, ``rank`` at one of A or
+of its transpose, whichever has fewer rows; ``rref`` (and with it
+``nullspace``, ``solve`` and ``inverse``) also clears above the pivots.
+Matrices carry explicit shapes so that 0xn and nx0 cases stay
+unambiguous.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from operator import mul as _mul
 
 
@@ -65,21 +70,62 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def axpy(self, row, f, lead):
-        p = self.p
-        return [(x - f * y) % p for x, y in zip(row, lead)]
-
-    def scale(self, f, row):
-        p = self.p
-        return [f * x % p for x in row]
-
     def dots(self, row, cols):
         p = self.p
         return [sum(map(_mul, row, col)) % p for col in cols]
 
+    def eliminate(self, rows, ncols, reduced):
+        """Gaussian elimination on ``rows`` in place; returns the pivot columns.
+
+        Each pivot row clears its column from the rows below it, and with
+        ``reduced`` also from the rows above, after being scaled to a
+        leading one: the reduced row echelon form.  Without ``reduced`` the
+        pivot row stays unscaled and each factor is multiplied by the
+        pivot's inverse instead, giving an echelon form, which is all a
+        rank count needs.  Updated rows become lists; rows never updated
+        keep their type.
+        """
+        p = self.p
+        m = len(rows)
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == m:
+                break
+            piv = r
+            while piv < m and not rows[piv][c]:
+                piv += 1
+            if piv == m:
+                continue
+            lead = rows[piv]
+            if reduced:
+                inv = pow(lead[c], -1, p)
+                lead = [inv * x % p for x in lead]
+                inv = 1
+            elif r + 1 < m:    # below the last row there is nothing to clear
+                inv = pow(lead[c], -1, p)
+            rows[piv] = rows[r]
+            rows[r] = lead
+            for i in range(0 if reduced else r + 1, m):
+                f = rows[i][c]
+                if f and i != r:
+                    f = f * inv % p
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+            pivots.append(c)
+            r += 1
+        return tuple(pivots)
+
     def rand_row(self, rng, n):
-        randrange, p = rng.randrange, self.p
-        return [randrange(p) for _ in range(n)]
+        # randrange(p)'s own rejection loop: k-bit draws until one is below p.
+        getrandbits, p = rng.getrandbits, self.p
+        k = p.bit_length()
+        row = []
+        for _ in range(n):
+            x = getrandbits(k)
+            while x >= p:
+                x = getrandbits(k)
+            row.append(x)
+        return row
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -109,15 +155,35 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def axpy(self, row, f, lead):
-        return [x - f * y for x, y in zip(row, lead)]
-
-    def scale(self, f, row):
-        return [f * x for x in row]
-
     def dots(self, row, cols):
         zero = self.zero
         return [sum(map(_mul, row, col), zero) for col in cols]
+
+    def eliminate(self, rows, ncols, reduced):
+        """Gaussian elimination on ``rows`` in place, as ``PrimeField.eliminate``,
+        except that every pivot row is scaled to a leading one."""
+        m = len(rows)
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == m:
+                break
+            piv = r
+            while piv < m and not rows[piv][c]:
+                piv += 1
+            if piv == m:
+                continue
+            inv = self.inv(rows[piv][c])
+            lead = [inv * x for x in rows[piv]]
+            rows[piv] = rows[r]
+            rows[r] = lead
+            for i in range(0 if reduced else r + 1, m):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+            pivots.append(c)
+            r += 1
+        return tuple(pivots)
 
     def __repr__(self):
         return "QQ"
@@ -132,21 +198,41 @@ class RationalField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Immutable matrix with explicit shape; rows is a tuple of row tuples."""
+class Mat(tuple):
+    """Immutable matrix with explicit shape; rows is a tuple of row tuples.
 
-    nrows: int
-    ncols: int
-    rows: tuple
+    Stored as the tuple (nrows, ncols, rows), so building one costs a
+    shape check and no attribute writes; it equals and hashes as that
+    tuple, but never equals anything that is not a Mat.
+    """
 
-    def __post_init__(self):
-        if len(self.rows) != self.nrows:
+    __slots__ = ()
+
+    def __new__(cls, nrows: int, ncols: int, rows: tuple):
+        if len(rows) != nrows:
             raise ValueError("row count mismatch")
-        ncols = self.ncols
-        for r in self.rows:
+        for r in rows:
             if len(r) != ncols:
                 raise ValueError("column count mismatch")
+        return tuple.__new__(cls, (nrows, ncols, rows))
+
+    nrows = property(itemgetter(0))
+    ncols = property(itemgetter(1))
+    rows = property(itemgetter(2))
+
+    def __eq__(self, other):
+        return type(other) is Mat and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Mat(nrows={self[0]!r}, ncols={self[1]!r}, rows={self[2]!r})"
 
 
 def mat(rows, ncols=None) -> Mat:
@@ -211,51 +297,24 @@ def is_zero(a: Mat) -> bool:
     return all(all(x == 0 for x in r) for r in a.rows)
 
 
-def _eliminate(field, rows: list, ncols: int, reduced: bool) -> tuple:
-    """Gaussian elimination on ``rows`` in place; returns the pivot columns.
-
-    Each pivot row is scaled to a leading one, then clears its column from
-    the rows below it with one ``axpy`` per row.  With ``reduced`` it also
-    clears the rows above, giving the reduced row echelon form; without,
-    the rows stop at an echelon form, which is all a rank count needs.
-    Updated rows become lists; rows never updated keep their type.
-    """
-    axpy = field.axpy
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        piv = r
-        while piv < m and not rows[piv][c]:
-            piv += 1
-        if piv == m:
-            continue
-        lead = field.scale(field.inv(rows[piv][c]), rows[piv])
-        rows[piv] = rows[r]
-        rows[r] = lead
-        for i in range(0 if reduced else r + 1, m):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = axpy(rows[i], f, lead)
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
-
-
 def rref(field, a: Mat):
     """Reduced row echelon form; returns (Mat, pivot column indices)."""
     rows = list(a.rows)
-    pivots = _eliminate(field, rows, a.ncols, reduced=True)
+    pivots = field.eliminate(rows, a.ncols, True)
     return Mat(a.nrows, a.ncols, tuple([tuple(row) for row in rows])), pivots
+
+
+def pivot_columns(field, a: Mat) -> tuple:
+    """The pivot columns of an echelon form of A, increasing.  Those below k
+    count the rank of A's first k columns; all of them, the rank of A."""
+    return field.eliminate(list(a.rows), a.ncols, False)
 
 
 def rank(field, a: Mat) -> int:
     """Rank, by eliminating whichever of A and its transpose has fewer rows."""
     if a.nrows <= a.ncols:
-        return len(_eliminate(field, list(a.rows), a.ncols, reduced=False))
-    return len(_eliminate(field, list(zip(*a.rows)), a.nrows, reduced=False))
+        return len(field.eliminate(list(a.rows), a.ncols, False))
+    return len(field.eliminate(list(zip(*a.rows)), a.nrows, False))
 
 
 def nullspace(field, a: Mat):

@@ -269,18 +269,29 @@ class RankProfile:
 
 def rank_profile(rep: Representation) -> RankProfile:
     """Every rank of a 2x2-grid point: the four arrows, the two stacked maps
-    and the composite 1 -> 4.  The sink map's sign (f24 beside -f34) only
-    scales columns, so the plain stack has its rank."""
+    and the composite 1 -> 4, from five eliminations of the point's maps.
+
+    The pivot columns of one echelon form of [f12ᵀ | f13ᵀ] count the source
+    rank, and those among its first d2 columns the rank of f12ᵀ, so of f12;
+    one echelon form of [f24 | f34] gives the sink rank and the rank of f24
+    the same way.  The sink map's sign (f24 beside -f34) only scales
+    columns, so the plain stack has its rank.  f13, f34 and the composite
+    take one rank each.
+    """
     field = rep.field
     f12, f13, f24, f34 = rep.maps
+    d2 = rep.dims[1]
+    source = linalg.pivot_columns(field, linalg.transpose(linalg.vstack([f12, f13])))
+    sink = linalg.pivot_columns(field, linalg.hstack([f24, f34]))
+    r12, r24 = (sum(c < d2 for c in pivots) for pivots in (source, sink))
     return RankProfile(
         dims=rep.dims,
-        r12=linalg.rank(field, f12),
+        r12=r12,
         r13=linalg.rank(field, f13),
-        r24=linalg.rank(field, f24),
+        r24=r24,
         r34=linalg.rank(field, f34),
-        source_rank=linalg.rank(field, linalg.vstack([f12, f13])),
-        sink_rank=linalg.rank(field, linalg.hstack([f24, f34])),
+        source_rank=len(source),
+        sink_rank=len(sink),
         diag_rank=linalg.rank(field, rep.f14),
     )
 

@@ -19,7 +19,8 @@ dimension minus one rank of the point's ``modules22.rank_profile``:
     eps_3 = d3 - r13           eps_star_3 = d3 - r34
     eps_4 = d4 - sink_rank     eps_star_4 = d4
 
-so one profile per point (seven ranks and one product) reads all eight.
+so one profile per point (five eliminations and one product) reads all
+eight.
 """
 
 from __future__ import annotations
@@ -68,28 +69,38 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     α1, α2 and independent uniform invertible g1, g2, g3: the first r1
     columns of g2 are uniform full rank, and given them, rows r1.. of g2⁻¹
     are a uniform basis of their left annihilator.
+
+    A is drawn as ``linalg.random_full_rank`` draws it, but one elimination
+    of Aᵀ serves both its rejection test and K: A has rank r1 exactly when
+    its left kernel has dimension mid - r1.
     """
     field = cfg.field()
     rng = cfg.rng(index)
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
     mid = d2 + d3
-    a = linalg.random_full_rank(field, mid, r1, rng)
+    while True:
+        a = linalg.random_matrix(field, mid, r1, rng)
+        kernel = linalg.nullspace(field, linalg.transpose(a))
+        if len(kernel) == mid - r1:
+            break
     b = linalg.random_full_rank(field, r1, d1, rng)
     r = linalg.random_full_rank(field, r2, mid - r1, rng)
     cm = linalg.random_full_rank(field, d4, r2, rng)
-    out_map, in_map = _factor_maps(field, a, b, r, cm)
+    return _factor_point(field, c.dims, a, b, r, linalg.mat(kernel, ncols=mid), cm)
+
+
+def _factor_point(field, dims, a: Mat, b: Mat, r: Mat, k: Mat, cm: Mat) -> Representation:
+    """The point whose outward map (f12 over f13) is A·B and whose inward map
+    (f24 beside -f34) is C·(R·K); K spans the left kernel of A."""
+    d1, d2, d3, d4 = dims
+    out_map = linalg.mul(field, a, b)
+    in_map = linalg.mul(field, cm, linalg.mul(field, r, k))
     f12 = Mat(d2, d1, out_map.rows[:d2])
     f13 = Mat(d3, d1, out_map.rows[d2:])
     f24 = Mat(d4, d2, tuple(row[:d2] for row in in_map.rows))
     f34 = linalg.neg(field, Mat(d4, d3, tuple(row[d2:] for row in in_map.rows)))
-    return Representation(field, c.dims, f12, f13, f24, f34)
-
-
-def _factor_maps(field, a: Mat, b: Mat, r: Mat, cm: Mat):
-    """The outward map A·B and the inward map C·(R·K), K a basis of the left kernel of A."""
-    k = linalg.mat(linalg.nullspace(field, linalg.transpose(a)), ncols=a.nrows)
-    return linalg.mul(field, a, b), linalg.mul(field, cm, linalg.mul(field, r, k))
+    return Representation(field, dims, f12, f13, f24, f34)
 
 
 # The profile rank that each (kind, corner) statistic subtracts from the

@@ -243,6 +243,15 @@ def test_graph_exports_are_deterministic(capsys):
     pytest.param("verify star --bound 14",
                  "9a30077749d2f495e17ba166da678099524ff6108969a9572ddf4171f240b7d1",
                  id="star-14", marks=pytest.mark.deep),
+    pytest.param("verify oracle --max-dim 4 --seed 1",
+                 "147088dc7d91e6b85e847eb4c87b02156e88b54fe9d9dfa0fb243c0aab992f45",
+                 id="oracle-4"),
+    pytest.param("verify decomp --max-dim 4 --seed 1",
+                 "1c65f89d7dbbe4b90a501b925266ae8bbf06bfe1760c9d5ebdcab7ba29ee7065",
+                 id="decomp-4"),
+    pytest.param("oracle epsilon --component 6,6,6,6:6,6 --i 1 --samples 400 --seed 1",
+                 "dea9ad08ea9f43e5e2b3608202c5a238b3971307006925f3dd285ab5438259b0",
+                 id="oracle-epsilon"),
 ])
 def test_graph_and_connectivity_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split())
@@ -318,6 +327,13 @@ def test_verify_oracle_max_dim_6(capsys):
     seed = f"seed {payload['seed']}"
     assert code == 0 and payload["ok"] is True, seed
     assert payload["components"] == 4501 and payload["retries"] == 0, seed
+
+
+@pytest.mark.deep
+def test_verify_oracle_max_dim_7(capsys):
+    code, payload = run_json(capsys, "verify", "oracle", "--max-dim", "7", "--seed", "0")
+    assert code == 0 and payload["ok"] is True
+    assert payload["components"] == 8296 and payload["retries"] == 0
 
 
 @pytest.mark.deep

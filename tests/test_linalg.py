@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -110,14 +112,19 @@ def test_prime_field_arithmetic():
 
 
 def test_row_kernels():
-    assert F7.axpy([1, 2, 3], 3, [1, 1, 5]) == [5, 6, 2]
-    assert F7.scale(3, [1, 2, 6]) == [3, 6, 4]
     assert F7.dots([1, 2], [(3, 4), (5, 6), (0, 0)]) == [4, 3, 0]
-    assert QQ.axpy([Fraction(1), Fraction(2)], Fraction(1, 2), [Fraction(4), Fraction(-2)]) \
-        == [Fraction(-1), Fraction(3)]
-    assert QQ.scale(Fraction(2, 3), [Fraction(3), Fraction(0)]) == [Fraction(2), Fraction(0)]
     assert QQ.dots([Fraction(1, 2), Fraction(1)], [(Fraction(2), Fraction(-1))]) == [Fraction(0)]
     assert repr(QQ.dots([], [(), ()])) == repr([Fraction(0), Fraction(0)])
+    # The echelon form leaves the pivot row unscaled; the reduced form scales it.
+    rows = [(2, 4, 1), (1, 2, 0), (3, 6, 5)]
+    assert F7.eliminate(rows, 3, False) == (0, 2)
+    assert rows == [(2, 4, 1), [0, 0, 3], [0, 0, 0]]
+    rows = [(2, 4, 1), (1, 2, 0), (3, 6, 5)]
+    assert F7.eliminate(rows, 3, True) == (0, 2)
+    assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    rows = [(Fraction(2), Fraction(4)), (Fraction(1), Fraction(3))]
+    assert QQ.eliminate(rows, 2, False) == (0, 1)
+    assert rows == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
 
 
 @pytest.mark.parametrize("p", [7, 101, 32003])
@@ -129,6 +136,17 @@ def test_rand_row_draws_randrange_in_order(p, seed, n):
     assert PrimeField(p).rand_row(random.Random(seed), n) == expected
 
 
+@pytest.mark.parametrize("p", [101, 257, 32003, 131071])
+def test_rand_row_leaves_the_stream_as_randrange_does(p):
+    # 257 rejects about half of its 9-bit draws, 131071 = 2**17 - 1 almost none.
+    field = PrimeField(p)
+    for seed in range(10):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (0, 1, 6, 40):
+            assert field.rand_row(ours, n) == [theirs.randrange(p) for _ in range(n)]
+            assert ours.getstate() == theirs.getstate()
+
+
 def test_default_prime_is_prime():
     assert linalg.is_prime(32003)
 
@@ -138,6 +156,37 @@ def test_mat_shape_validation():
         Mat(2, 2, ((1, 2),))
     with pytest.raises(ValueError):
         Mat(1, 2, ((1, 2, 3),))
+
+
+def test_mat_shape_errors_name_the_mismatch():
+    with pytest.raises(ValueError, match="^row count mismatch$"):
+        Mat(2, 2, ((1, 2),))
+    with pytest.raises(ValueError, match="^row count mismatch$"):
+        Mat(0, 3, ((1, 2, 3),))
+    with pytest.raises(ValueError, match="^column count mismatch$"):
+        Mat(2, 2, ((1, 2), (3,)))
+    with pytest.raises(ValueError, match="^column count mismatch$"):
+        Mat(1, 0, ((1,),))
+    assert Mat(nrows=3, ncols=0, rows=((), (), ())).ncols == 0
+
+
+def test_mat_is_an_immutable_value():
+    a = Mat(2, 2, ((1, 2), (3, 4)))
+    b = linalg.from_int_rows(F7, [[1, 2], [3, 4]])
+    assert (a.nrows, a.ncols, a.rows) == (2, 2, ((1, 2), (3, 4)))
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash((2, 2, ((1, 2), (3, 4))))
+    assert {a: "x"}[b] == "x"
+    assert a != Mat(2, 2, ((1, 2), (3, 5))) and Mat(0, 2, ()) != Mat(0, 3, ())
+    # Equal by value to another Mat only, never to its fields as a tuple.
+    assert a != (2, 2, ((1, 2), (3, 4))) and not a == (2, 2, ((1, 2), (3, 4)))
+    assert repr(a) == "Mat(nrows=2, ncols=2, rows=((1, 2), (3, 4)))"
+    assert repr(Mat(0, 3, ())) == "Mat(nrows=0, ncols=3, rows=())"
+    for name in ("nrows", "ncols", "rows", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    assert a.rows == ((1, 2), (3, 4))
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
 
 
 def test_mul_and_identity():

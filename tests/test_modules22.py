@@ -3,8 +3,8 @@ from functools import lru_cache
 
 import pytest
 
-from crystal_grid import g22, linalg, modules22 as ma
-from crystal_grid.linalg import QQ
+from crystal_grid import g22, linalg, modules22 as ma, oracle
+from crystal_grid.linalg import QQ, PrimeField
 from crystal_grid.reps import ARROWS, Representation, direct_sum
 
 
@@ -345,3 +345,59 @@ def test_distinguishing_profile_needs_diagonal_rank():
     b = ma.profile_of_multiset({11: 1, 2: 1, 3: 1})
     assert a.as_vector()[:10] == b.as_vector()[:10]
     assert a.diag_rank != b.diag_rank
+
+
+# The profile as first defined: seven independent ranks of the point's maps.
+# rank_profile reads three of them off the pivots of two shared eliminations.
+
+def _seven_rank_profile(rep: Representation) -> ma.RankProfile:
+    field = rep.field
+    f12, f13, f24, f34 = rep.maps
+    return ma.RankProfile(
+        dims=rep.dims,
+        r12=linalg.rank(field, f12),
+        r13=linalg.rank(field, f13),
+        r24=linalg.rank(field, f24),
+        r34=linalg.rank(field, f34),
+        source_rank=linalg.rank(field, linalg.vstack([f12, f13])),
+        sink_rank=linalg.rank(field, linalg.hstack([f24, f34])),
+        diag_rank=linalg.rank(field, rep.f14),
+    )
+
+
+def _zero_point(field, dims):
+    return Representation(field, dims, *(linalg.zeros(field, dims[t - 1], dims[s - 1])
+                                         for s, t in ARROWS))
+
+
+@pytest.mark.parametrize("prime", [101, 32003])
+def test_rank_profile_matches_seven_ranks_on_sampled_points(prime):
+    cfg = oracle.SampleConfig(prime=prime, seed=7)
+    for dims in itertools.product(range(6), repeat=4):
+        for c in g22.enumerate_components(dims):
+            rep = oracle.sample_component_point(c, cfg, 0)
+            assert ma.rank_profile(rep) == _seven_rank_profile(rep), c
+
+
+def test_rank_profile_matches_seven_ranks_on_rank_deficient_points():
+    # Direct sums, zero maps and zero-dimensional corners: points whose ranks
+    # sit below the generic ones, so the pivots of the shared eliminations
+    # split unevenly between the two blocks.
+    field = PrimeField(101)
+    cfg = oracle.SampleConfig(prime=101, seed=3)
+    small = [c for dims in itertools.product(range(3), repeat=4)
+             for c in g22.enumerate_components(dims)]
+    points = [_zero_point(field, dims) for dims in itertools.product(range(3), repeat=4)]
+    samples = [oracle.sample_component_point(c, cfg, 0) for c in small[::7]]
+    points += [direct_sum(x, y) for x in samples[::3] for y in samples]
+    points += [direct_sum(x, _zero_point(field, (2, 0, 1, 2))) for x in samples]
+    for ms in ({i: 1, j: 1} for i in range(1, 12) for j in range(i, 12)):
+        points.append(ma.multiset_rep(ms))
+    for rep in points:
+        assert ma.rank_profile(rep) == _seven_rank_profile(rep), rep.dims
+
+
+def test_rank_profile_matches_seven_ranks_on_the_catalog():
+    for k in sorted(ma.INTERVAL_DIMS):
+        rep = ma.indecomposable(k)
+        assert ma.rank_profile(rep) == _seven_rank_profile(rep), k

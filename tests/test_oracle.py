@@ -244,12 +244,16 @@ def _conjugation_law(d1, mid, d4, r1, r2):
 
 
 def _factor_law(d1, mid, d4, r1, r2):
-    """Multiset of (out, in) over every factor tuple (A, B, R, C) of the sampler."""
+    """Multiset of (out, in) over every factor tuple (A, B, R, C) of the sampler,
+    read back off the point: out is f12 over f13, in is f24 beside -f34."""
+    dims = (d1, mid // 2, mid - mid // 2, d4)
     law = collections.Counter()
     for a, b, r, cm in itertools.product(_full_rank(mid, r1), _full_rank(r1, d1),
                                          _full_rank(r2, mid - r1), _full_rank(d4, r2)):
-        out_map, in_map = oracle._factor_maps(F3, a, b, r, cm)
-        law[(out_map.rows, in_map.rows)] += 1
+        k = linalg.mat(linalg.nullspace(F3, linalg.transpose(a)), ncols=mid)
+        rep = oracle._factor_point(F3, dims, a, b, r, k, cm)
+        in_rows = tuple(x + y for x, y in zip(rep.f24.rows, linalg.neg(F3, rep.f34).rows))
+        law[(rep.f12.rows + rep.f13.rows, in_rows)] += 1
     return law
 
 

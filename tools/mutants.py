@@ -117,8 +117,13 @@ MUTANTS = (
            " ncols=r.nrows)), k)",
            "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
     Mutant("linalg GF(p) row update: adds the multiple of the pivot row", LINALG,
-           "[(x - f * y) % p for x, y in zip(row, lead)]",
-           "[(x + f * y) % p for x, y in zip(row, lead)]", "tests/test_linalg.py"),
+           "[(x - f * y) % p for x, y in zip(rows[i], lead)]",
+           "[(x + f * y) % p for x, y in zip(rows[i], lead)]", "tests/test_linalg.py"),
+    Mutant("linalg GF(p) echelon form: factor not divided by the unscaled pivot", LINALG,
+           "f = f * inv % p", "f = f % p", "tests/test_linalg.py::test_row_kernels"),
+    Mutant("modules22 rank profile: the pivot at column d2 counted for f12 and f24", MODULES22,
+           "sum(c < d2 for c in pivots)", "sum(c <= d2 for c in pivots)",
+           "tests/test_modules22.py::test_rank_profile_matches_seven_ranks_on_the_catalog"),
     Mutant("modules22 Ext cochains: P_2 read at corner 3", MODULES22,
            "_GENERATOR = {11: 1, 7: 2, 8: 3, 4: 4}", "_GENERATOR = {11: 1, 7: 3, 8: 3, 4: 4}",
            "tests/test_modules22.py"),
