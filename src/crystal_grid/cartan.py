@@ -12,7 +12,7 @@ unknown, not as violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 
 class TruncationError(RuntimeError):
@@ -106,8 +106,12 @@ NEG_INFINITY = float("-inf")
 class CrystalFragment:
     """A finite enumerated piece of a crystal together with its maps.
 
-    All maps must be total on the fragment; ``apply_f`` may raise
-    TruncationError when a model cannot represent the target.
+    The elements are distinct and hashable.  The maps are functions (the
+    same arguments give the same value) and total on the fragment;
+    ``apply_f`` may raise TruncationError when a model cannot represent the
+    target.  The axiom checker applies each map once per element and color
+    and reads an image that lies inside the fragment back from that
+    element's own row.
     """
 
     cartan: CartanMatrix
@@ -131,9 +135,14 @@ class CheckReport:
         return not self.violations
 
 
-def _alpha_step(cartan, i, coeffs, sign):
-    pos = cartan.position(i)
+def _alpha_step(coeffs, pos, sign):
     return coeffs[:pos] + (coeffs[pos] + sign,) + coeffs[pos + 1:]
+
+
+# Row entries that are not positions: the operator vanished, its image lies
+# outside the fragment (checked at once, with direct calls), or apply_f
+# raised TruncationError.
+_NONE, _OUTSIDE, _TRUNCATED = -1, -2, -3
 
 
 def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
@@ -143,32 +152,90 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
     tested: with wt(e_i b) = wt(b) + alpha_i and a_ii = 2, phi_i rises by one
     exactly when epsilon_i drops by one, and lowering is the mirror case.
     Axiom 5 reads epsilon_i = -infinity, which is phi_i = -infinity.
-    Violations are reported as (axiom number, element, color, message).
+    Violations are reported as (axiom number, element, color, message), in
+    the order of the elements, then the colors, then the clauses.
+
+    wt is applied once per element, and epsilon, apply_e and apply_f once
+    per element and color.  Per color, a first sweep records epsilon and the
+    positions of e_i b and f_i b in rows of ints; an image outside the
+    fragment is checked there with direct calls.  A second sweep checks the
+    images inside the fragment from the rows, so f_i e_i b = b reads
+    down[up[n]] == n.  A TruncationError of f_i b reads as no image; one
+    met as f_i e_i b propagates.
     """
-    bad = []
-    for b in frag.elements:
-        w = frag.wt(b)
-        for i in frag.colors:
-            eps = frag.epsilon(b, i)
-            up = frag.apply_e(b, i)
-            if up is not None:
-                if frag.wt(up) != _alpha_step(frag.cartan, i, w, +1):
-                    bad.append((2, b, i, "weight of raised element is not wt+alpha_i"))
-                if frag.epsilon(up, i) != eps - 1:
-                    bad.append((2, b, i, f"epsilon {frag.epsilon(up, i)} != {eps} - 1 after raising"))
-                if frag.apply_f(up, i) != b:
-                    bad.append((4, b, i, "lowering does not invert raising"))
+    elements = frag.elements
+    index = {b: n for n, b in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("fragment elements must be distinct")
+    wt, epsilon, apply_e, apply_f = frag.wt, frag.epsilon, frag.apply_e, frag.apply_f
+    weights = [wt(b) for b in elements]
+    bad = []    # ((element position, color position, clause slot), violation)
+    for p, i in enumerate(frag.colors):
+        eps_row, up_row, down_row = [], [], []
+        for n, b in enumerate(elements):
+            eps = epsilon(b, i)
+            up = apply_e(b, i)
+            if up is None:
+                m = _NONE
+            else:
+                m = index.get(up, _OUTSIDE)
+                if m == _OUTSIDE:
+                    if wt(up) != _alpha_step(weights[n], p, +1):
+                        bad.append(((n, p, 0),
+                                    (2, b, i, "weight of raised element is not wt+alpha_i")))
+                    seen = epsilon(up, i)
+                    if seen != eps - 1:
+                        bad.append(((n, p, 1),
+                                    (2, b, i, f"epsilon {seen} != {eps} - 1 after raising")))
+                    if apply_f(up, i) != b:
+                        bad.append(((n, p, 2), (4, b, i, "lowering does not invert raising")))
+            up_row.append(m)
             try:
-                down = frag.apply_f(b, i)
+                down = apply_f(b, i)
             except TruncationError:
-                down = None
-            if down is not None:
-                if frag.wt(down) != _alpha_step(frag.cartan, i, w, -1):
-                    bad.append((3, b, i, "weight of lowered element is not wt-alpha_i"))
-                if frag.epsilon(down, i) != eps + 1:
-                    bad.append((3, b, i, f"epsilon {frag.epsilon(down, i)} != {eps} + 1 after lowering"))
-                if frag.apply_e(down, i) != b:
-                    bad.append((4, b, i, "raising does not invert lowering"))
+                down, m = None, _TRUNCATED
+            else:
+                if down is None:
+                    m = _NONE
+                else:
+                    m = index.get(down, _OUTSIDE)
+                    if m == _OUTSIDE:
+                        if wt(down) != _alpha_step(weights[n], p, -1):
+                            bad.append(((n, p, 3),
+                                        (3, b, i, "weight of lowered element is not wt-alpha_i")))
+                        seen = epsilon(down, i)
+                        if seen != eps + 1:
+                            bad.append(((n, p, 4),
+                                        (3, b, i, f"epsilon {seen} != {eps} + 1 after lowering")))
+                        if apply_e(down, i) != b:
+                            bad.append(((n, p, 5), (4, b, i, "raising does not invert lowering")))
+            down_row.append(m)
+            eps_row.append(eps)
             if eps == NEG_INFINITY and (up is not None or down is not None):
-                bad.append((5, b, i, "operators defined although epsilon is -infinity"))
-    return CheckReport(tuple(bad))
+                bad.append(((n, p, 6),
+                            (5, b, i, "operators defined although epsilon is -infinity")))
+        for n, eps in enumerate(eps_row):
+            m = up_row[n]
+            if m >= 0:
+                if weights[m] != _alpha_step(weights[n], p, +1):
+                    bad.append(((n, p, 0),
+                                (2, elements[n], i, "weight of raised element is not wt+alpha_i")))
+                if eps_row[m] != eps - 1:
+                    bad.append(((n, p, 1), (2, elements[n], i,
+                                            f"epsilon {eps_row[m]} != {eps} - 1 after raising")))
+                if down_row[m] != n:
+                    if down_row[m] == _TRUNCATED:
+                        apply_f(elements[m], i)     # raises that TruncationError again
+                    bad.append(((n, p, 2), (4, elements[n], i, "lowering does not invert raising")))
+            m = down_row[n]
+            if m >= 0:
+                if weights[m] != _alpha_step(weights[n], p, -1):
+                    bad.append(((n, p, 3),
+                                (3, elements[n], i, "weight of lowered element is not wt-alpha_i")))
+                if eps_row[m] != eps + 1:
+                    bad.append(((n, p, 4), (3, elements[n], i,
+                                            f"epsilon {eps_row[m]} != {eps} + 1 after lowering")))
+                if up_row[m] != n:
+                    bad.append(((n, p, 5), (4, elements[n], i, "raising does not invert lowering")))
+    bad.sort(key=itemgetter(0))
+    return CheckReport(tuple(v for _, v in bad))

@@ -10,14 +10,16 @@ formula below names candidate rank data, and the candidate is the answer
 exactly when it satisfies the component parametrization, otherwise the
 operator vanishes.
 
-One gate decides that: ranks_valid.  Operator results are built by the
-private factory _component, which runs ranks_valid and nothing else (a
-moved component's fields are int tuples of length 4 and 2 by construction)
-and returns None when the data names no component.  The public Component
-constructor is the boundary for outside data, parsed or caller-supplied: it
-also checks the field types and lengths and raises InvalidComponentError.
-dual raises InvalidComponentError too and never returns None, which
-``verify duality`` would read as a vanished operator.
+One gate decides that: ranks_valid.  A Component is the tuple (dims,
+ranks).  Operator results are built by the private factory _moved, which
+moves one dimension, runs ranks_valid and nothing else (a moved
+component's fields are int tuples of length 4 and 2 by construction) and
+wraps the pair with tuple.__new__, or returns None when the data names no
+component.  The public Component constructor is the boundary for outside
+data, parsed or caller-supplied: it also checks the field types and
+lengths and raises InvalidComponentError.  dual raises
+InvalidComponentError too and never returns None, which ``verify
+duality`` would read as a vanished operator.
 
 Colors 2 and 3 share one branch in every case function: the reflection of
 the square that swaps vertices 2 and 3 fixes d1, d4, r1 and r2, so the two
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from math import inf as INFINITY
+from operator import itemgetter
 
 from .cartan import CrystalFragment, cartan_from_quiver
 from .grid import build_grid
@@ -67,38 +69,44 @@ def ranks_valid(dims, ranks) -> bool:
     return r1 == d1 and r2 == d4
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(tuple):
     """An irreducible component (dims; r1, r2), with dims and ranks int tuples.
 
+    Stored as the tuple (dims, ranks), so an operator result costs one tuple
+    and no attribute writes.  It hashes as that tuple and orders as tuples
+    do (lexicographically by dims, then ranks), but never equals anything
+    that is not a Component, a plain ((d1, ..., d4), (r1, r2)) included.
     Construction checks the fields as given and converts nothing: text
     becomes ints only in the parsers (parse_component and the CLI types).
     """
 
-    dims: tuple
-    ranks: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.dims, tuple) and len(self.dims) == 4
-                and isinstance(self.ranks, tuple) and len(self.ranks) == 2):
+    def __new__(cls, dims, ranks):
+        if not (isinstance(dims, tuple) and len(dims) == 4
+                and isinstance(ranks, tuple) and len(ranks) == 2):
             raise InvalidComponentError(
-                f"need tuples of 4 dims and 2 ranks, got {self.dims}:{self.ranks}")
-        if not ranks_valid(self.dims, self.ranks):
-            raise InvalidComponentError(f"{format_component(self)} is not a component")
+                f"need tuples of 4 dims and 2 ranks, got {dims}:{ranks}")
+        if not ranks_valid(dims, ranks):
+            raise InvalidComponentError(f"{format_component_data(dims, ranks)} is not a component")
+        return tuple.__new__(cls, (dims, ranks))
 
+    dims = property(itemgetter(0))
+    ranks = property(itemgetter(1))
 
-def _component(dims, ranks):
-    """The Component (dims; ranks), or None when that data names no component.
+    def __eq__(self, other):
+        return type(other) is Component and tuple.__eq__(self, other)
 
-    For operator results only: their fields are int tuples of length 4 and 2
-    by construction, so ranks_valid is the one check that can fail there.
-    """
-    if not ranks_valid(dims, ranks):
-        return None
-    c = object.__new__(Component)
-    object.__setattr__(c, "dims", dims)
-    object.__setattr__(c, "ranks", ranks)
-    return c
+    def __ne__(self, other):
+        return type(other) is not Component or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Component(dims={self[0]!r}, ranks={self[1]!r})"
 
 
 ZERO_COMPONENT = Component((0, 0, 0, 0), (0, 0))
@@ -153,126 +161,140 @@ def weight(c: Component):
 
 def _moved(dims, i, delta, ranks):
     """The component with d_i moved by delta and rank data ranks, or None
-    when that data names no component."""
-    return _component(dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:], ranks)
+    when that data names no component.
+
+    For operator results only: the moved fields are int tuples of length 4
+    and 2 by construction, so ranks_valid is the one check that can fail.
+    """
+    dims = dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:]
+    if not ranks_valid(dims, ranks):
+        return None
+    return tuple.__new__(Component, (dims, ranks))
 
 
-def _middle_dim(c: Component, i: int) -> int:
+def _middle_dim(dims, i: int) -> int:
     """d_i for the middle colors 2 and 3, which every case function reaches
     only after handling colors 1 and 4; any other color is out of range."""
     if i == 2 or i == 3:
-        return c.dims[i - 1]
+        return dims[i - 1]
     raise ValueError(f"color {i} out of range")
 
 
 def apply_e(c: Component, i: int):
     """Raising operator: decrement d_i, with rank data per the case table."""
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, d2, d3, d4 = dims
+    r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if lhs <= rhs:
-            return _moved(c.dims, 1, -1, (r1 - 1, r2))
+            return _moved(dims, 1, -1, (r1 - 1, r2))
         if d1 > r1:
-            return _moved(c.dims, 1, -1, (r1, r2))
+            return _moved(dims, 1, -1, (r1, r2))
         return None
     if i == 4:
         if d4 > r2:
-            return _moved(c.dims, 4, -1, (r1, r2))
+            return _moved(dims, 4, -1, (r1, r2))
         return None
-    if _middle_dim(c, i) <= r1:
+    if _middle_dim(dims, i) <= r1:
         return None
     if lhs < rhs:
-        return _moved(c.dims, i, -1, (r1, r2))
-    return _moved(c.dims, i, -1, (r1, r2 - 1))
+        return _moved(dims, i, -1, (r1, r2))
+    return _moved(dims, i, -1, (r1, r2 - 1))
 
 
 def apply_f(c: Component, i: int):
     """Lowering operator: increment d_i, with rank data per the case table."""
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, d2, d3, d4 = dims
+    r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if lhs < rhs:
-            return _moved(c.dims, 1, +1, (r1 + 1, r2))
-        return _moved(c.dims, 1, +1, (r1, r2))
+            return _moved(dims, 1, +1, (r1 + 1, r2))
+        return _moved(dims, 1, +1, (r1, r2))
     if i == 4:
         if lhs >= rhs:
-            return _moved(c.dims, 4, +1, (r1, r2))
+            return _moved(dims, 4, +1, (r1, r2))
         return None
-    if _middle_dim(c, i) < r1:
+    if _middle_dim(dims, i) < r1:
         return None
     if lhs <= rhs:
-        return _moved(c.dims, i, +1, (r1, r2))
-    return _moved(c.dims, i, +1, (r1, r2 + 1))
+        return _moved(dims, i, +1, (r1, r2))
+    return _moved(dims, i, +1, (r1, r2 + 1))
 
 
 def apply_e_star(c: Component, i: int):
     """Star raising operator (quotient-side structure)."""
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, d2, d3, d4 = dims
+    r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if d1 > r1:
-            return _moved(c.dims, 1, -1, (r1, r2))
+            return _moved(dims, 1, -1, (r1, r2))
         return None
     if i == 4:
         if lhs <= rhs:
-            return _moved(c.dims, 4, -1, (r1, r2 - 1))
+            return _moved(dims, 4, -1, (r1, r2 - 1))
         if d4 > r2:
-            return _moved(c.dims, 4, -1, (r1, r2))
+            return _moved(dims, 4, -1, (r1, r2))
         return None
-    if _middle_dim(c, i) <= r2:
+    if _middle_dim(dims, i) <= r2:
         return None
     if lhs < rhs:
-        return _moved(c.dims, i, -1, (r1, r2))
-    return _moved(c.dims, i, -1, (r1 - 1, r2))
+        return _moved(dims, i, -1, (r1, r2))
+    return _moved(dims, i, -1, (r1 - 1, r2))
 
 
 def apply_f_star(c: Component, i: int):
     """Star lowering operator (quotient-side structure)."""
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, d2, d3, d4 = dims
+    r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
         if lhs >= rhs:
-            return _moved(c.dims, 1, +1, (r1, r2))
+            return _moved(dims, 1, +1, (r1, r2))
         return None
     if i == 4:
         if lhs < rhs:
-            return _moved(c.dims, 4, +1, (r1, r2 + 1))
-        return _moved(c.dims, 4, +1, (r1, r2))
-    if _middle_dim(c, i) < r2:
+            return _moved(dims, 4, +1, (r1, r2 + 1))
+        return _moved(dims, 4, +1, (r1, r2))
+    if _middle_dim(dims, i) < r2:
         return None
     if lhs <= rhs:
-        return _moved(c.dims, i, +1, (r1, r2))
-    return _moved(c.dims, i, +1, (r1 + 1, r2))
+        return _moved(dims, i, +1, (r1, r2))
+    return _moved(dims, i, +1, (r1 + 1, r2))
 
 
 def epsilon(c: Component, i: int) -> int:
-    d1, _, _, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, _, _, d4 = dims
+    r1, r2 = ranks
     if i == 1:
         return d1
     if i == 4:
         return d4 - r2
-    return max(0, _middle_dim(c, i) - r1)
+    return max(0, _middle_dim(dims, i) - r1)
 
 
 def epsilon_star(c: Component, i: int) -> int:
-    d1, _, _, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, _, _, d4 = dims
+    r1, r2 = ranks
     if i == 1:
         return d1 - r1
     if i == 4:
         return d4
-    return max(0, _middle_dim(c, i) - r2)
+    return max(0, _middle_dim(dims, i) - r2)
 
 
 def epsilon_prime(c: Component, i: int) -> int:
     """Exact number of times the raising operator applies."""
-    d1, _, _, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, _, _, d4 = dims
+    r1, r2 = ranks
     if i == 1 and d4 != r2:
         return d1 - r1
     return epsilon(c, i)
@@ -285,21 +307,23 @@ def phi_prime(c: Component, i: int):
     the lowering chain absorbs into the sink rank and stops after d4 - r2
     steps.
     """
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, d2, d3, d4 = dims
+    r1, r2 = ranks
     if i == 1:
         return INFINITY
     if i == 4:
         return INFINITY if d1 + d4 >= d2 + d3 else 0
-    if _middle_dim(c, i) < r1:
+    if _middle_dim(dims, i) < r1:
         return 0
     return INFINITY if r1 == d1 else d4 - r2
 
 
 def epsilon_star_prime(c: Component, i: int) -> int:
     """Exact number of times the star raising operator applies."""
-    d1, _, _, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, _, _, d4 = dims
+    r1, r2 = ranks
     if i == 4 and d1 != r1:
         return d4 - r2
     return epsilon_star(c, i)
@@ -307,13 +331,14 @@ def epsilon_star_prime(c: Component, i: int) -> int:
 
 def phi_star_prime(c: Component, i: int):
     """Exact number of times the star lowering operator applies (may be infinite)."""
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    dims, ranks = c
+    d1, d2, d3, d4 = dims
+    r1, r2 = ranks
     if i == 1:
         return INFINITY if d1 + d4 >= d2 + d3 else 0
     if i == 4:
         return INFINITY
-    if _middle_dim(c, i) < r2:
+    if _middle_dim(dims, i) < r2:
         return 0
     return INFINITY if r2 == d4 else d1 - r1
 
@@ -325,13 +350,11 @@ def dual(c: Component) -> Component:
     component: ``verify duality`` reads None as a vanished operator, so a
     None image would match a star operator that vanishes.
     """
-    d1, d2, d3, d4 = c.dims
-    r1, r2 = c.ranks
+    (d1, d2, d3, d4), (r1, r2) = c
     dims, ranks = (d4, d3, d2, d1), (r2, r1)
-    image = _component(dims, ranks)
-    if image is None:
+    if not ranks_valid(dims, ranks):
         raise InvalidComponentError(f"{format_component_data(dims, ranks)} is not a component")
-    return image
+    return tuple.__new__(Component, (dims, ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,7 @@ def _retired_check_crystal_axioms(frag) -> CheckReport:
 def _same_axiom_verdict(frag):
     new = cartan.check_crystal_axioms(frag)
     old = _retired_check_crystal_axioms(_with_phi(frag))
+    assert new.violations == _per_element_check_crystal_axioms(frag).violations
     assert new.ok == old.ok
     if old.ok:
         assert new.violations == old.violations == ()
@@ -321,3 +322,144 @@ def test_corrupted_fragments_have_the_retired_verdict(maps):
 
 def test_corrupted_epsilon_has_the_retired_verdict():
     assert not _same_axiom_verdict(_corrupted_epsilon_fragment())
+
+
+# --- the per-element checker, as the oracle of the table path ---------------------
+# The checker as it was before it read images inside the fragment back from
+# its rows, kept verbatim: it calls wt, epsilon and the inverse operator
+# again on every image.  Both must report the same violations, in the same
+# order, also where an image lies inside the fragment; _same_axiom_verdict
+# asserts that on every fragment it meets as well.
+
+
+def _per_element_check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
+    """Exhaustively test the crystal axioms on a fragment.
+
+    Axiom 1 defines phi_i = epsilon_i + <h_i, wt>, so no phi clause is
+    tested: with wt(e_i b) = wt(b) + alpha_i and a_ii = 2, phi_i rises by one
+    exactly when epsilon_i drops by one, and lowering is the mirror case.
+    Axiom 5 reads epsilon_i = -infinity, which is phi_i = -infinity.
+    Violations are reported as (axiom number, element, color, message).
+    """
+    bad = []
+    for b in frag.elements:
+        w = frag.wt(b)
+        for i in frag.colors:
+            eps = frag.epsilon(b, i)
+            up = frag.apply_e(b, i)
+            if up is not None:
+                if frag.wt(up) != _alpha_step(frag.cartan, i, w, +1):
+                    bad.append((2, b, i, "weight of raised element is not wt+alpha_i"))
+                if frag.epsilon(up, i) != eps - 1:
+                    bad.append((2, b, i, f"epsilon {frag.epsilon(up, i)} != {eps} - 1 after raising"))
+                if frag.apply_f(up, i) != b:
+                    bad.append((4, b, i, "lowering does not invert raising"))
+            try:
+                down = frag.apply_f(b, i)
+            except TruncationError:
+                down = None
+            if down is not None:
+                if frag.wt(down) != _alpha_step(frag.cartan, i, w, -1):
+                    bad.append((3, b, i, "weight of lowered element is not wt-alpha_i"))
+                if frag.epsilon(down, i) != eps + 1:
+                    bad.append((3, b, i, f"epsilon {frag.epsilon(down, i)} != {eps} + 1 after lowering"))
+                if frag.apply_e(down, i) != b:
+                    bad.append((4, b, i, "raising does not invert lowering"))
+            if eps == NEG_INFINITY and (up is not None or down is not None):
+                bad.append((5, b, i, "operators defined although epsilon is -infinity"))
+    return CheckReport(tuple(bad))
+
+
+def _same_violations(frag):
+    new = cartan.check_crystal_axioms(frag)
+    assert new.violations == _per_element_check_crystal_axioms(frag).violations
+    return new.violations
+
+
+def _chain(**maps):
+    """The sl2 fragment on 0, 1, 2: every image of 1 lies inside it."""
+    return CrystalFragment(cartan=RANK1, elements=(0, 1, 2), **{**_CLEAN, **maps})
+
+
+# One point changed per map, with any changed image inside the fragment.
+CHAIN_CORRUPTIONS = {
+    "wt-0": {"wt": _at("wt", 0, (-5,))},
+    "wt-1": {"wt": _at("wt", 1, (-5,))},
+    "wt-2": {"wt": _at("wt", 2, (-5,))},
+    "epsilon-0": {"epsilon": _at("epsilon", 0, 5)},
+    "epsilon-1": {"epsilon": _at("epsilon", 1, 5)},
+    "epsilon-2": {"epsilon": _at("epsilon", 2, -inf)},
+    "apply_e-1-to-2": {"apply_e": _at("apply_e", 1, 2)},
+    "apply_e-2-to-0": {"apply_e": _at("apply_e", 2, 0)},
+    "apply_e-2-vanishes": {"apply_e": _at("apply_e", 2, None)},
+    "apply_e-0-to-1": {"apply_e": _at("apply_e", 0, 1)},
+    "apply_f-0-to-2": {"apply_f": _at("apply_f", 0, 2)},
+    "apply_f-1-to-0": {"apply_f": _at("apply_f", 1, 0)},
+    "apply_f-1-vanishes": {"apply_f": _at("apply_f", 1, None)},
+    "apply_f-2-to-1": {"apply_f": _at("apply_f", 2, 1)},
+}
+
+
+@pytest.mark.parametrize("maps", [pytest.param(maps, id=name)
+                                  for name, maps in CHAIN_CORRUPTIONS.items()])
+def test_chain_corruptions_have_the_per_element_violations(maps):
+    assert _same_violations(_chain(**maps))
+
+
+# A component of g22.fragment(4) all of whose raised and lowered images lie
+# inside the fragment; each corruption changes one map at it.
+_G22 = g22.fragment(4)
+_INTERIOR = g22.Component((1, 1, 0, 1), (1, 0))
+_ELSEWHERE = g22.Component((0, 1, 0, 1), (0, 1))
+
+
+def _g22_at(name, value):
+    clean = getattr(_G22, name)
+    return {name: lambda c, *i: value(c, *i) if c == _INTERIOR else clean(c, *i)}
+
+
+G22_CORRUPTIONS = {
+    "wt": _g22_at("wt", lambda c: (-1, -1, 0, -2)),
+    "epsilon": _g22_at("epsilon", lambda c, i: g22.epsilon(c, i) + 1),
+    "apply_e": _g22_at("apply_e", lambda c, i: _ELSEWHERE),
+    "apply_f": _g22_at("apply_f", lambda c, i: g22.apply_f(_ELSEWHERE, i)),
+}
+
+
+@pytest.mark.parametrize("maps", [pytest.param(maps, id=name)
+                                  for name, maps in G22_CORRUPTIONS.items()])
+def test_g22_corruptions_have_the_per_element_violations(maps):
+    assert _INTERIOR in _G22.elements and _ELSEWHERE in _G22.elements
+    for i in g22.COLORS:
+        for step in (g22.apply_e, g22.apply_f):
+            assert step(_INTERIOR, i) is None or step(_INTERIOR, i) in _G22.elements
+    violations = _same_violations(CrystalFragment(**{**_fields(_G22), **maps}))
+    assert {b for _, b, _, _ in violations} >= {_INTERIOR}
+
+
+def _truncating_at(point):
+    def apply_f(n, i):
+        if n == point:
+            raise TruncationError(f"lowering {n} leaves the model")
+        return n + 1
+    return apply_f
+
+
+def test_truncation_reads_as_no_image_for_f():
+    # f(2) raises: 2 has no lowered image, and no raised image of the
+    # fragment is 2 (that would need 3 in it), so the fragment is clean.
+    assert _same_violations(_chain(apply_f=_truncating_at(2))) == ()
+
+
+def test_truncation_propagates_as_f_of_e():
+    # f(1) raises while 2 is checked, as f(e(2)) with e(2) = 1 inside the
+    # fragment; outside it, as f(e(1)) with e(1) = 0 in the fragment (1,).
+    for frag in (_chain(apply_f=_truncating_at(1)), _b_infinity(apply_f=_truncating_at(0))):
+        for check in (cartan.check_crystal_axioms, _per_element_check_crystal_axioms):
+            with pytest.raises(TruncationError, match="leaves the model"):
+                check(frag)
+
+
+def test_repeated_elements_are_refused():
+    with pytest.raises(ValueError, match="fragment elements must be distinct"):
+        cartan.check_crystal_axioms(CrystalFragment(**{**_fields(_chain()), "elements": (0, 1, 1)}))

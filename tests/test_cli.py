@@ -243,6 +243,15 @@ def test_graph_exports_are_deterministic(capsys):
     pytest.param("verify star --bound 14",
                  "9a30077749d2f495e17ba166da678099524ff6108969a9572ddf4171f240b7d1",
                  id="star-14", marks=pytest.mark.deep),
+    pytest.param("verify axioms2x2 --bound 14",
+                 "b260dd9e6a5876cdcbec3579702b5a8b4d067a7a443ade101563842071831f19",
+                 id="axioms2x2-14"),
+    pytest.param("verify axiomsAn --max-n 5 --bound 8",
+                 "68d64471f4b51156b730847dbf1ae08d84ddb2563e0467b2f6e6c7a9ef687c5f",
+                 id="axiomsAn-5-8"),
+    pytest.param("verify seminormal --bound 12",
+                 "c646040ef99c80b240d25ec2a2aa95b7ebe63cfcf04f252faae8796fe4b2a93d",
+                 id="seminormal-12"),
     pytest.param("verify oracle --max-dim 4 --seed 1",
                  "147088dc7d91e6b85e847eb4c87b02156e88b54fe9d9dfa0fb243c0aab992f45",
                  id="oracle-4"),
@@ -302,7 +311,7 @@ def test_verify_axioms_small_bound(capsys):
 
 @pytest.mark.deep
 @pytest.mark.parametrize("suite, bound, counted, count", [
-    ("axioms2x2", 20, "elements", 19932),
+    ("axioms2x2", 22, "elements", 29536),
     ("star", 16, None, None),
     ("duality", 14, None, None),
     ("connectivity", 16, "components", 8121),

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 from math import inf
 
 import pytest
@@ -31,6 +33,49 @@ def test_constructor_checks_the_fields_as_given():
             Component(dims, ranks)
 
 
+def test_constructor_errors_name_the_data():
+    with pytest.raises(InvalidComponentError,
+                       match=r"^need tuples of 4 dims and 2 ranks, got \[2, 1, 1, 2\]:\(1, 1\)$"):
+        Component([2, 1, 1, 2], (1, 1))
+    with pytest.raises(InvalidComponentError,
+                       match=r"^need tuples of 4 dims and 2 ranks, got \(1, 1, 2\):\(1, 1\)$"):
+        Component((1, 1, 2), (1, 1))
+    with pytest.raises(InvalidComponentError, match="^2,2,0,1:0,2 is not a component$"):
+        Component((2, 2, 0, 1), (0, 2))
+    # dual raises, never returns None, on data that passed no gate.
+    with pytest.raises(InvalidComponentError, match="^1,1,1,1:0,2 is not a component$"):
+        g22.dual(tuple.__new__(Component, ((1, 1, 1, 1), (2, 0))))
+
+
+def test_component_is_an_immutable_value():
+    a = C((2, 1, 1, 2), (1, 1))
+    b = g22.apply_f(C((1, 1, 1, 2), (1, 1)), 1)
+    assert (a.dims, a.ranks) == ((2, 1, 1, 2), (1, 1))
+    assert a == b and not a != b and a is not b
+    assert hash(a) == hash(b) == hash(((2, 1, 1, 2), (1, 1)))
+    assert {a: "x"}[b] == "x"
+    assert a != C((2, 1, 1, 2), (0, 2)) and a != C((2, 1, 1, 2), (2, 0))
+    # Equal by value to another Component only, never to its fields as a tuple.
+    plain = ((2, 1, 1, 2), (1, 1))
+    assert a != plain and not a == plain and plain != a and not plain == a
+    assert a != None and not a == None  # noqa: E711
+    assert repr(a) == "Component(dims=(2, 1, 1, 2), ranks=(1, 1))"
+    assert repr(ZERO_COMPONENT) == "Component(dims=(0, 0, 0, 0), ranks=(0, 0))"
+    for name in ("dims", "ranks", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (0, 0))
+    assert a.dims == (2, 1, 1, 2) and a.ranks == (1, 1)
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    assert type(pickle.loads(pickle.dumps(a))) is Component
+
+
+def test_components_order_as_tuples():
+    # Lexicographic by dims, then by ranks, as the tuple (dims, ranks).
+    comps = list(g22.iter_components(4))
+    assert sorted(comps) == sorted(comps, key=lambda c: (c.dims, c.ranks))
+    assert C((2, 1, 1, 2), (0, 2)) < C((2, 1, 1, 2), (1, 1)) < C((2, 1, 1, 3), (0, 2))
+
+
 def test_enumerate_takes_any_sequence_of_four_dims():
     comps = g22.enumerate_components([2, 1, 1, 2])
     assert comps == g22.enumerate_components((2, 1, 1, 2))
@@ -46,13 +91,16 @@ def test_factory_agrees_with_the_public_constructor():
     box = range(-1, 4)
     for dims in itertools.product(box, repeat=4):
         for ranks in itertools.product(box, repeat=2):
-            made = g22._component(dims, ranks)
-            try:
-                expected = Component(dims, ranks)
-            except InvalidComponentError:
-                assert made is None, (dims, ranks)
-            else:
-                assert type(made) is Component and made == expected, (dims, ranks)
+            for i in g22.COLORS:
+                for delta in (-1, +1):
+                    made = g22._moved(dims, i, delta, ranks)
+                    moved = tuple(d + delta * (k == i) for k, d in enumerate(dims, 1))
+                    try:
+                        expected = Component(moved, ranks)
+                    except InvalidComponentError:
+                        assert made is None, (dims, i, delta, ranks)
+                    else:
+                        assert type(made) is Component and made == expected, (dims, i, ranks)
 
 
 def test_operator_results_have_plain_int_fields():

@@ -54,12 +54,23 @@ REPS = "src/crystal_grid/reps.py"
 MUTANTS = (
     Mutant("weight step: alpha_i with the wrong sign", CARTAN,
            "(coeffs[pos] + sign,)", "(coeffs[pos] - sign,)", "tests/test_cartan.py"),
-    Mutant("axiom 4: lowering inverts raising", CARTAN,
-           "if frag.apply_f(up, i) != b:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 4: raising inverts lowering", CARTAN,
-           "if frag.apply_e(down, i) != b:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 2: epsilon after raising", CARTAN,
-           "if frag.epsilon(up, i) != eps - 1:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4 in the fragment: lowering inverts raising", CARTAN,
+           "if down_row[m] != n:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4 outside the fragment: lowering inverts raising", CARTAN,
+           "if apply_f(up, i) != b:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4 in the fragment: raising inverts lowering", CARTAN,
+           "if up_row[m] != n:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4 outside the fragment: raising inverts lowering", CARTAN,
+           "if apply_e(down, i) != b:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4 in the fragment: the inverse's position compared with its own", CARTAN,
+           "if up_row[m] != n:", "if up_row[m] != m:", "tests/test_cartan.py"),
+    Mutant("axiom 2 in the fragment: epsilon after raising", CARTAN,
+           "if eps_row[m] != eps - 1:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 2 outside the fragment: epsilon after raising", CARTAN,
+           "if seen != eps - 1:", "if False:", "tests/test_cartan.py"),
+    Mutant("axioms 2-4: a truncated f of e(b) read as no image", CARTAN,
+           "                        apply_f(elements[m], i)     # raises that TruncationError again\n",
+           "", "tests/test_cartan.py"),
     Mutant("axiom 5: no operator where epsilon = -inf", CARTAN,
            "if eps == NEG_INFINITY and (up is not None or down is not None):", "if False:",
            "tests/test_cartan.py"),
@@ -77,20 +88,21 @@ MUTANTS = (
            "_iterate_count(target, i, step, cap - 1)",
            "tests/test_g22.py::test_iteration_counts_match_per_element_walks"),
     Mutant("g22 e at colors 2/3: vanishing guard", G22,
-           "if _middle_dim(c, i) <= r1:", "if _middle_dim(c, i) < r1:", "tests/test_g22.py"),
+           "if _middle_dim(dims, i) <= r1:", "if _middle_dim(dims, i) < r1:", "tests/test_g22.py"),
     Mutant("g22 f* at colors 2/3: source rank grows", G22,
-           "return _moved(c.dims, i, +1, (r1 + 1, r2))",
-           "return _moved(c.dims, i, +1, (r1, r2 + 1))", "tests/test_g22.py"),
+           "return _moved(dims, i, +1, (r1 + 1, r2))",
+           "return _moved(dims, i, +1, (r1, r2 + 1))", "tests/test_g22.py"),
     Mutant("g22 epsilon' at color 1: sink wall", G22,
            "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
     Mutant("g22 epsilon*' at color 4: source wall", G22,
            "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
     Mutant("g22 Component: list fields accepted", G22,
-           "isinstance(self.dims, tuple) and len(self.dims) == 4",
-           "len(self.dims) == 4",
+           "isinstance(dims, tuple) and len(dims) == 4",
+           "len(dims) == 4",
            "tests/test_g22.py::test_constructor_checks_the_fields_as_given"),
     Mutant("g22 operator results: the factory's gate removed", G22,
-           "if not ranks_valid(dims, ranks):", "if False:", "tests/test_g22.py"),
+           "if not ranks_valid(dims, ranks):\n        return None",
+           "if False:\n        return None", "tests/test_g22.py"),
     Mutant("g22 dual: ranks not swapped", G22,
            "dims, ranks = (d4, d3, d2, d1), (r2, r1)",
            "dims, ranks = (d4, d3, d2, d1), (r1, r2)", "tests/test_g22.py"),
