@@ -18,6 +18,13 @@ pattern (``CartanMatrix.pattern_rows``), so a statistic costs
 O(support + period), not O(L), with no per-call set-up.  phi_i is not
 computed here: the crystal checkers derive it as epsilon_i + <h_i, wt(x)>.
 
+One walk, ``extremes``, gives epsilon_i and the positions that raising and
+lowering at color i move.  Inside a fragment it runs once per (element,
+color): the maps of ``fragment`` keep the latest walk in one slot keyed by
+the element's identity, which catches the axiom checker's back-to-back
+epsilon, e and f calls without hashing the L entries, and hand it to
+``apply_op``.
+
 An operator result is built by the private factory ``_bump`` without the
 public constructor's pass over the L entries: one entry moves by one, the
 values are sliced around it, and the stored support gains or loses that
@@ -116,9 +123,10 @@ def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
     return ZSequence(pattern, (0,) * pattern.length)
 
 
-def _extremes(cartan: CartanMatrix, x: ZSequence, i):
+def extremes(cartan: CartanMatrix, x: ZSequence, i):
     """(top, first, last): the largest sigma_k over positions k of color i
-    and the smallest and largest k reaching it.
+    and the smallest and largest k reaching it.  epsilon_i is top; lowering
+    moves entry first and raising entry last.
 
     One right-to-left walk over the support keeps the running tail, the sum
     of a_{i, color(j)} * x_j over the positions j passed so far.  A support
@@ -160,7 +168,7 @@ def _extremes(cartan: CartanMatrix, x: ZSequence, i):
 
 
 def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
-    return _extremes(cartan, x, i)[0]
+    return extremes(cartan, x, i)[0]
 
 
 def weight(cartan: CartanMatrix, x: ZSequence):
@@ -173,13 +181,15 @@ def weight(cartan: CartanMatrix, x: ZSequence):
     return tuple(coeffs)
 
 
-def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
+def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i, walk=None):
     """Raising ("e") or lowering ("f") at color i; None encodes vanishing.
 
     Ties in the maximal sigma are broken toward the smallest position for
-    lowering and the largest for raising.
+    lowering and the largest for raising.  ``walk``, when given, must be
+    ``extremes(cartan, x, i)``: a caller that has made that walk already
+    (the maps of ``fragment``) passes it instead of walking again.
     """
-    top, first, last = _extremes(cartan, x, i)
+    top, first, last = extremes(cartan, x, i) if walk is None else walk
     if kind == "f":
         k = first
         if k >= x.pattern.guard_start:
@@ -271,12 +281,31 @@ def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = 
 
 
 def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
+    """The sequences reachable by lowering words of length at most depth,
+    with maps that make one support walk per (element, color).
+
+    The axiom checker calls epsilon, apply_e and apply_f of one element and
+    color back to back, and all three read the same walk ``extremes``.  The
+    maps keep the latest walk in one slot, keyed by the identity of the
+    element and by the color.  Identity, because equality or a hash would
+    read all L entries of a ``ZSequence`` in Python; the slot holds the
+    element itself, so its id cannot pass to another object meanwhile.  One
+    slot catches the repeats of the checker's call order, never grows, and
+    lives no longer than the fragment.
+    """
     cartan = G22_CARTAN
+    slot = [None, None, None]   # element, color and the walk made for them
+
+    def walk(x, i):
+        if slot[0] is not x or slot[1] != i:
+            slot[:] = x, i, extremes(cartan, x, i)
+        return slot[2]
+
     return CrystalFragment(
         cartan=cartan,
         elements=reachable_elements(cartan, depth, pattern),
         wt=lambda x: weight(cartan, x),
-        epsilon=lambda x, i: epsilon(cartan, x, i),
-        apply_e=lambda x, i: apply_op(cartan, x, "e", i),
-        apply_f=lambda x, i: apply_op(cartan, x, "f", i),
+        epsilon=lambda x, i: walk(x, i)[0],
+        apply_e=lambda x, i: apply_op(cartan, x, "e", i, walk(x, i)),
+        apply_f=lambda x, i: apply_op(cartan, x, "f", i, walk(x, i)),
     )

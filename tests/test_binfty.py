@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -188,6 +189,107 @@ def test_ambient_axioms_on_reachable_set():
     assert len(frag.elements) > 500
 
 
+def _direct_fragment(depth, pattern):
+    """binfty.fragment's elements with maps that call the module functions,
+    so each map makes its own support walk."""
+    frag = binfty.fragment(depth, pattern)
+    a = frag.cartan
+    return dataclasses.replace(
+        frag,
+        epsilon=lambda x, i: binfty.epsilon(a, x, i),
+        apply_e=lambda x, i: binfty.apply_op(a, x, "e", i),
+        apply_f=lambda x, i: binfty.apply_op(a, x, "f", i))
+
+
+def _logged(frag, log):
+    """frag with each map call and its outcome appended to log."""
+    def wrap(name, fn):
+        def logged(*args):
+            outcome = _outcome(fn, *args)
+            log.append((name, args, outcome))
+            if isinstance(outcome, type):
+                fn(*args)   # raises that error again
+            return outcome
+        return logged
+    return dataclasses.replace(frag, **{name: wrap(name, getattr(frag, name))
+                                        for name in ("wt", "epsilon", "apply_e", "apply_f")})
+
+
+@pytest.mark.parametrize("colors, length", [
+    ((1, 2, 3, 4), 40), ((1, 2, 3, 4), 80), ((4, 3, 2, 1), 40), ((4, 3, 2, 1), 80),
+    # The shortest truncation that holds every lowering word of length 6 from
+    # zero; lowering two of the depth-6 elements reaches the guard band.
+    ((1, 2, 3, 4), 19),
+])
+def test_shared_walk_gives_the_checker_the_same_answers(colors, length):
+    pattern = IotaPattern(colors, length)
+    shared, direct = binfty.fragment(6, pattern), _direct_fragment(6, pattern)
+    assert shared.elements == direct.elements and len(shared.elements) == 971
+    shared_log, direct_log = [], []
+    report = cartan.check_crystal_axioms(_logged(shared, shared_log))
+    assert report == cartan.check_crystal_axioms(_logged(direct, direct_log))
+    assert report.ok
+    # Every call the checker made, in order, got the same answer from both.
+    assert shared_log == direct_log
+    truncated = sum(outcome is TruncationError for _, _, outcome in shared_log)
+    assert truncated == (2 if length == 19 else 0)
+    # In this model f(e(b)) = b, so the checker's other TruncationError path,
+    # f met as f_i e_i b, cannot be reached from a real element.
+
+
+def test_fragment_maps_agree_with_direct_calls_in_any_order():
+    frag = binfty.fragment(3)
+    pool = list(frag.elements[1:40])
+    pool.append(ZSequence(pool[-1].pattern, pool[-1].values))   # equal value, other object
+    pool.append(seq(IotaPattern((1, 2, 3, 4), 12), {8: 1}))    # e_4 picks a zero entry
+    pool.append(seq(IotaPattern((4, 3, 2, 1), 8), {1: 1, 2: 1, 3: 1}))  # f_4 truncates
+    maps = {"epsilon": (frag.epsilon, lambda x, i: binfty.epsilon(A22, x, i)),
+            "e": (frag.apply_e, lambda x, i: binfty.apply_op(A22, x, "e", i)),
+            "f": (frag.apply_f, lambda x, i: binfty.apply_op(A22, x, "f", i))}
+    rng = random.Random(5)
+    calls = [(name, x, i) for name in maps for x in pool for i in (1, 2, 3, 4)]
+    # Repeats of one element across colors and of one color across elements.
+    calls += [(name, pool[0], i) for i in (1, 2, 3, 4, 4, 3) for name in ("f", "epsilon")]
+    calls += [(name, x, 2) for x in pool for name in ("e", "f")]
+    calls += [rng.choice(calls) for _ in range(2000)]
+    rng.shuffle(calls)
+    seen = set()
+    for name, x, i in calls:
+        mapped, direct = maps[name]
+        expected = _raised(direct, x, i)
+        assert _raised(mapped, x, i) == expected, (name, x.values, i)
+        seen.add(expected if isinstance(expected, tuple) else type(expected))
+    assert {int, type(None), ZSequence} < seen
+    assert any(t[0] is TruncationError for t in seen if isinstance(t, tuple))
+    assert any(t[0] is ValueError for t in seen if isinstance(t, tuple))
+
+
+def _raised(op, *args):
+    """op(*args), or (type, message) of the error it raises."""
+    try:
+        return op(*args)
+    except (TruncationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_checker_walks_once_per_element_and_color(monkeypatch):
+    frag = binfty.fragment(6)
+    walks = 0
+    walk = binfty.extremes
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    monkeypatch.setattr(binfty, "extremes", counted)
+    assert cartan.check_crystal_axioms(frag).ok
+    # 971 elements x 4 colors = 3,884 walks, plus one per image outside the
+    # fragment (each read by epsilon and one operator); 16,132 when each map
+    # walked on its own.
+    assert walks == 6124
+
+
 @pytest.mark.deep
 def test_ambient_axioms_depth_8_length_80():
     frag = binfty.fragment(8, pattern=IotaPattern((1, 2, 3, 4), 80))
@@ -210,6 +312,14 @@ def test_ambient_axioms_depth_10_length_160():
     report = cartan.check_crystal_axioms(frag)
     assert report.ok
     assert len(frag.elements) == 19089
+
+
+@pytest.mark.deep
+def test_ambient_axioms_depth_11_length_160():
+    frag = binfty.fragment(11, pattern=IotaPattern((1, 2, 3, 4), 160))
+    report = cartan.check_crystal_axioms(frag)
+    assert report.ok
+    assert len(frag.elements) == 37017
 
 
 # Reference statistics: the O(L) per-position sigma loop, independent of the

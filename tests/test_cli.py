@@ -261,9 +261,15 @@ def test_graph_exports_are_deterministic(capsys):
     pytest.param("oracle epsilon --component 6,6,6,6:6,6 --i 1 --samples 400 --seed 1",
                  "dea9ad08ea9f43e5e2b3608202c5a238b3971307006925f3dd285ab5438259b0",
                  id="oracle-epsilon"),
+    pytest.param("verify counterexample",
+                 "363fdfdc5e1ff1027a048b4b6c49ce2c70be12710d7cdf0eec583980e864bb65",
+                 id="counterexample"),
+    pytest.param('binfty compare --wordA "f3 f1 f1 f3 f4 f4" --wordB "f1 f1 f3 f3 f4 f4"',
+                 "a73a96be884e1f3fd5c2f91bb78f7dc40ff7a977fc37f7df0afcc898d473a415",
+                 id="binfty-compare"),
 ])
 def test_graph_and_connectivity_bytes_are_pinned(capsys, argv, digest):
-    code, out = run(capsys, *argv.split())
+    code, out = run(capsys, *shlex.split(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -118,6 +118,12 @@ MUTANTS = (
            "f = k + 1 + ahead[k % n]", "f = k + 1 + ahead[(k + 1) % n]", "tests/test_binfty.py"),
     Mutant("binfty operator results: a support point whose entry became 0 is kept", BINFTY,
            "elif old + delta == 0:", "elif False:", "tests/test_binfty.py"),
+    Mutant("binfty fragment maps: the color dropped from the walk's key", BINFTY,
+           "if slot[0] is not x or slot[1] != i:", "if slot[0] is not x:",
+           "tests/test_binfty.py::test_fragment_maps_agree_with_direct_calls_in_any_order"),
+    Mutant("binfty fragment maps: the element's identity test always hits", BINFTY,
+           "if slot[0] is not x or slot[1] != i:", "if slot[1] != i:",
+           "tests/test_binfty.py::test_fragment_maps_agree_with_direct_calls_in_any_order"),
     Mutant("oracle corner statistics: eps at corner 3 reads r12", ORACLE,
            '("eps", 3): "r13"', '("eps", 3): "r12"', "tests/test_oracle.py"),
     Mutant("oracle sampled minima: maximum instead", ORACLE,
