@@ -1,5 +1,5 @@
 """Crystal operators on irreducible components of grid representation
-varieties, with an exact sampling oracle and a truncated ambient model
+varieties, with an exact sampling oracle and an exact ambient model
 for separating lowering words."""
 
 __version__ = "0.1.0"

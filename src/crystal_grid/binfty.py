@@ -1,48 +1,34 @@
-"""Truncated polyhedral model of the free crystal on integer sequences.
+"""Polyhedral model of the free crystal on finitely supported sequences.
 
 Elements are finitely supported sequences of naturals over a periodic
-color pattern.  The running statistic sigma_k weights the tail of the
-sequence by Cartan pairings; lowering increments the earliest position
-of the given color achieving the maximal sigma, raising decrements the
-latest one when the maximum is positive.  Lowering words from the zero
-sequence stay inside the strictly embedded highest-weight crystal, so
-equality of their endpoints decides equality of the corresponding
-elements there; that single judgment is this module's purpose.
+color pattern (Nakashima and Zelevinsky, Adv. Math. 131, 1997).  The
+running statistic sigma_k weights the tail of the sequence by Cartan
+pairings; lowering increments the earliest position of the given color
+achieving the maximal sigma, raising decrements the latest one when the
+maximum is positive.  Lowering words from the zero sequence stay inside
+the strictly embedded highest-weight crystal, so equality of their
+endpoints decides equality of the corresponding elements there; that
+single judgment is this module's purpose.
 
-Every statistic reads only the support of the sequence, which each
-``ZSequence`` computes once: between two support points the tail is
-constant, so a run of zeros is one candidate for the maximal sigma, and
-the pattern's per-color slot offsets locate its first and last position
-of the color.  The Cartan pairings along the pattern are tabled once per
-pattern (``CartanMatrix.pattern_rows``), so a statistic costs
-O(support + period), not O(L), with no per-call set-up.  phi_i is not
-computed here: the crystal checkers derive it as epsilon_i + <h_i, wt(x)>.
+A ``ZSequence`` is its support, the (position, value) pairs of its nonzero
+entries.  Past the support every sigma_k is 0, so the support alone
+decides every statistic and step: the model is exact and stores no length.
 
 One walk, ``extremes``, gives epsilon_i and the positions that raising and
-lowering at color i move.  Inside a fragment it runs once per (element,
-color): the maps of ``fragment`` keep the latest walk in one slot keyed by
-the element's identity, which catches the axiom checker's back-to-back
-epsilon, e and f calls without hashing the L entries, and hand it to
-``apply_op``.
-
-An operator result is built by the private factory ``_bump`` without the
-public constructor's pass over the L entries: one entry moves by one, the
-values are sliced around it, and the stored support gains or loses that
-position after one bisect, so no rescan of the sequence takes place.  The
-constructor's checks hold there by construction (length L, entries
-nonnegative, nothing in the guard band); the public ``ZSequence(...)``
-stays the boundary for outside data: it rejects a list field, which
-would fail later when hashed, and an entry in the guard band, where the
-truncation would make the statistics depend on L.
+lowering at color i move in O(support + period) steps, with the Cartan
+pairings along the pattern tabled once per pattern; the maps of
+``fragment`` make it once per (element, color).  phi_i is not computed
+here: the crystal checkers derive it as epsilon_i + <h_i, wt(x)>.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import chain, compress
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
-from .cartan import NEG_INFINITY, CartanMatrix, CrystalFragment, TruncationError
+from .cartan import CartanMatrix, CrystalFragment
 from .g22 import CARTAN as G22_CARTAN
 
 DEFAULT_PATTERN = (1, 2, 3, 4)
@@ -51,10 +37,15 @@ DEFAULT_LENGTH = 40
 
 @dataclass(frozen=True)
 class IotaPattern:
-    """Periodic color word with a truncation length and a one-period guard band."""
+    """Periodic color word.
+
+    ``length`` must be at least two periods, but it is inert: it takes no
+    part in equality or hashing, and it changes no element, statistic or
+    step, because the model stores only supports.
+    """
 
     colors: tuple
-    length: int
+    length: int = field(compare=False)
 
     def __post_init__(self):
         if not isinstance(self.colors, tuple):
@@ -65,7 +56,7 @@ class IotaPattern:
                 a == b for a, b in zip(self.colors, self.colors[1:] + self.colors[:1])):
             raise ValueError("pattern must not repeat a color consecutively")
         if self.length < 2 * len(self.colors):
-            raise ValueError("truncation shorter than two periods")
+            raise ValueError("length shorter than two periods")
         # Built once per color: from slot r, the distance forward (ahead) and
         # backward (behind) to the nearest slot of that color, wrapping around.
         n = len(self.colors)
@@ -78,9 +69,6 @@ class IotaPattern:
             offsets[c] = (ahead, behind)
         object.__setattr__(self, "_offsets", offsets)
 
-    def color_at(self, k: int):
-        return self.colors[(k - 1) % len(self.colors)]
-
     def offsets(self, i):
         """(ahead, behind) slot offsets of color i; ValueError if the pattern lacks it."""
         try:
@@ -88,39 +76,44 @@ class IotaPattern:
         except KeyError:
             raise ValueError(f"color {i!r} is not carried by the pattern {self.colors}") from None
 
-    @property
-    def guard_start(self) -> int:
-        return self.length - len(self.colors) + 1
 
+class ZSequence(tuple):
+    """A finitely supported sequence of naturals, stored as the tuple
+    (pattern, support).  support holds the (position, value) pairs of the
+    nonzero entries, positions from 1 in increasing order.  It hashes,
+    compares and orders as that tuple.
+    """
 
-@dataclass(frozen=True)
-class ZSequence:
-    pattern: IotaPattern
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.values, tuple):
-            raise ValueError(f"values must be a tuple, got a {type(self.values).__name__}")
-        if len(self.values) != self.pattern.length:
-            raise ValueError("value vector does not match the truncation length")
-        if min(self.values) < 0:
-            raise ValueError("negative entries are not allowed")
-        # The positions 1..L of the nonzero entries, in increasing order.
-        support = tuple(compress(range(1, len(self.values) + 1), self.values))
-        guard = self.pattern.guard_start
-        if support and support[-1] >= guard:
-            k = support[bisect_left(support, guard)]
-            raise ValueError(f"nonzero entry at position {k} inside the guard band "
-                             f"(positions {guard}..{self.pattern.length})")
-        object.__setattr__(self, "support", support)
+    def __new__(cls, pattern: IotaPattern, support: tuple):
+        if not isinstance(support, tuple):
+            raise ValueError(f"support must be a tuple, got a {type(support).__name__}")
+        last = 0
+        for pair in support:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] > last and pair[1] > 0):
+                raise ValueError(f"support pair {pair!r} is not a (position, value) tuple with "
+                                 f"the position past {last} and the value positive")
+            last = pair[0]
+        return tuple.__new__(cls, (pattern, support))
 
-    def support_end(self) -> int:
-        return self.support[-1] if self.support else 0
+    pattern = property(itemgetter(0))
+    support = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def entries(self) -> tuple:
+        """The entries at positions 1 up to the last support point."""
+        support = self[1]
+        values = [0] * (support[-1][0] if support else 0)
+        for k, v in support:
+            values[k - 1] = v
+        return tuple(values)
 
 
 def zero_sequence(pattern: IotaPattern = None) -> ZSequence:
-    pattern = pattern or IotaPattern(DEFAULT_PATTERN, DEFAULT_LENGTH)
-    return ZSequence(pattern, (0,) * pattern.length)
+    return ZSequence(pattern or IotaPattern(DEFAULT_PATTERN, DEFAULT_LENGTH), ())
 
 
 def extremes(cartan: CartanMatrix, x: ZSequence, i):
@@ -132,19 +125,20 @@ def extremes(cartan: CartanMatrix, x: ZSequence, i):
     of a_{i, color(j)} * x_j over the positions j passed so far.  A support
     point k of color i has sigma_k = x_k + tail; every zero position in the
     run below the previous support point has sigma = tail, so the run counts
-    once, at its first and last position of color i.
+    once, at its first and last position of color i.  The run above the
+    support has sigma 0 and no end: it counts at its first position of color
+    i, and its last is never read, since raising needs top > 0.
     """
-    pattern = x.pattern
+    pattern, support = x
     pos = cartan.position(i)
     ahead, behind = pattern.offsets(i)
     colors = pattern.colors
     n = len(colors)
     coeff = cartan.pattern_rows(colors)[1][pos]
-    values = x.values
-    top, first, last = NEG_INFINITY, 0, 0
+    hi = support[-1][0] if support else 0   # the top of the zero run below the last point passed
+    top, first, last = 0, hi + 1 + ahead[hi % n], 0     # the run above the support
     tail = 0
-    hi = pattern.length     # the top of the zero run below the last point passed
-    for k in chain(reversed(x.support), (0,)):
+    for k, xk in chain(reversed(support), ((0, 0),)):
         if k < hi:
             f = k + 1 + ahead[k % n]
             if f <= hi:
@@ -155,7 +149,6 @@ def extremes(cartan: CartanMatrix, x: ZSequence, i):
         if not k:
             break
         slot = (k - 1) % n
-        xk = values[k - 1]
         if colors[slot] == i:
             s = xk + tail
             if s > top:
@@ -172,12 +165,12 @@ def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
 
 
 def weight(cartan: CartanMatrix, x: ZSequence):
-    positions = cartan.pattern_rows(x.pattern.colors)[0]
+    pattern, support = x
+    positions = cartan.pattern_rows(pattern.colors)[0]
     n = len(positions)
-    values = x.values
     coeffs = [0] * len(cartan.index_set)
-    for k in x.support:
-        coeffs[positions[(k - 1) % n]] -= values[k - 1]
+    for k, v in support:
+        coeffs[positions[(k - 1) % n]] -= v
     return tuple(coeffs)
 
 
@@ -191,44 +184,31 @@ def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i, walk=None):
     """
     top, first, last = extremes(cartan, x, i) if walk is None else walk
     if kind == "f":
-        k = first
-        if k >= x.pattern.guard_start:
-            raise TruncationError(
-                f"lowering reaches position {k} inside the guard band; enlarge the truncation")
-        return _bump(x, k, +1)
+        return _bump(x, first, +1)
     if kind == "e":
-        if top <= 0:
-            return None
-        k = last
-        if not x.values[k - 1]:
-            raise ValueError(
-                f"raising at color {i} picks the zero entry at position {k}: "
-                "the sequence lies outside the image of B(infinity)")
-        return _bump(x, k, -1)
+        return _bump(x, last, -1) if top > 0 else None
     raise ValueError(f"operator kind {kind!r} must be 'e' or 'f'")
 
 
-def _bump(x: ZSequence, k: int, delta: int) -> ZSequence:
+def _bump(x: ZSequence, k: int, delta: int):
     """x with entry k moved by delta = +1 or -1, for operator results only.
 
-    apply_op has kept k below the guard band when lowering and checked that
-    entry k is nonzero when raising, so the result passes the constructor's
-    checks by construction; only the support changes, at position k.
+    One bisect finds the support pair of position k, which is then inserted,
+    changed or removed, so the result passes the constructor's checks by
+    construction.  Raising a zero entry, which only a sequence outside the
+    image of B(infinity) asks for, is a ValueError.
     """
-    values = x.values
-    old = values[k - 1]
-    support = x.support
-    if not old:
-        j = bisect_left(support, k)
-        support = support[:j] + (k,) + support[j:]
-    elif old + delta == 0:
-        j = bisect_left(support, k)
-        support = support[:j] + support[j + 1:]
-    y = object.__new__(ZSequence)
-    object.__setattr__(y, "pattern", x.pattern)
-    object.__setattr__(y, "values", values[:k - 1] + (old + delta,) + values[k:])
-    object.__setattr__(y, "support", support)
-    return y
+    pattern, support = x
+    j = bisect_left(support, (k,))
+    if j < len(support) and support[j][0] == k:
+        v = support[j][1] + delta
+        support = support[:j] + (((k, v),) if v else ()) + support[j + 1:]
+    elif delta < 0:
+        raise ValueError(f"raising picks the zero entry at position {k}: "
+                         "the sequence lies outside the image of B(infinity)")
+    else:
+        support = support[:j] + ((k, 1),) + support[j:]
+    return tuple.__new__(ZSequence, (pattern, support))
 
 
 def apply_word(cartan: CartanMatrix, x: ZSequence, word):
@@ -258,7 +238,7 @@ def words_distinct(word_a, word_b, pattern: IotaPattern = None):
             raise ValueError(f"pattern color {color!r} is not a vertex of the Cartan matrix")
     xa = apply_word(cartan, x0, word_a)
     xb = apply_word(cartan, x0, word_b)
-    return xa.values != xb.values, xa, xb
+    return xa != xb, xa, xb
 
 
 def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = None):
@@ -269,15 +249,9 @@ def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = 
     frontier = {x0}
     seen = set(frontier)
     for _ in range(depth):
-        new = set()
-        for x in frontier:
-            for i in cartan.index_set:
-                y = apply_op(cartan, x, "f", i)
-                if y not in seen:
-                    new.add(y)
-        seen |= new
-        frontier = new
-    return tuple(sorted(seen, key=lambda s: (sum(s.values), s.values)))
+        frontier = {apply_op(cartan, x, "f", i) for x in frontier for i in cartan.index_set} - seen
+        seen |= frontier
+    return tuple(sorted(seen, key=lambda s: (sum(v for _, v in s.support), s.support)))
 
 
 def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
@@ -287,9 +261,9 @@ def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
     The axiom checker calls epsilon, apply_e and apply_f of one element and
     color back to back, and all three read the same walk ``extremes``.  The
     maps keep the latest walk in one slot, keyed by the identity of the
-    element and by the color.  Identity, because equality or a hash would
-    read all L entries of a ``ZSequence`` in Python; the slot holds the
-    element itself, so its id cannot pass to another object meanwhile.  One
+    element and by the color.  Identity, because a hash would read the
+    whole support and call the pattern's hash; the slot holds the element
+    itself, so its id cannot pass to another object meanwhile.  One
     slot catches the repeats of the checker's call order, never grows, and
     lives no longer than the fragment.
     """

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from operator import itemgetter, mul
 
 
-class TruncationError(RuntimeError):
-    """An operator application left the representable region of a model."""
-
-
 @dataclass(frozen=True)
 class CartanMatrix:
     """Generalized Cartan matrix over an ordered index set."""
@@ -107,11 +103,10 @@ class CrystalFragment:
     """A finite enumerated piece of a crystal together with its maps.
 
     The elements are distinct and hashable.  The maps are functions (the
-    same arguments give the same value) and total on the fragment;
-    ``apply_f`` may raise TruncationError when a model cannot represent the
-    target.  The axiom checker applies each map once per element and color
-    and reads an image that lies inside the fragment back from that
-    element's own row.
+    same arguments give the same value) and total on the fragment; any
+    exception a map raises propagates out of the checker.  The axiom
+    checker applies each map once per element and color and reads an image
+    that lies inside the fragment back from that element's own row.
     """
 
     cartan: CartanMatrix
@@ -139,10 +134,9 @@ def _alpha_step(coeffs, pos, sign):
     return coeffs[:pos] + (coeffs[pos] + sign,) + coeffs[pos + 1:]
 
 
-# Row entries that are not positions: the operator vanished, its image lies
-# outside the fragment (checked at once, with direct calls), or apply_f
-# raised TruncationError.
-_NONE, _OUTSIDE, _TRUNCATED = -1, -2, -3
+# Row entries that are not positions: the operator vanished, or its image
+# lies outside the fragment (checked at once, with direct calls).
+_NONE, _OUTSIDE = -1, -2
 
 
 def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
@@ -160,8 +154,7 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
     positions of e_i b and f_i b in rows of ints; an image outside the
     fragment is checked there with direct calls.  A second sweep checks the
     images inside the fragment from the rows, so f_i e_i b = b reads
-    down[up[n]] == n.  A TruncationError of f_i b reads as no image; one
-    met as f_i e_i b propagates.
+    down[up[n]] == n.
     """
     elements = frag.elements
     index = {b: n for n, b in enumerate(elements)}
@@ -190,25 +183,21 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
                     if apply_f(up, i) != b:
                         bad.append(((n, p, 2), (4, b, i, "lowering does not invert raising")))
             up_row.append(m)
-            try:
-                down = apply_f(b, i)
-            except TruncationError:
-                down, m = None, _TRUNCATED
+            down = apply_f(b, i)
+            if down is None:
+                m = _NONE
             else:
-                if down is None:
-                    m = _NONE
-                else:
-                    m = index.get(down, _OUTSIDE)
-                    if m == _OUTSIDE:
-                        if wt(down) != _alpha_step(weights[n], p, -1):
-                            bad.append(((n, p, 3),
-                                        (3, b, i, "weight of lowered element is not wt-alpha_i")))
-                        seen = epsilon(down, i)
-                        if seen != eps + 1:
-                            bad.append(((n, p, 4),
-                                        (3, b, i, f"epsilon {seen} != {eps} + 1 after lowering")))
-                        if apply_e(down, i) != b:
-                            bad.append(((n, p, 5), (4, b, i, "raising does not invert lowering")))
+                m = index.get(down, _OUTSIDE)
+                if m == _OUTSIDE:
+                    if wt(down) != _alpha_step(weights[n], p, -1):
+                        bad.append(((n, p, 3),
+                                    (3, b, i, "weight of lowered element is not wt-alpha_i")))
+                    seen = epsilon(down, i)
+                    if seen != eps + 1:
+                        bad.append(((n, p, 4),
+                                    (3, b, i, f"epsilon {seen} != {eps} + 1 after lowering")))
+                    if apply_e(down, i) != b:
+                        bad.append(((n, p, 5), (4, b, i, "raising does not invert lowering")))
             down_row.append(m)
             eps_row.append(eps)
             if eps == NEG_INFINITY and (up is not None or down is not None):
@@ -224,8 +213,6 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
                     bad.append(((n, p, 1), (2, elements[n], i,
                                             f"epsilon {eps_row[m]} != {eps} - 1 after raising")))
                 if down_row[m] != n:
-                    if down_row[m] == _TRUNCATED:
-                        apply_f(elements[m], i)     # raises that TruncationError again
                     bad.append(((n, p, 2), (4, elements[n], i, "lowering does not invert raising")))
             m = down_row[n]
             if m >= 0:

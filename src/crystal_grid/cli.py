@@ -228,8 +228,8 @@ def cmd_binfty_compare(args) -> int:
                           wordB=g22.format_word(args.word_b),
                           pattern=list(args.pattern), length=args.length),
         "distinct": distinct,
-        "xA": list(xa.values[:xa.support_end()]),
-        "xB": list(xb.values[:xb.support_end()]),
+        "xA": list(xa.entries()),
+        "xB": list(xb.entries()),
     }
     _emit(payload)
     return 0
@@ -311,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wordA", dest="word_a", type=_word_arg, required=True)
     p.add_argument("--wordB", dest="word_b", type=_word_arg, required=True)
     p.add_argument("--pattern", type=_pattern_arg, default=binfty.DEFAULT_PATTERN)
-    p.add_argument("--length", type=int, default=binfty.DEFAULT_LENGTH)
+    p.add_argument("--length", type=int, default=binfty.DEFAULT_LENGTH,
+                   help="at least two pattern periods; the model stores only supports, "
+                        "so the value changes no answer")
     p.set_defaults(func=cmd_binfty_compare)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -332,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, cartan.TruncationError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

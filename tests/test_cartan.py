@@ -6,8 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from crystal_grid import an, binfty, cartan, cli, g22, grid, suites
-from crystal_grid.cartan import (NEG_INFINITY, CartanMatrix, CheckReport, CrystalFragment,
-                                 TruncationError, pairing)
+from crystal_grid.cartan import NEG_INFINITY, CartanMatrix, CheckReport, CrystalFragment, pairing
 
 
 def test_cartan_of_two_vertex_chain():
@@ -272,10 +271,7 @@ def _retired_check_crystal_axioms(frag) -> CheckReport:
                     bad.append((2, b, i, f"phi {frag.phi(up, i)} != {phi} + 1 after raising"))
                 if frag.apply_f(up, i) != b:
                     bad.append((4, b, i, "lowering does not invert raising"))
-            try:
-                down = frag.apply_f(b, i)
-            except TruncationError:
-                down = None
+            down = frag.apply_f(b, i)
             if down is not None:
                 if frag.wt(down) != _alpha_step(frag.cartan, i, w, -1):
                     bad.append((3, b, i, "weight of lowered element is not wt-alpha_i"))
@@ -354,10 +350,7 @@ def _per_element_check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
                     bad.append((2, b, i, f"epsilon {frag.epsilon(up, i)} != {eps} - 1 after raising"))
                 if frag.apply_f(up, i) != b:
                     bad.append((4, b, i, "lowering does not invert raising"))
-            try:
-                down = frag.apply_f(b, i)
-            except TruncationError:
-                down = None
+            down = frag.apply_f(b, i)
             if down is not None:
                 if frag.wt(down) != _alpha_step(frag.cartan, i, w, -1):
                     bad.append((3, b, i, "weight of lowered element is not wt-alpha_i"))
@@ -437,27 +430,15 @@ def test_g22_corruptions_have_the_per_element_violations(maps):
     assert {b for _, b, _, _ in violations} >= {_INTERIOR}
 
 
-def _truncating_at(point):
+def test_an_exception_in_a_map_propagates():
     def apply_f(n, i):
-        if n == point:
-            raise TruncationError(f"lowering {n} leaves the model")
+        if n == 1:
+            raise RuntimeError("lowering 1 fails")
         return n + 1
-    return apply_f
 
-
-def test_truncation_reads_as_no_image_for_f():
-    # f(2) raises: 2 has no lowered image, and no raised image of the
-    # fragment is 2 (that would need 3 in it), so the fragment is clean.
-    assert _same_violations(_chain(apply_f=_truncating_at(2))) == ()
-
-
-def test_truncation_propagates_as_f_of_e():
-    # f(1) raises while 2 is checked, as f(e(2)) with e(2) = 1 inside the
-    # fragment; outside it, as f(e(1)) with e(1) = 0 in the fragment (1,).
-    for frag in (_chain(apply_f=_truncating_at(1)), _b_infinity(apply_f=_truncating_at(0))):
-        for check in (cartan.check_crystal_axioms, _per_element_check_crystal_axioms):
-            with pytest.raises(TruncationError, match="leaves the model"):
-                check(frag)
+    for check in (cartan.check_crystal_axioms, _per_element_check_crystal_axioms):
+        with pytest.raises(RuntimeError, match="lowering 1 fails"):
+            check(_chain(apply_f=apply_f))
 
 
 def test_repeated_elements_are_refused():

@@ -142,6 +142,19 @@ def test_binfty_compare(capsys):
     assert payload["xB"] == [0, 0, 0, 2, 0, 0, 2, 0, 2]
 
 
+def test_binfty_compare_answers_at_every_length(capsys):
+    # At length 8 the words reach past the length, which changes no answer.
+    word = " ".join(["f4 f3 f2 f1"] * 4)
+    answers = []
+    for length in ("8", "40"):
+        code, payload = run_json(capsys, "binfty", "compare", "--wordA", word,
+                                 "--wordB", "f2", "--length", length)
+        assert code == 0
+        answers.append((payload["distinct"], payload["xA"], payload["xB"]))
+    assert answers[0] == answers[1]
+    assert answers[0][0] is True and len(answers[0][1]) > 8
+
+
 def test_binfty_rejects_raising_words(capsys):
     code, _ = run(capsys, "binfty", "compare", "--wordA", "e1", "--wordB", "f1")
     assert code == 2
@@ -443,8 +456,6 @@ USAGE_MESSAGES = {
     ("binfty compare --wordA f1 --wordB f1 --length 3", None),
     ("verify oracle --max-dim 1", "abc"),
     ("verify axiomsAn --max-n 0", None),
-    ("binfty compare --wordA '" + " ".join(["f4 f3 f2 f1"] * 4) + "' --wordB f2 --length 8",
-     None),
     ("graph --bound 2 --out /nonexistent/x", None),
     ("binfty compare --wordA f5 --wordB f1 --pattern 1,2,3,5", None),
     ("an --n 2 --start 1,0 --apply 'f*3'", None),
