@@ -102,7 +102,5 @@ def fragment(n: int, bound: int, star: bool = False) -> CrystalFragment:
         cartan=chain_cartan(n),
         elements=tuple(sorted(iter_dims(n, bound))),
         wt=weight,
-        epsilon=eps,
-        apply_e=up,
-        apply_f=down,
+        local=lambda d, i: (eps(d, i), up(d, i), down(d, i)),
     )

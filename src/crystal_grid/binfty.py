@@ -16,9 +16,10 @@ decides every statistic and step: the model is exact and stores no length.
 
 One walk, ``extremes``, gives epsilon_i and the positions that raising and
 lowering at color i move in O(support + period) steps, with the Cartan
-pairings along the pattern tabled once per pattern; the maps of
-``fragment`` make it once per (element, color).  phi_i is not computed
-here: the crystal checkers derive it as epsilon_i + <h_i, wt(x)>.
+pairings along the pattern tabled once per pattern; ``local`` makes it
+once and reads epsilon_i, e_i x and f_i x from it, so ``fragment`` walks
+once per (element, color).  phi_i is not computed here: the crystal
+checkers derive it as epsilon_i + <h_i, wt(x)>.
 """
 
 from __future__ import annotations
@@ -174,15 +175,23 @@ def weight(cartan: CartanMatrix, x: ZSequence):
     return tuple(coeffs)
 
 
-def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i, walk=None):
+def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
     """Raising ("e") or lowering ("f") at color i; None encodes vanishing.
 
     Ties in the maximal sigma are broken toward the smallest position for
-    lowering and the largest for raising.  ``walk``, when given, must be
-    ``extremes(cartan, x, i)``: a caller that has made that walk already
-    (the maps of ``fragment``) passes it instead of walking again.
+    lowering and the largest for raising.
     """
-    top, first, last = extremes(cartan, x, i) if walk is None else walk
+    return _step(x, extremes(cartan, x, i), kind)
+
+
+def local(cartan: CartanMatrix, x: ZSequence, i):
+    """(epsilon_i(x), e_i x, f_i x) from one walk ``extremes``."""
+    walk = extremes(cartan, x, i)
+    return walk[0], _step(x, walk, "e"), _step(x, walk, "f")
+
+
+def _step(x: ZSequence, walk, kind: str):
+    top, first, last = walk
     if kind == "f":
         return _bump(x, first, +1)
     if kind == "e":
@@ -256,30 +265,11 @@ def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = 
 
 def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
     """The sequences reachable by lowering words of length at most depth,
-    with maps that make one support walk per (element, color).
-
-    The axiom checker calls epsilon, apply_e and apply_f of one element and
-    color back to back, and all three read the same walk ``extremes``.  The
-    maps keep the latest walk in one slot, keyed by the identity of the
-    element and by the color.  Identity, because a hash would read the
-    whole support and call the pattern's hash; the slot holds the element
-    itself, so its id cannot pass to another object meanwhile.  One
-    slot catches the repeats of the checker's call order, never grows, and
-    lives no longer than the fragment.
-    """
+    with one support walk per (element, color) through ``local``."""
     cartan = G22_CARTAN
-    slot = [None, None, None]   # element, color and the walk made for them
-
-    def walk(x, i):
-        if slot[0] is not x or slot[1] != i:
-            slot[:] = x, i, extremes(cartan, x, i)
-        return slot[2]
-
     return CrystalFragment(
         cartan=cartan,
         elements=reachable_elements(cartan, depth, pattern),
         wt=lambda x: weight(cartan, x),
-        epsilon=lambda x, i: walk(x, i)[0],
-        apply_e=lambda x, i: apply_op(cartan, x, "e", i, walk(x, i)),
-        apply_f=lambda x, i: apply_op(cartan, x, "f", i, walk(x, i)),
+        local=lambda x, i: local(cartan, x, i),
     )

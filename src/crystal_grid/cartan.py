@@ -4,9 +4,10 @@ A crystal here is a set with a weight map into the root lattice, integer
 statistics epsilon_i, and partial raising / lowering operators, subject to
 the usual five axioms.  phi_i is not a map of its own: the first axiom is
 its definition, phi_i = epsilon_i + <h_i, wt> with the pairing read off the
-Cartan matrix by ``pairing``.  Checks run on finite enumerated fragments;
-applications that leave the fragment's weight bound are treated as
-unknown, not as violations.
+Cartan matrix by ``pairing``.  Checks run on finite enumerated fragments,
+each of which gives its statistic and operators at one color through one
+local map, b, i -> (epsilon_i(b), e_i b, f_i b); an image that lies outside
+the fragment is checked too, through its own triple.
 """
 
 from __future__ import annotations
@@ -102,19 +103,17 @@ NEG_INFINITY = float("-inf")
 class CrystalFragment:
     """A finite enumerated piece of a crystal together with its maps.
 
-    The elements are distinct and hashable.  The maps are functions (the
-    same arguments give the same value) and total on the fragment; any
-    exception a map raises propagates out of the checker.  The axiom
-    checker applies each map once per element and color and reads an image
-    that lies inside the fragment back from that element's own row.
+    The elements are distinct and hashable.  ``wt(b)`` is the weight and
+    ``local(b, i)`` the triple (epsilon_i(b), e_i b, f_i b), None for an
+    operator that vanishes.  Both are functions (the same arguments give the
+    same value), total on the fragment and on the images of its operators;
+    any exception they raise propagates out of the checker.
     """
 
     cartan: CartanMatrix
     elements: tuple
     wt: object
-    epsilon: object
-    apply_e: object
-    apply_f: object
+    local: object
 
     @property
     def colors(self):
@@ -149,25 +148,24 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
     Violations are reported as (axiom number, element, color, message), in
     the order of the elements, then the colors, then the clauses.
 
-    wt is applied once per element, and epsilon, apply_e and apply_f once
-    per element and color.  Per color, a first sweep records epsilon and the
-    positions of e_i b and f_i b in rows of ints; an image outside the
-    fragment is checked there with direct calls.  A second sweep checks the
-    images inside the fragment from the rows, so f_i e_i b = b reads
-    down[up[n]] == n.
+    wt is applied once per element and local once per element and color,
+    and both once more per image outside the fragment.  Per color, a first
+    sweep records epsilon and the positions of e_i b and f_i b in rows of
+    ints; an image outside the fragment is checked there against its own
+    triple.  A second sweep checks the images inside the fragment from the
+    rows, so f_i e_i b = b reads down[up[n]] == n.
     """
     elements = frag.elements
     index = {b: n for n, b in enumerate(elements)}
     if len(index) != len(elements):
         raise ValueError("fragment elements must be distinct")
-    wt, epsilon, apply_e, apply_f = frag.wt, frag.epsilon, frag.apply_e, frag.apply_f
+    wt, local = frag.wt, frag.local
     weights = [wt(b) for b in elements]
     bad = []    # ((element position, color position, clause slot), violation)
     for p, i in enumerate(frag.colors):
         eps_row, up_row, down_row = [], [], []
         for n, b in enumerate(elements):
-            eps = epsilon(b, i)
-            up = apply_e(b, i)
+            eps, up, down = local(b, i)
             if up is None:
                 m = _NONE
             else:
@@ -176,14 +174,13 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
                     if wt(up) != _alpha_step(weights[n], p, +1):
                         bad.append(((n, p, 0),
                                     (2, b, i, "weight of raised element is not wt+alpha_i")))
-                    seen = epsilon(up, i)
+                    seen, _, lowered = local(up, i)
                     if seen != eps - 1:
                         bad.append(((n, p, 1),
                                     (2, b, i, f"epsilon {seen} != {eps} - 1 after raising")))
-                    if apply_f(up, i) != b:
+                    if lowered != b:
                         bad.append(((n, p, 2), (4, b, i, "lowering does not invert raising")))
             up_row.append(m)
-            down = apply_f(b, i)
             if down is None:
                 m = _NONE
             else:
@@ -192,11 +189,11 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
                     if wt(down) != _alpha_step(weights[n], p, -1):
                         bad.append(((n, p, 3),
                                     (3, b, i, "weight of lowered element is not wt-alpha_i")))
-                    seen = epsilon(down, i)
+                    seen, raised, _ = local(down, i)
                     if seen != eps + 1:
                         bad.append(((n, p, 4),
                                     (3, b, i, f"epsilon {seen} != {eps} + 1 after lowering")))
-                    if apply_e(down, i) != b:
+                    if raised != b:
                         bad.append(((n, p, 5), (4, b, i, "raising does not invert lowering")))
             down_row.append(m)
             eps_row.append(eps)

@@ -462,7 +462,5 @@ def fragment(bound: int, star: bool = False) -> CrystalFragment:
         cartan=CARTAN,
         elements=tuple(iter_components(bound)),
         wt=weight,
-        epsilon=eps,
-        apply_e=up,
-        apply_f=down,
+        local=lambda c, i: (eps(c, i), up(c, i), down(c, i)),
     )

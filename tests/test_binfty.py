@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 import re
@@ -197,80 +196,6 @@ def test_ambient_axioms_on_reachable_set():
     assert len(frag.elements) > 500
 
 
-def _direct_fragment(depth, pattern):
-    """binfty.fragment's elements with maps that call the module functions,
-    so each map makes its own support walk."""
-    frag = binfty.fragment(depth, pattern)
-    a = frag.cartan
-    return dataclasses.replace(
-        frag,
-        epsilon=lambda x, i: binfty.epsilon(a, x, i),
-        apply_e=lambda x, i: binfty.apply_op(a, x, "e", i),
-        apply_f=lambda x, i: binfty.apply_op(a, x, "f", i))
-
-
-def _logged(frag, log):
-    """frag with each map call and its outcome appended to log."""
-    def wrap(name, fn):
-        def logged(*args):
-            outcome = _outcome(fn, *args)
-            log.append((name, args, outcome))
-            if isinstance(outcome, type):
-                fn(*args)   # raises that error again
-            return outcome
-        return logged
-    return dataclasses.replace(frag, **{name: wrap(name, getattr(frag, name))
-                                        for name in ("wt", "epsilon", "apply_e", "apply_f")})
-
-
-@pytest.mark.parametrize("colors, length", [
-    ((1, 2, 3, 4), 40), ((1, 2, 3, 4), 80), ((4, 3, 2, 1), 40), ((4, 3, 2, 1), 80),
-])
-def test_shared_walk_gives_the_checker_the_same_answers(colors, length):
-    pattern = IotaPattern(colors, length)
-    shared, direct = binfty.fragment(6, pattern), _direct_fragment(6, pattern)
-    assert shared.elements == direct.elements and len(shared.elements) == 971
-    shared_log, direct_log = [], []
-    report = cartan.check_crystal_axioms(_logged(shared, shared_log))
-    assert report == cartan.check_crystal_axioms(_logged(direct, direct_log))
-    assert report.ok
-    # Every call the checker made, in order, got the same answer from both.
-    assert shared_log == direct_log
-
-
-def test_fragment_maps_agree_with_direct_calls_in_any_order():
-    frag = binfty.fragment(3)
-    pool = list(frag.elements[1:40])
-    pool.append(ZSequence(pool[-1].pattern, pool[-1].support))   # equal value, other object
-    pool.append(seq(IotaPattern((1, 2, 3, 4), 12), {8: 1}))    # e_4 picks a zero entry
-    pool.append(seq(IotaPattern((4, 3, 2, 1), 8), {1: 1, 2: 1, 30: 1}))  # support past the length
-    maps = {"epsilon": (frag.epsilon, lambda x, i: binfty.epsilon(A22, x, i)),
-            "e": (frag.apply_e, lambda x, i: binfty.apply_op(A22, x, "e", i)),
-            "f": (frag.apply_f, lambda x, i: binfty.apply_op(A22, x, "f", i))}
-    rng = random.Random(5)
-    calls = [(name, x, i) for name in maps for x in pool for i in (1, 2, 3, 4)]
-    # Repeats of one element across colors and of one color across elements.
-    calls += [(name, pool[0], i) for i in (1, 2, 3, 4, 4, 3) for name in ("f", "epsilon")]
-    calls += [(name, x, 2) for x in pool for name in ("e", "f")]
-    calls += [rng.choice(calls) for _ in range(2000)]
-    rng.shuffle(calls)
-    seen = set()
-    for name, x, i in calls:
-        mapped, direct = maps[name]
-        expected = _raised(direct, x, i)
-        assert _raised(mapped, x, i) == expected, (name, x, i)
-        seen.add(expected[0] if type(expected) is tuple else type(expected))
-    assert seen == {int, type(None), ZSequence, ValueError}
-
-
-def _raised(op, *args):
-    """op(*args), or (type, message) of the error it raises."""
-    try:
-        return op(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def test_checker_walks_once_per_element_and_color(monkeypatch):
     frag = binfty.fragment(6)
     walks = 0
@@ -284,8 +209,8 @@ def test_checker_walks_once_per_element_and_color(monkeypatch):
     monkeypatch.setattr(binfty, "extremes", counted)
     assert cartan.check_crystal_axioms(frag).ok
     # 971 elements x 4 colors = 3,884 walks, plus one per image outside the
-    # fragment (each read by epsilon and one operator); 16,132 when each map
-    # walked on its own.
+    # fragment (its triple gives epsilon and the inverse image); 16,132 when
+    # epsilon, e and f each walked on their own.
     assert walks == 6124
 
 
@@ -422,6 +347,17 @@ def _model_steps(a, x, i):
         ZSequence(*y)   # the factory's result passes the public constructor's checks
         return y.entries()
     return binfty.epsilon(a, x, i), image("e"), image("f")
+
+
+@pytest.mark.parametrize("colors", [(1, 2, 3, 4), (4, 3, 2, 1)])
+def test_local_gives_epsilon_e_and_f_of_one_walk(colors):
+    frag = binfty.fragment(8, IotaPattern(colors, 40))
+    assert len(frag.elements) == 4645
+    for x in frag.elements:
+        for i in (1, 2, 3, 4):
+            assert binfty.local(A22, x, i) == (binfty.epsilon(A22, x, i),
+                                               binfty.apply_op(A22, x, "e", i),
+                                               binfty.apply_op(A22, x, "f", i))
 
 
 @pytest.mark.parametrize("colors", [(1, 2, 3, 4), (4, 3, 2, 1)])

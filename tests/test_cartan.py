@@ -1,5 +1,5 @@
+import dataclasses
 import json
-from dataclasses import fields
 from math import inf
 from types import SimpleNamespace
 
@@ -85,16 +85,23 @@ def test_axiom_check_clean_fragments():
     assert cartan.check_crystal_axioms(an.fragment(3, 6)).ok
 
 
+def _fragment(cartan, elements, wt, epsilon, apply_e, apply_f):
+    """A fragment whose local map joins the three named maps."""
+    return CrystalFragment(cartan, elements, wt,
+                           lambda b, i: (epsilon(b, i), apply_e(b, i), apply_f(b, i)))
+
+
+def _maps(frag):
+    """The fields _fragment takes, with epsilon, apply_e and apply_f read from local."""
+    local = frag.local
+    return dict(cartan=frag.cartan, elements=frag.elements, wt=frag.wt,
+                epsilon=lambda b, i: local(b, i)[0], apply_e=lambda b, i: local(b, i)[1],
+                apply_f=lambda b, i: local(b, i)[2])
+
+
 def _corrupted_epsilon_fragment(point=(1, 1)):
-    base = an.fragment(2, 4)
-    return CrystalFragment(
-        cartan=base.cartan,
-        elements=base.elements,
-        wt=base.wt,
-        epsilon=lambda b, i: base.epsilon(b, i) + (b == point),
-        apply_e=base.apply_e,
-        apply_f=base.apply_f,
-    )
+    base = _maps(an.fragment(2, 4))
+    return _fragment(**{**base, "epsilon": lambda b, i: base["epsilon"](b, i) + (b == point)})
 
 
 def test_axiom_check_flags_corrupted_epsilon():
@@ -154,17 +161,13 @@ _CLEAN = dict(
 
 
 def _b_infinity(**maps):
-    return CrystalFragment(cartan=RANK1, elements=(1,), **{**_CLEAN, **maps})
+    return _fragment(cartan=RANK1, elements=(1,), **{**_CLEAN, **maps})
 
 
 def _at(name, point, value):
     """The clean map `name`, changed to return value at one point."""
     base = _CLEAN[name]
     return lambda n, *i: value if n == point else base(n, *i)
-
-
-def _fields(frag):
-    return {f.name: getattr(frag, f.name) for f in fields(frag)}
 
 
 def test_clause_fragments_clean_control():
@@ -231,16 +234,19 @@ def test_morphism_check_flags_exactly_the_broken_clause(capsys, monkeypatch, nam
 
 
 # --- the retired checkers, with phi as a map of the fragment ---------------------
-# Both checkers as they were while fragments declared phi, kept verbatim as the
-# reference for the checkers that derive it.  They read frag.phi, which
-# _with_phi supplies as epsilon + <h_i, wt>; no clause the retired checkers
-# held can then tell the two apart.
+# Both checkers as they were while fragments declared phi and three separate
+# maps, kept verbatim as the reference for the checker that derives phi and
+# reads one local map.  They read the split maps of _split, and frag.phi,
+# which _split supplies as epsilon + <h_i, wt>; no clause the retired
+# checkers held can then tell the two apart.
 
 
-def _with_phi(frag):
+def _split(frag):
+    maps = _maps(frag)
+
     def phi(b, i):
-        return frag.epsilon(b, i) + pairing(frag.cartan, i, frag.wt(b))
-    return SimpleNamespace(**_fields(frag), colors=frag.colors, phi=phi)
+        return maps["epsilon"](b, i) + pairing(frag.cartan, i, frag.wt(b))
+    return SimpleNamespace(**maps, colors=frag.colors, phi=phi)
 
 
 def _alpha_step(cartan, i, coeffs, sign):
@@ -288,8 +294,9 @@ def _retired_check_crystal_axioms(frag) -> CheckReport:
 
 def _same_axiom_verdict(frag):
     new = cartan.check_crystal_axioms(frag)
-    old = _retired_check_crystal_axioms(_with_phi(frag))
-    assert new.violations == _per_element_check_crystal_axioms(frag).violations
+    split = _split(frag)
+    old = _retired_check_crystal_axioms(split)
+    assert new.violations == _per_element_check_crystal_axioms(split).violations
     assert new.ok == old.ok
     if old.ok:
         assert new.violations == old.violations == ()
@@ -323,12 +330,13 @@ def test_corrupted_epsilon_has_the_retired_verdict():
 # --- the per-element checker, as the oracle of the table path ---------------------
 # The checker as it was before it read images inside the fragment back from
 # its rows, kept verbatim: it calls wt, epsilon and the inverse operator
-# again on every image.  Both must report the same violations, in the same
-# order, also where an image lies inside the fragment; _same_axiom_verdict
-# asserts that on every fragment it meets as well.
+# again on every image, reading the split maps of _split.  Both must report
+# the same violations, in the same order, also where an image lies inside
+# the fragment; _same_axiom_verdict asserts that on every fragment it meets
+# as well.
 
 
-def _per_element_check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
+def _per_element_check_crystal_axioms(frag) -> CheckReport:
     """Exhaustively test the crystal axioms on a fragment.
 
     Axiom 1 defines phi_i = epsilon_i + <h_i, wt>, so no phi clause is
@@ -365,13 +373,13 @@ def _per_element_check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
 
 def _same_violations(frag):
     new = cartan.check_crystal_axioms(frag)
-    assert new.violations == _per_element_check_crystal_axioms(frag).violations
+    assert new.violations == _per_element_check_crystal_axioms(_split(frag)).violations
     return new.violations
 
 
 def _chain(**maps):
     """The sl2 fragment on 0, 1, 2: every image of 1 lies inside it."""
-    return CrystalFragment(cartan=RANK1, elements=(0, 1, 2), **{**_CLEAN, **maps})
+    return _fragment(cartan=RANK1, elements=(0, 1, 2), **{**_CLEAN, **maps})
 
 
 # One point changed per map, with any changed image inside the fragment.
@@ -401,13 +409,13 @@ def test_chain_corruptions_have_the_per_element_violations(maps):
 
 # A component of g22.fragment(4) all of whose raised and lowered images lie
 # inside the fragment; each corruption changes one map at it.
-_G22 = g22.fragment(4)
+_G22 = _maps(g22.fragment(4))
 _INTERIOR = g22.Component((1, 1, 0, 1), (1, 0))
 _ELSEWHERE = g22.Component((0, 1, 0, 1), (0, 1))
 
 
 def _g22_at(name, value):
-    clean = getattr(_G22, name)
+    clean = _G22[name]
     return {name: lambda c, *i: value(c, *i) if c == _INTERIOR else clean(c, *i)}
 
 
@@ -422,11 +430,11 @@ G22_CORRUPTIONS = {
 @pytest.mark.parametrize("maps", [pytest.param(maps, id=name)
                                   for name, maps in G22_CORRUPTIONS.items()])
 def test_g22_corruptions_have_the_per_element_violations(maps):
-    assert _INTERIOR in _G22.elements and _ELSEWHERE in _G22.elements
+    assert _INTERIOR in _G22["elements"] and _ELSEWHERE in _G22["elements"]
     for i in g22.COLORS:
         for step in (g22.apply_e, g22.apply_f):
-            assert step(_INTERIOR, i) is None or step(_INTERIOR, i) in _G22.elements
-    violations = _same_violations(CrystalFragment(**{**_fields(_G22), **maps}))
+            assert step(_INTERIOR, i) is None or step(_INTERIOR, i) in _G22["elements"]
+    violations = _same_violations(_fragment(**{**_G22, **maps}))
     assert {b for _, b, _, _ in violations} >= {_INTERIOR}
 
 
@@ -436,11 +444,38 @@ def test_an_exception_in_a_map_propagates():
             raise RuntimeError("lowering 1 fails")
         return n + 1
 
-    for check in (cartan.check_crystal_axioms, _per_element_check_crystal_axioms):
+    frag = _chain(apply_f=apply_f)
+    for check, arg in ((cartan.check_crystal_axioms, frag),
+                       (_per_element_check_crystal_axioms, _split(frag))):
         with pytest.raises(RuntimeError, match="lowering 1 fails"):
-            check(_chain(apply_f=apply_f))
+            check(arg)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: g22.fragment(6), lambda: an.fragment(3, 6), lambda: binfty.fragment(6),
+], ids=["g22", "A3", "binfty"])
+def test_checker_calls_each_map_once_per_element_color_and_outside_image(build):
+    frag = build()
+    members = set(frag.elements)
+    outside = sum(y is not None and y not in members
+                  for b in frag.elements for i in frag.colors for y in frag.local(b, i)[1:])
+    assert outside > 0
+    calls = {"wt": 0, "local": 0}
+
+    def counted(name):
+        fn = getattr(frag, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    assert cartan.check_crystal_axioms(
+        dataclasses.replace(frag, wt=counted("wt"), local=counted("local"))).ok
+    assert calls == {"wt": len(frag.elements) + outside,
+                     "local": len(frag.elements) * len(frag.colors) + outside}
 
 
 def test_repeated_elements_are_refused():
     with pytest.raises(ValueError, match="fragment elements must be distinct"):
-        cartan.check_crystal_axioms(CrystalFragment(**{**_fields(_chain()), "elements": (0, 1, 1)}))
+        cartan.check_crystal_axioms(dataclasses.replace(_chain(), elements=(0, 1, 1)))
