@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import re
@@ -194,6 +195,72 @@ def test_ambient_axioms_on_reachable_set():
     report = cartan.check_crystal_axioms(frag)
     assert report.ok
     assert len(frag.elements) > 500
+
+
+def _direct_local(a):
+    """The triple binfty.local gives, with each part from its own support walk."""
+    return lambda x, i: (binfty.epsilon(a, x, i), binfty.apply_op(a, x, "e", i),
+                         binfty.apply_op(a, x, "f", i))
+
+
+def _logged(frag, log):
+    """frag with each map call and its outcome appended to log."""
+    def wrap(name, fn):
+        def logged(*args):
+            outcome = _outcome(fn, *args)
+            log.append((name, args, outcome))
+            if isinstance(outcome, type):
+                fn(*args)   # raises that error again
+            return outcome
+        return logged
+    return dataclasses.replace(frag, **{name: wrap(name, getattr(frag, name))
+                                        for name in ("wt", "local")})
+
+
+@pytest.mark.parametrize("colors, length", [
+    ((1, 2, 3, 4), 40), ((1, 2, 3, 4), 80), ((4, 3, 2, 1), 40), ((4, 3, 2, 1), 80),
+])
+def test_shared_walk_gives_the_checker_the_same_answers(colors, length):
+    pattern = IotaPattern(colors, length)
+    shared = binfty.fragment(6, pattern)
+    direct = dataclasses.replace(shared, local=_direct_local(shared.cartan))
+    assert len(shared.elements) == 971
+    shared_log, direct_log = [], []
+    report = cartan.check_crystal_axioms(_logged(shared, shared_log))
+    assert report == cartan.check_crystal_axioms(_logged(direct, direct_log))
+    assert report.ok
+    # Every call the checker made, in order, got the same answer from both.
+    assert shared_log == direct_log
+
+
+def test_fragment_maps_agree_with_direct_calls_in_any_order():
+    frag = binfty.fragment(3)
+    pool = list(frag.elements[1:40])
+    pool.append(ZSequence(pool[-1].pattern, pool[-1].support))   # equal value, other object
+    pool.append(seq(IotaPattern((1, 2, 3, 4), 12), {8: 1}))    # e_4 picks a zero entry
+    pool.append(seq(IotaPattern((4, 3, 2, 1), 8), {1: 1, 2: 1, 30: 1}))  # support past the length
+    direct = _direct_local(A22)
+    rng = random.Random(5)
+    calls = [(slot, x, i) for slot in (0, 1, 2) for x in pool for i in (1, 2, 3, 4)]
+    # Repeats of one element across colors and of one color across elements.
+    calls += [(slot, pool[0], i) for i in (1, 2, 3, 4, 4, 3) for slot in (2, 0)]
+    calls += [(slot, x, 2) for x in pool for slot in (1, 2)]
+    calls += [rng.choice(calls) for _ in range(2000)]
+    rng.shuffle(calls)
+    seen = set()
+    for slot, x, i in calls:
+        expected = _raised(lambda: direct(x, i)[slot])
+        assert _raised(lambda: frag.local(x, i)[slot]) == expected, (slot, x, i)
+        seen.add(expected[0] if type(expected) is tuple else type(expected))
+    assert seen == {int, type(None), ZSequence, ValueError}
+
+
+def _raised(op, *args):
+    """op(*args), or (type, message) of the error it raises."""
+    try:
+        return op(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def test_checker_walks_once_per_element_and_color(monkeypatch):
