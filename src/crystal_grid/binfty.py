@@ -25,30 +25,32 @@ checkers derive it as epsilon_i + <h_i, wt(x)>.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
 from .cartan import CartanMatrix, CrystalFragment
 from .g22 import CARTAN as G22_CARTAN
+from .values import Frozen
 
 DEFAULT_PATTERN = (1, 2, 3, 4)
 DEFAULT_LENGTH = 40
 
 
-@dataclass(frozen=True)
-class IotaPattern:
+class IotaPattern(Frozen):
     """Periodic color word.
 
     ``length`` must be at least two periods, but it is inert: it takes no
     part in equality or hashing, and it changes no element, statistic or
-    step, because the model stores only supports.
+    step, because the model stores only supports.  The hash is computed
+    once, since every ``ZSequence`` hash takes it.
     """
 
-    colors: tuple
-    length: int = field(compare=False)
+    __slots__ = ("colors", "length", "_offsets", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, colors: tuple, length: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "colors", colors)
+        setattr_(self, "length", length)
         if not isinstance(self.colors, tuple):
             raise ValueError(f"color pattern must be a tuple, got a {type(self.colors).__name__}")
         if not self.colors:
@@ -68,7 +70,14 @@ class IotaPattern:
             behind = tuple(next(d for d in range(n) if self.colors[(r - d) % n] == c)
                            for r in range(n))
             offsets[c] = (ahead, behind)
-        object.__setattr__(self, "_offsets", offsets)
+        setattr_(self, "_offsets", offsets)
+        setattr_(self, "_hash", hash(colors))
+
+    def __eq__(self, other):
+        return self.colors == other.colors if type(other) is IotaPattern else NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def offsets(self, i):
         """(ahead, behind) slot offsets of color i; ValueError if the pattern lacks it."""

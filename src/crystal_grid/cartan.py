@@ -12,18 +12,20 @@ the fragment is checked too, through its own triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, mul
 
+from .values import Frozen, Record
 
-@dataclass(frozen=True)
-class CartanMatrix:
+
+class CartanMatrix(Frozen):
     """Generalized Cartan matrix over an ordered index set."""
 
-    index_set: tuple
-    entries: tuple
+    __slots__ = ("index_set", "entries", "_position", "_pattern_rows")
 
-    def __post_init__(self):
+    def __init__(self, index_set: tuple, entries: tuple):
+        setattr_ = object.__setattr__
+        setattr_(self, "index_set", index_set)
+        setattr_(self, "entries", entries)
         n = len(self.index_set)
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("entries must be square over the index set")
@@ -37,9 +39,9 @@ class CartanMatrix:
                     if (self.entries[i][j] != 0) != (self.entries[j][i] != 0):
                         raise ValueError("zero pattern must be symmetric")
         # Built once: the axiom checker reads a position per element and color.
-        object.__setattr__(self, "_position", {v: k for k, v in enumerate(self.index_set)})
+        setattr_(self, "_position", {v: k for k, v in enumerate(self.index_set)})
         # Filled once per color pattern by pattern_rows.
-        object.__setattr__(self, "_pattern_rows", {})
+        setattr_(self, "_pattern_rows", {})
 
     def position(self, i) -> int:
         try:
@@ -99,8 +101,7 @@ def pairing(cartan: CartanMatrix, i, coeffs) -> int:
 NEG_INFINITY = float("-inf")
 
 
-@dataclass(frozen=True)
-class CrystalFragment:
+class CrystalFragment(Record):
     """A finite enumerated piece of a crystal together with its maps.
 
     The elements are distinct and hashable.  ``wt(b)`` is the weight and
@@ -110,19 +111,21 @@ class CrystalFragment:
     any exception they raise propagates out of the checker.
     """
 
-    cartan: CartanMatrix
-    elements: tuple
-    wt: object
-    local: object
+    __slots__ = ()
+
+    def __new__(cls, cartan: CartanMatrix, elements: tuple, wt, local):
+        return tuple.__new__(cls, (cartan, elements, wt, local))
 
     @property
     def colors(self):
         return self.cartan.index_set
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    violations: tuple
+class CheckReport(Record):
+    __slots__ = ()
+
+    def __new__(cls, violations: tuple):
+        return tuple.__new__(cls, (violations,))
 
     @property
     def ok(self) -> bool:

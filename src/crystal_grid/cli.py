@@ -9,7 +9,6 @@ samples, so any run can be reproduced byte for byte.  Exit codes: 0 clean,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import random
@@ -238,7 +237,7 @@ def cmd_binfty_compare(args) -> int:
 # Each suite's parameter names, which are also the names of its options.
 # Read once, at import, so a wrapper put around a suite later (a profiler,
 # say) does not hide them.
-_SUITE_PARAMETERS = {name: tuple(inspect.signature(suite).parameters)
+_SUITE_PARAMETERS = {name: suite.__code__.co_varnames[:suite.__code__.co_argcount]
                      for name, suite in suites.SUITES.items()}
 
 

@@ -35,10 +35,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from math import inf as INFINITY
-from operator import itemgetter
 
 from .cartan import CrystalFragment, cartan_from_quiver
 from .grid import build_grid
+from .values import Record
 
 QUIVER = build_grid((2, 2))
 
@@ -69,7 +69,7 @@ def ranks_valid(dims, ranks) -> bool:
     return r1 == d1 and r2 == d4
 
 
-class Component(tuple):
+class Component(Record):
     """An irreducible component (dims; r1, r2), with dims and ranks int tuples.
 
     Stored as the tuple (dims, ranks), so an operator result costs one tuple
@@ -90,23 +90,6 @@ class Component(tuple):
         if not ranks_valid(dims, ranks):
             raise InvalidComponentError(f"{format_component_data(dims, ranks)} is not a component")
         return tuple.__new__(cls, (dims, ranks))
-
-    dims = property(itemgetter(0))
-    ranks = property(itemgetter(1))
-
-    def __eq__(self, other):
-        return type(other) is Component and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return type(other) is not Component or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Component(dims={self[0]!r}, ranks={self[1]!r})"
 
 
 ZERO_COMPONENT = Component((0, 0, 0, 0), (0, 0))

@@ -11,15 +11,19 @@ crystals their Cartan matrices; a point of the 2x2 grid is a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .values import Record
 
 
-@dataclass(frozen=True)
-class GridQuiver:
-    shape: tuple
-    vertices: tuple        # coordinate tuples, lexicographically sorted
-    arrows: tuple          # (source, target) pairs, sorted
-    relations: tuple       # pairs of parallel length-2 paths; a path is (arrow, arrow)
+class GridQuiver(Record):
+    """The box's extents; its vertices, coordinate tuples in lexicographic
+    order; its arrows, sorted (source, target) pairs; and its relations,
+    pairs of parallel length-2 paths, a path being (arrow, arrow)."""
+
+    __slots__ = ()
+
+    def __new__(cls, shape: tuple, vertices: tuple, arrows: tuple, relations: tuple):
+        return tuple.__new__(cls, (shape, vertices, arrows, relations))
 
 
 def build_grid(shape) -> GridQuiver:

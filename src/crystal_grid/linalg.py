@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 from operator import mul as _mul
+
+from .values import Record
 
 
 def is_prime(n: int) -> bool:
@@ -198,7 +199,7 @@ class RationalField:
 QQ = RationalField()
 
 
-class Mat(tuple):
+class Mat(Record):
     """Immutable matrix with explicit shape; rows is a tuple of row tuples.
 
     Stored as the tuple (nrows, ncols, rows), so building one costs a
@@ -215,24 +216,6 @@ class Mat(tuple):
             if len(r) != ncols:
                 raise ValueError("column count mismatch")
         return tuple.__new__(cls, (nrows, ncols, rows))
-
-    nrows = property(itemgetter(0))
-    ncols = property(itemgetter(1))
-    rows = property(itemgetter(2))
-
-    def __eq__(self, other):
-        return type(other) is Mat and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Mat(nrows={self[0]!r}, ncols={self[1]!r}, rows={self[2]!r})"
 
 
 def mat(rows, ncols=None) -> Mat:

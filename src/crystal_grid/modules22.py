@@ -18,7 +18,6 @@ corners that generate the summands; Ext is its cohomology and Hom its Ext^0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
 
@@ -26,6 +25,7 @@ from . import linalg
 from .g22 import Component
 from .linalg import QQ
 from .reps import ARROWS, Representation, direct_sum
+from .values import Record
 
 INTERVAL_DIMS = {
     1: (1, 0, 0, 0),
@@ -89,8 +89,7 @@ def multiset_rep(ms: dict) -> Representation:
 # Projective resolutions, Hom and Ext
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(Record):
     """A projective resolution ... -> P_1 -> P_0 -> M_k -> 0 of a catalog module.
 
     ``stages[n]`` lists the interval summands of P_n.  ``diffs[n]`` is the
@@ -99,8 +98,10 @@ class Resolution:
     ``diffs[0]`` is the augmentation.
     """
 
-    stages: tuple
-    diffs: tuple
+    __slots__ = ()
+
+    def __new__(cls, stages: tuple, diffs: tuple):
+        return tuple.__new__(cls, (stages, diffs))
 
 
 _RESOLUTIONS = {
@@ -220,9 +221,8 @@ def cbs_check(ms: dict) -> bool:
 # Generic decompositions
 
 
-def generic_decomposition(c: Component) -> dict:
-    """Multiplicities of the interval summands of the general representation
-    in a component, read off its generic rank profile by the certificate.
+def generic_profile(c: Component) -> RankProfile:
+    """The rank profile of the general representation in a component.
 
     Generically each arrow out of vertex 1 has rank min(d_i, r1) and each
     arrow into vertex 4 rank min(d_i, r2).  The image U of the source map
@@ -232,7 +232,7 @@ def generic_decomposition(c: Component) -> dict:
     """
     _, d2, d3, _ = c.dims
     r1, r2 = c.ranks
-    profile = RankProfile(
+    return RankProfile(
         dims=c.dims,
         r12=min(d2, r1),
         r13=min(d3, r1),
@@ -242,29 +242,31 @@ def generic_decomposition(c: Component) -> dict:
         sink_rank=r2,
         diag_rank=min(min(r1, d2) - max(0, r1 - d3), r2),
     )
-    return multiplicities_from_profile(profile)
+
+
+def generic_decomposition(c: Component) -> dict:
+    """Multiplicities of the interval summands of the general representation
+    in a component, read off its generic rank profile by the certificate."""
+    return multiplicities_from_profile(generic_profile(c))
 
 
 # ---------------------------------------------------------------------------
 # Rank profiles and the decomposition certificate
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Rank data separating the direct-sum classes of 2x2-grid representations."""
+class RankProfile(Record):
+    """Rank data separating the direct-sum classes of 2x2-grid representations:
+    the four arrows' ranks, then those of the stacked map out of vertex 1, of
+    the stacked map into vertex 4 and of the composite 1 -> 4."""
 
-    dims: tuple
-    r12: int
-    r13: int
-    r24: int
-    r34: int
-    source_rank: int    # rank of the stacked map out of vertex 1
-    sink_rank: int      # rank of the stacked map into vertex 4
-    diag_rank: int      # rank of the composite vertex 1 -> 4
+    __slots__ = ()
+
+    def __new__(cls, dims: tuple, r12: int, r13: int, r24: int, r34: int,
+                source_rank: int, sink_rank: int, diag_rank: int):
+        return tuple.__new__(cls, (dims, r12, r13, r24, r34, source_rank, sink_rank, diag_rank))
 
     def as_vector(self):
-        return self.dims + (self.r12, self.r13, self.r24, self.r34,
-                            self.source_rank, self.sink_rank, self.diag_rank)
+        return self[0] + self[1:]
 
 
 def rank_profile(rep: Representation) -> RankProfile:

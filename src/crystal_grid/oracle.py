@@ -26,29 +26,30 @@ eight.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import linalg, modules22
 from .g22 import Component
 from .linalg import Mat, PrimeField
 from .reps import Representation
+from .values import Frozen
 
 DEFAULT_PRIME = 32003
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    prime: int = DEFAULT_PRIME
-    count: int = 50
-    seed: int = 0
+class SampleConfig(Frozen):
+    __slots__ = ("prime", "count", "seed", "_field")
 
-    def __post_init__(self):
+    def __init__(self, prime: int = DEFAULT_PRIME, count: int = 50, seed: int = 0):
+        setattr_ = object.__setattr__
+        setattr_(self, "prime", prime)
+        setattr_(self, "count", count)
+        setattr_(self, "seed", seed)
         if self.prime < 101:
             raise ValueError("prime must be a prime >= 101")
         if self.count < 1:
             raise ValueError("sample count must be positive")
         # Built once: PrimeField rejects a composite by trial division.
-        object.__setattr__(self, "_field", PrimeField(self.prime))
+        setattr_(self, "_field", PrimeField(self.prime))
 
     def field(self) -> PrimeField:
         return self._field

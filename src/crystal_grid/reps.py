@@ -10,10 +10,9 @@ point can never be carried around, and keeps the composite it checked as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .linalg import Mat
+from .values import Frozen
 
 ARROWS = ((1, 2), (1, 3), (2, 4), (3, 4))
 
@@ -22,16 +21,17 @@ class CommutativityError(ValueError):
     """The square of the 2x2 grid fails to commute."""
 
 
-@dataclass(frozen=True)
-class Representation:
-    field: object
-    dims: tuple            # (d1, d2, d3, d4)
-    f12: Mat
-    f13: Mat
-    f24: Mat
-    f34: Mat
+class Representation(Frozen):
+    __slots__ = ("field", "dims", "f12", "f13", "f24", "f34", "f14")
 
-    def __post_init__(self):
+    def __init__(self, field, dims: tuple, f12: Mat, f13: Mat, f24: Mat, f34: Mat):
+        setattr_ = object.__setattr__
+        setattr_(self, "field", field)
+        setattr_(self, "dims", dims)   # (d1, d2, d3, d4)
+        setattr_(self, "f12", f12)
+        setattr_(self, "f13", f13)
+        setattr_(self, "f24", f24)
+        setattr_(self, "f34", f34)
         if len(self.dims) != 4 or any(d < 0 for d in self.dims):
             raise ValueError(f"expected four nonnegative dimensions, got {self.dims}")
         for (s, t), m in zip(ARROWS, self.maps):
@@ -41,7 +41,7 @@ class Representation:
         f14 = linalg.mul(self.field, self.f24, self.f12)
         if f14.rows != linalg.mul(self.field, self.f34, self.f13).rows:
             raise CommutativityError("the square f24·f12 = f34·f13 does not commute")
-        object.__setattr__(self, "f14", f14)
+        setattr_(self, "f14", f14)
 
     @property
     def maps(self) -> tuple:

@@ -218,10 +218,12 @@ def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAUL
 
 def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int = 0) -> dict:
     """Certified decomposition of a sampled point against the generic one; the
-    sampled profile's source and sink ranks are the point's rank-pair check."""
+    sampled profile's source and sink ranks are the point's rank-pair check.
+    ``multiplicities_from_profile`` checks that the generic decomposition's
+    profile is the generic profile, so the rank clause reads the latter."""
     def prepare(c):
-        expected = modules22.generic_decomposition(c)
-        profile = modules22.profile_of_multiset(expected)
+        profile = modules22.generic_profile(c)
+        expected = modules22.multiplicities_from_profile(profile)
         holds = (modules22.multiset_dims(expected) == c.dims
                  and (profile.source_rank, profile.sink_rank) == c.ranks
                  and modules22.cbs_check(expected))

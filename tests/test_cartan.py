@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from math import inf
 from types import SimpleNamespace
@@ -471,11 +470,12 @@ def test_checker_calls_each_map_once_per_element_color_and_outside_image(build):
         return call
 
     assert cartan.check_crystal_axioms(
-        dataclasses.replace(frag, wt=counted("wt"), local=counted("local"))).ok
+        CrystalFragment(frag.cartan, frag.elements, counted("wt"), counted("local"))).ok
     assert calls == {"wt": len(frag.elements) + outside,
                      "local": len(frag.elements) * len(frag.colors) + outside}
 
 
 def test_repeated_elements_are_refused():
+    chain = _chain()
     with pytest.raises(ValueError, match="fragment elements must be distinct"):
-        cartan.check_crystal_axioms(dataclasses.replace(_chain(), elements=(0, 1, 1)))
+        cartan.check_crystal_axioms(CrystalFragment(chain.cartan, (0, 1, 1), chain.wt, chain.local))

@@ -1,13 +1,14 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import shlex
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_grid import cli, g22, oracle, suites
+from crystal_grid import cli, g22, modules22, oracle, suites
 
 
 def run(capsys, *argv):
@@ -423,6 +424,27 @@ def test_sampling_retries_are_reported(capsys, monkeypatch, suite, options):
     assert code == 0
     assert json.loads(first)["retries"] == len(second_attempts) == 3
     assert run(capsys, *argv)[1] == first
+
+
+def test_verify_decomp_fails_on_corrupted_generic_rank_data(capsys, monkeypatch):
+    # Each component gets the generic profile of its rank pair swapped, where
+    # that pair is another component: the decomposition keeps the dims but
+    # not the source and sink ranks.
+    generic = modules22.generic_profile
+
+    def swapped(c):
+        r1, r2 = c.ranks
+        return generic(g22.Component(c.dims, (r2, r1)) if g22.ranks_valid(c.dims, (r2, r1))
+                       else c)
+
+    corrupted = [g22.format_component(c) for dims in itertools.product(range(3), repeat=4)
+                 for c in g22.enumerate_components(dims)
+                 if c.ranks[0] != c.ranks[1] and g22.ranks_valid(c.dims, c.ranks[::-1])]
+    monkeypatch.setattr(modules22, "generic_profile", swapped)
+    code, payload = run_json(capsys, "verify", "decomp", "--max-dim", "2", "--seed", "3")
+    assert code == 1 and payload["ok"] is False
+    assert payload["failure_count"] == len(corrupted) > 0
+    assert payload["failures"] == corrupted[:20]
 
 
 def test_grid_info(capsys):
