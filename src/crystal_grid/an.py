@@ -84,6 +84,8 @@ def weight(dims):
 
 def iter_dims(n: int, bound: int):
     """All dimension vectors of length n with total at most bound."""
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     for total in range(bound + 1):
         for cuts in itertools.combinations(range(total + n - 1), n - 1):
             prev = -1

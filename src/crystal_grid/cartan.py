@@ -137,8 +137,82 @@ def _alpha_step(coeffs, pos, sign):
 
 
 # Row entries that are not positions: the operator vanished, or its image
-# lies outside the fragment (checked at once, with direct calls).
+# lies outside the fragment (kept in the color's dict of such images).
 _NONE, _OUTSIDE = -1, -2
+
+
+def crystal_rows(frag: CrystalFragment):
+    """Yield (p, i, (eps, up, down, up_away, down_away)) per color, refilled
+    in place so that one color's rows are held at a time, from one local
+    call per element: eps[n] is epsilon_i of elements[n], up[n] and down[n]
+    the positions of e_i and f_i of it (or a sentinel), and up_away[n] or
+    down_away[n] that image when it lies outside the fragment."""
+    elements = frag.elements
+    if not elements:
+        raise ValueError("fragment has no elements")
+    index = {b: n for n, b in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("fragment elements must be distinct")
+    local = frag.local
+    rows = eps_row, up_row, down_row, up_away, down_away = [], [], [], {}, {}
+    for p, i in enumerate(frag.colors):
+        for part in rows:
+            part.clear()
+        for n, b in enumerate(elements):
+            eps, up, down = local(b, i)
+            eps_row.append(eps)
+            m = _NONE if up is None else index.get(up, _OUTSIDE)
+            if m == _OUTSIDE:
+                up_away[n] = up
+            up_row.append(m)
+            m = _NONE if down is None else index.get(down, _OUTSIDE)
+            if m == _OUTSIDE:
+                down_away[n] = down
+            down_row.append(m)
+        yield p, i, rows
+
+
+# Per direction: the sign of alpha_i, the inverse's slot in a local triple,
+# the first clause slot, the axiom of the weight and epsilon clauses, and
+# the three messages.
+_DIRECTIONS = (
+    (+1, 2, 0, 2, "weight of raised element is not wt+alpha_i", "- 1 after raising",
+     "lowering does not invert raising"),
+    (-1, 1, 3, 3, "weight of lowered element is not wt-alpha_i", "+ 1 after lowering",
+     "raising does not invert lowering"),
+)
+
+
+def check_color(frag: CrystalFragment, weights, p: int, i, rows, bad: list) -> None:
+    """Append to bad, keyed by (element position, p, clause slot), the
+    violations at color i in the rows of ``crystal_rows``, with weights[n] =
+    wt(elements[n]).  An image inside the fragment is read from the rows
+    (f_i e_i b = b is down[up[n]] == n), one outside from its own wt and local."""
+    elements, wt, local = frag.elements, frag.wt, frag.local
+    eps_row, up_row, down_row, up_away, down_away = rows
+    for row, away, back_row, (sign, back, slot, axiom, moved, shift, unmoved) in (
+            (up_row, up_away, down_row, _DIRECTIONS[0]),
+            (down_row, down_away, up_row, _DIRECTIONS[1])):
+        for n, m in enumerate(row):
+            if m == _NONE:
+                continue
+            if m >= 0:
+                weight, seen, strayed = weights[m], eps_row[m], back_row[m] != n
+            else:
+                image = away[n]
+                weight, triple = wt(image), local(image, i)
+                seen, strayed = triple[0], triple[back] != elements[n]
+            if weight != _alpha_step(weights[n], p, sign):
+                bad.append(((n, p, slot), (axiom, elements[n], i, moved)))
+            if seen != eps_row[n] - sign:
+                bad.append(((n, p, slot + 1), (axiom, elements[n], i,
+                                               f"epsilon {seen} != {eps_row[n]} {shift}")))
+            if strayed:
+                bad.append(((n, p, slot + 2), (4, elements[n], i, unmoved)))
+    for n, eps in enumerate(eps_row):
+        if eps == NEG_INFINITY and (up_row[n] != _NONE or down_row[n] != _NONE):
+            bad.append(((n, p, 6),
+                        (5, elements[n], i, "operators defined although epsilon is -infinity")))
 
 
 def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
@@ -149,80 +223,16 @@ def check_crystal_axioms(frag: CrystalFragment) -> CheckReport:
     exactly when epsilon_i drops by one, and lowering is the mirror case.
     Axiom 5 reads epsilon_i = -infinity, which is phi_i = -infinity.
     Violations are reported as (axiom number, element, color, message), in
-    the order of the elements, then the colors, then the clauses.
+    the order of the elements, then the colors, then the clauses.  A
+    fragment with no elements, or with repeated ones, is a ValueError.
 
     wt is applied once per element and local once per element and color,
-    and both once more per image outside the fragment.  Per color, a first
-    sweep records epsilon and the positions of e_i b and f_i b in rows of
-    ints; an image outside the fragment is checked there against its own
-    triple.  A second sweep checks the images inside the fragment from the
-    rows, so f_i e_i b = b reads down[up[n]] == n.
+    and both once more per image outside the fragment: the rows of
+    ``crystal_rows`` go through ``check_color`` one color at a time.
     """
-    elements = frag.elements
-    index = {b: n for n, b in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ValueError("fragment elements must be distinct")
-    wt, local = frag.wt, frag.local
-    weights = [wt(b) for b in elements]
+    weights = [frag.wt(b) for b in frag.elements]
     bad = []    # ((element position, color position, clause slot), violation)
-    for p, i in enumerate(frag.colors):
-        eps_row, up_row, down_row = [], [], []
-        for n, b in enumerate(elements):
-            eps, up, down = local(b, i)
-            if up is None:
-                m = _NONE
-            else:
-                m = index.get(up, _OUTSIDE)
-                if m == _OUTSIDE:
-                    if wt(up) != _alpha_step(weights[n], p, +1):
-                        bad.append(((n, p, 0),
-                                    (2, b, i, "weight of raised element is not wt+alpha_i")))
-                    seen, _, lowered = local(up, i)
-                    if seen != eps - 1:
-                        bad.append(((n, p, 1),
-                                    (2, b, i, f"epsilon {seen} != {eps} - 1 after raising")))
-                    if lowered != b:
-                        bad.append(((n, p, 2), (4, b, i, "lowering does not invert raising")))
-            up_row.append(m)
-            if down is None:
-                m = _NONE
-            else:
-                m = index.get(down, _OUTSIDE)
-                if m == _OUTSIDE:
-                    if wt(down) != _alpha_step(weights[n], p, -1):
-                        bad.append(((n, p, 3),
-                                    (3, b, i, "weight of lowered element is not wt-alpha_i")))
-                    seen, raised, _ = local(down, i)
-                    if seen != eps + 1:
-                        bad.append(((n, p, 4),
-                                    (3, b, i, f"epsilon {seen} != {eps} + 1 after lowering")))
-                    if raised != b:
-                        bad.append(((n, p, 5), (4, b, i, "raising does not invert lowering")))
-            down_row.append(m)
-            eps_row.append(eps)
-            if eps == NEG_INFINITY and (up is not None or down is not None):
-                bad.append(((n, p, 6),
-                            (5, b, i, "operators defined although epsilon is -infinity")))
-        for n, eps in enumerate(eps_row):
-            m = up_row[n]
-            if m >= 0:
-                if weights[m] != _alpha_step(weights[n], p, +1):
-                    bad.append(((n, p, 0),
-                                (2, elements[n], i, "weight of raised element is not wt+alpha_i")))
-                if eps_row[m] != eps - 1:
-                    bad.append(((n, p, 1), (2, elements[n], i,
-                                            f"epsilon {eps_row[m]} != {eps} - 1 after raising")))
-                if down_row[m] != n:
-                    bad.append(((n, p, 2), (4, elements[n], i, "lowering does not invert raising")))
-            m = down_row[n]
-            if m >= 0:
-                if weights[m] != _alpha_step(weights[n], p, -1):
-                    bad.append(((n, p, 3),
-                                (3, elements[n], i, "weight of lowered element is not wt-alpha_i")))
-                if eps_row[m] != eps + 1:
-                    bad.append(((n, p, 4), (3, elements[n], i,
-                                            f"epsilon {eps_row[m]} != {eps} + 1 after lowering")))
-                if up_row[m] != n:
-                    bad.append(((n, p, 5), (4, elements[n], i, "raising does not invert lowering")))
+    for p, i, rows in crystal_rows(frag):
+        check_color(frag, weights, p, i, rows, bad)
     bad.sort(key=itemgetter(0))
     return CheckReport(tuple(v for _, v in bad))

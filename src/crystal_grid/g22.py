@@ -130,6 +130,8 @@ def enumerate_components(dims):
 
 def iter_components(bound: int):
     """All components with total dimension at most bound, in graph order."""
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     for total in range(bound + 1):
         for d1, d2, d3 in itertools.product(range(total + 1), repeat=3):
             d4 = total - d1 - d2 - d3
@@ -172,13 +174,9 @@ def apply_e(c: Component, i: int):
     if i == 1:
         if lhs <= rhs:
             return _moved(dims, 1, -1, (r1 - 1, r2))
-        if d1 > r1:
-            return _moved(dims, 1, -1, (r1, r2))
-        return None
+        return _moved(dims, 1, -1, (r1, r2))
     if i == 4:
-        if d4 > r2:
-            return _moved(dims, 4, -1, (r1, r2))
-        return None
+        return _moved(dims, 4, -1, (r1, r2))
     if _middle_dim(dims, i) <= r1:
         return None
     if lhs < rhs:
@@ -214,15 +212,11 @@ def apply_e_star(c: Component, i: int):
     r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
-        if d1 > r1:
-            return _moved(dims, 1, -1, (r1, r2))
-        return None
+        return _moved(dims, 1, -1, (r1, r2))
     if i == 4:
         if lhs <= rhs:
             return _moved(dims, 4, -1, (r1, r2 - 1))
-        if d4 > r2:
-            return _moved(dims, 4, -1, (r1, r2))
-        return None
+        return _moved(dims, 4, -1, (r1, r2))
     if _middle_dim(dims, i) <= r2:
         return None
     if lhs < rhs:

@@ -28,6 +28,8 @@ def suite_axioms2x2(bound: int = 8) -> dict:
 
 
 def suite_axioms_an(max_n: int = 5, bound: int = 8) -> dict:
+    if max_n < 1:
+        raise ValueError(f"max_n {max_n} is below 1")
     detail = {}
     ok = True
     for n in range(1, max_n + 1):
@@ -40,81 +42,67 @@ def suite_axioms_an(max_n: int = 5, bound: int = 8) -> dict:
 
 def suite_star(bound: int = 8) -> dict:
     """Star-family axioms plus agreement of the applicability counts with
-    operator iteration (capped where the count is infinite).
-
-    Iteration walks each chain once: _iteration_counts counts every
-    component from the count of the component one step on, and a walk past
-    the bound stops at the cap 2 * bound + 4, which an infinite phi' or
-    phi*' must reach.
-    """
-    frag = g22.fragment(bound, star=True)
-    report = cartan.check_crystal_axioms(frag)
+    operator iteration, capped at 2 * bound + 4, which an infinite phi' or
+    phi*' must reach.  One color at a time, the star fragment's rows go
+    through the axiom checker and give the counts of e* and f*, and the
+    plain fragment's rows on the same elements those of e and f."""
+    star, plain = g22.fragment(bound, star=True), g22.fragment(bound)
+    elements = star.elements
+    weights = [g22.weight(c) for c in elements]
     cap = 2 * bound + 4
-    counts = _iteration_counts(frag.elements, cap)
-    mismatches = []
-    for n, c in enumerate(frag.elements):
-        for i in g22.COLORS:
-            if counts["e", i][n] != g22.epsilon_prime(c, i):
-                mismatches.append(("eps_prime", g22.format_component(c), i))
-            if counts["e*", i][n] != g22.epsilon_star_prime(c, i):
-                mismatches.append(("eps_star_prime", g22.format_component(c), i))
-            for kind, inv in (("f", g22.phi_prime), ("f*", g22.phi_star_prime)):
-                seen = counts[kind, i][n]
-                expected = inv(c, i)
-                if expected == inf:
-                    if seen < cap:
-                        mismatches.append(("unbounded", g22.format_component(c), i))
-                elif seen != expected:
-                    mismatches.append(("finite", g22.format_component(c), i))
+    violations, mismatches = [], []
+    for (p, i, rows), (_, _, plain_rows) in zip(cartan.crystal_rows(star),
+                                                cartan.crystal_rows(plain)):
+        cartan.check_color(star, weights, p, i, rows, violations)
+        e, f = _color_counts(elements, plain_rows, i, g22.apply_e, g22.apply_f, cap)
+        e_star, f_star = _color_counts(elements, rows, i, g22.apply_e_star, g22.apply_f_star, cap)
+        for slot, label, counts, closed_form in (
+                (0, "eps_prime", e, g22.epsilon_prime),
+                (1, "eps_star_prime", e_star, g22.epsilon_star_prime),
+                (2, "finite", f, g22.phi_prime), (3, "finite", f_star, g22.phi_star_prime)):
+            for n, c in enumerate(elements):
+                expected = closed_form(c, i)
+                if counts[n] < cap if expected == inf else counts[n] != expected:
+                    kind = "unbounded" if expected == inf else label
+                    mismatches.append(((n, p, slot), (kind, g22.format_component(c), i)))
+    mismatches = [m for _, m in sorted(mismatches)]
     return {
         "suite": "star",
         "bound": bound,
-        "axiom_violations": len(report.violations),
+        "axiom_violations": len(violations),
         "iteration_mismatches": mismatches[:20],
         "iteration_mismatch_count": len(mismatches),
-        "ok": report.ok and not mismatches,
+        "ok": not violations and not mismatches,
     }
 
 
-def _iteration_counts(elements, cap: int) -> dict:
-    """{(kind, i): counts}, where counts[n] is how often the g22 operator of
-    kind e, e*, f or f* applies at color i in a row from elements[n], capped
-    at cap.
-
-    One sweep per pair: every step moves the total dimension by 1, so in
-    graph order (reversed for the lowering kinds) the component one step on
-    is usually counted already, and count = min(cap, 1 + its count).  Any
-    other step falls back to the capped walk, so the order only saves
-    operator calls and no count depends on it.
-    """
-    index = {c: n for n, c in enumerate(elements)}
-    forward, backward = range(len(elements)), range(len(elements) - 1, -1, -1)
-    tables = {}
-    for kind, step, order in (("e", g22.apply_e, forward), ("e*", g22.apply_e_star, forward),
-                              ("f", g22.apply_f, backward), ("f*", g22.apply_f_star, backward)):
-        for i in g22.COLORS:
-            counts = [-1] * len(elements)
-            for n in order:
-                target = step(elements[n], i)
-                if target is None:
-                    counts[n] = 0
-                    continue
-                m = index.get(target)
-                if m is not None and counts[m] >= 0:
-                    counts[n] = min(cap, 1 + counts[m])
-                else:
-                    counts[n] = 1 + _iterate_count(target, i, step, cap - 1)
-            tables[kind, i] = counts
+def _color_counts(elements, rows, i, up, down, cap: int) -> list:
+    """[raising, lowering] counts at color i from ``cartan.crystal_rows``:
+    counts[n] is how often up, or down, applies in a row from elements[n],
+    capped at cap.  In graph order (reversed for lowering) the element one
+    step on is usually counted already, and count = min(cap, 1 + its
+    count).  A step out of the fragment, or onto an element not counted
+    yet, falls back to the capped walk, so no count depends on the order."""
+    _, up_row, down_row, up_away, down_away = rows
+    size = len(elements)
+    tables = []
+    for row, away, step, order in ((up_row, up_away, up, range(size)),
+                                   (down_row, down_away, down, range(size - 1, -1, -1))):
+        counts = [-1] * size
+        for n in order:
+            m = row[n]
+            if m >= 0 and counts[m] >= 0:
+                counts[n] = min(cap, 1 + counts[m])
+            else:
+                target = elements[m] if m >= 0 else away.get(n)
+                counts[n] = 0 if target is None else 1 + _iterate_count(target, i, step, cap - 1)
+        tables.append(counts)
     return tables
 
 
 def _iterate_count(c, i, step, cap: int) -> int:
     count = 0
-    current = c
-    while count < cap:
-        current = step(current, i)
-        if current is None:
-            break
+    while count < cap and (c := step(c, i)) is not None:
         count += 1
     return count
 
@@ -199,6 +187,8 @@ def _sampling_suite(suite: str, max_dim: int, prime: int, seed: int, count: int,
 
 
 def _box_components(max_dim: int):
+    if max_dim < 0:
+        raise ValueError(f"negative max_dim {max_dim}")
     for dims in itertools.product(range(max_dim + 1), repeat=4):
         yield from g22.enumerate_components(dims)
 

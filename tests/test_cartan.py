@@ -479,3 +479,9 @@ def test_repeated_elements_are_refused():
     chain = _chain()
     with pytest.raises(ValueError, match="fragment elements must be distinct"):
         cartan.check_crystal_axioms(CrystalFragment(chain.cartan, (0, 1, 1), chain.wt, chain.local))
+
+
+def test_an_empty_fragment_is_refused():
+    chain = _chain()
+    with pytest.raises(ValueError, match="fragment has no elements"):
+        cartan.check_crystal_axioms(CrystalFragment(chain.cartan, (), chain.wt, chain.local))

@@ -309,6 +309,25 @@ def test_connectivity_reports_missing(monkeypatch):
     assert report["graph_connected"] is False and report["ok"] is False
 
 
+# Each call would check nothing; a suite refuses it rather than pass.
+NOTHING_TO_CHECK = {
+    "axioms2x2": (lambda: suites.suite_axioms2x2(-1), "negative bound -1"),
+    "star": (lambda: suites.suite_star(-1), "negative bound -1"),
+    "duality": (lambda: suites.suite_duality(-1), "negative bound -1"),
+    "seminormal": (lambda: suites.suite_seminormal(-1), "negative bound -1"),
+    "axiomsAn-bound": (lambda: suites.suite_axioms_an(max_n=2, bound=-1), "negative bound -1"),
+    "axiomsAn-max-n": (lambda: suites.suite_axioms_an(max_n=0), "max_n 0 is below 1"),
+    "oracle": (lambda: suites.suite_oracle(max_dim=-1), "negative max_dim -1"),
+    "decomp": (lambda: suites.suite_decomp(max_dim=-1), "negative max_dim -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOTHING_TO_CHECK.values(), ids=NOTHING_TO_CHECK)
+def test_a_suite_with_nothing_to_check_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_verify_counterexample(capsys):
     code, payload = run_json(capsys, "verify", "counterexample")
     assert code == 0

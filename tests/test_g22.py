@@ -6,7 +6,8 @@ from math import inf
 
 import pytest
 
-from crystal_grid import cli, g22, suites
+from crystal_grid import cartan, cli, g22, suites
+from crystal_grid.cartan import CrystalFragment
 from crystal_grid.g22 import Component, ZERO_COMPONENT, InvalidComponentError
 
 
@@ -558,11 +559,14 @@ def test_iteration_counts_match_per_element_walks():
     elements = tuple(g22.iter_components(bound))
     # Reversed, no step target is counted before its source: every count walks.
     for order in (elements, elements[::-1]):
-        tables = suites._iteration_counts(order, cap)
-        assert set(tables) == {(kind, i) for kind in _STEPS for i in g22.COLORS}
-        for (kind, i), counts in tables.items():
-            walked = [_count_applications(c, i, _STEPS[kind], cap) for c in order]
-            assert counts == walked, (kind, i)
+        for star, up, down in ((False, "e", "f"), (True, "e*", "f*")):
+            frag = g22.fragment(bound, star=star)
+            rows = cartan.crystal_rows(CrystalFragment(frag.cartan, order, frag.wt, frag.local))
+            for _, i, color_rows in rows:
+                tables = suites._color_counts(order, color_rows, i, _STEPS[up], _STEPS[down], cap)
+                for kind, counts in zip((up, down), tables):
+                    walked = [_count_applications(c, i, _STEPS[kind], cap) for c in order]
+                    assert counts == walked, (kind, i)
 
 
 def test_verify_star_reports_a_chain_broken_in_the_middle(monkeypatch, capsys):
@@ -578,6 +582,20 @@ def test_verify_star_reports_a_chain_broken_in_the_middle(monkeypatch, capsys):
     assert code == 1 and payload["ok"] is False
     assert payload["iteration_mismatch_count"] == len(expected)
     assert payload["iteration_mismatches"] == expected[:20]
+
+
+def test_verify_star_applies_each_star_operator_once_per_fragment_pair(monkeypatch):
+    members = set(g22.iter_components(6))
+    calls = {}
+    for name in ("apply_e_star", "apply_f_star"):
+        def counted(c, i, name=name, step=getattr(g22, name)):
+            if c in members:
+                calls[name, c, i] = calls.get((name, c, i), 0) + 1
+            return step(c, i)
+        monkeypatch.setattr(g22, name, counted)
+    assert suites.suite_star(6)["ok"]
+    assert len(calls) == 2 * len(members) * len(g22.COLORS)
+    assert max(calls.values()) == 1
 
 
 def test_epsilon_prime_never_exceeds_epsilon():

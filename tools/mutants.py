@@ -54,25 +54,25 @@ REPS = "src/crystal_grid/reps.py"
 MUTANTS = (
     Mutant("weight step: alpha_i with the wrong sign", CARTAN,
            "(coeffs[pos] + sign,)", "(coeffs[pos] - sign,)", "tests/test_cartan.py"),
-    Mutant("axiom 4 in the fragment: lowering inverts raising", CARTAN,
-           "if down_row[m] != n:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 4 outside the fragment: lowering inverts raising", CARTAN,
-           "if lowered != b:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 4 in the fragment: raising inverts lowering", CARTAN,
-           "if up_row[m] != n:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 4 outside the fragment: raising inverts lowering", CARTAN,
-           "if raised != b:", "if False:", "tests/test_cartan.py"),
+    Mutant("axiom 4, inside and outside the fragment: the inverse clause off", CARTAN,
+           "if strayed:", "if False:", "tests/test_cartan.py"),
     Mutant("axiom 4 in the fragment: the inverse's position compared with its own", CARTAN,
-           "if up_row[m] != n:", "if up_row[m] != m:", "tests/test_cartan.py"),
-    Mutant("axiom 2 in the fragment: epsilon after raising", CARTAN,
-           "if eps_row[m] != eps - 1:", "if False:", "tests/test_cartan.py"),
-    Mutant("axiom 2 outside the fragment: epsilon after raising", CARTAN,
-           "if seen != eps - 1:", "if False:", "tests/test_cartan.py"),
+           "back_row[m] != n", "back_row[m] != m", "tests/test_cartan.py"),
+    Mutant("axioms 2 and 3, inside and outside the fragment: epsilon one step on", CARTAN,
+           "if seen != eps_row[n] - sign:", "if False:", "tests/test_cartan.py"),
     Mutant("axioms 2 and 4 outside the fragment: epsilon and the inverse read from swapped slots",
-           CARTAN, "seen, _, lowered = local(up, i)", "lowered, _, seen = local(up, i)",
+           CARTAN, "seen, strayed = triple[0], triple[back] != elements[n]",
+           "seen, strayed = triple[back], triple[0] != elements[n]",
            "tests/test_cartan.py::test_clause_fragments_clean_control"),
+    Mutant("checker: the lowering direction skipped", CARTAN,
+           "(up_row, up_away, down_row, _DIRECTIONS[0]),\n"
+           "            (down_row, down_away, up_row, _DIRECTIONS[1]))",
+           "(up_row, up_away, down_row, _DIRECTIONS[0]),)", "tests/test_cartan.py"),
+    Mutant("checker: an empty fragment accepted", CARTAN,
+           "if not elements:", "if False:",
+           "tests/test_cartan.py::test_an_empty_fragment_is_refused"),
     Mutant("axiom 5: no operator where epsilon = -inf", CARTAN,
-           "if eps == NEG_INFINITY and (up is not None or down is not None):", "if False:",
+           "if eps == NEG_INFINITY and (up_row[n] != _NONE or down_row[n] != _NONE):", "if False:",
            "tests/test_cartan.py"),
     Mutant("duality: statistic clause off", SUITES,
            "if g22.epsilon_star(c, i) != g22.epsilon(d, a[i]):", "if False:",
@@ -86,6 +86,9 @@ MUTANTS = (
     Mutant("star counts: a walk from an uncounted component drops its first step", SUITES,
            "1 + _iterate_count(target, i, step, cap - 1)",
            "_iterate_count(target, i, step, cap - 1)",
+           "tests/test_g22.py::test_iteration_counts_match_per_element_walks"),
+    Mutant("star counts: a step onto a component not counted yet reads its -1", SUITES,
+           "if m >= 0 and counts[m] >= 0:", "if m >= 0:",
            "tests/test_g22.py::test_iteration_counts_match_per_element_walks"),
     Mutant("g22 e at colors 2/3: vanishing guard", G22,
            "if _middle_dim(dims, i) <= r1:", "if _middle_dim(dims, i) < r1:", "tests/test_g22.py"),
