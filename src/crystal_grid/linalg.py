@@ -27,11 +27,13 @@ field method per row or pivot.  When only an echelon form is asked for
 it leaves the pivot row unscaled and multiplies each row's factor by the
 pivot's inverse instead.
 The QQ routine scales each pivot row to a leading one through ``inv``.
-``pivot_columns`` stops at an echelon form of A, ``rank`` at one of A or
-of its transpose, whichever has fewer rows; ``rref`` (and with it
-``nullspace``, ``solve`` and ``inverse``) also clears above the pivots.
+``rank`` stops at an echelon form of A or of its transpose, whichever has
+fewer rows; ``rref`` (and with it ``nullspace``, ``solve`` and
+``inverse``) also clears above the pivots.
 Matrices carry explicit shapes so that 0xn and nx0 cases stay
-unambiguous.
+unambiguous.  ``Mat(...)`` checks every row's length; the results whose
+shape holds by construction (``transpose``, ``neg``, ``mul`` and
+``random_matrix``) are built with ``tuple.__new__`` and skip that loop.
 """
 
 from __future__ import annotations
@@ -204,7 +206,9 @@ class Mat(Record):
 
     Stored as the tuple (nrows, ncols, rows), so building one costs a
     shape check and no attribute writes; it equals and hashes as that
-    tuple, but never equals anything that is not a Mat.
+    tuple, but never equals anything that is not a Mat.  A result whose
+    shape holds by construction is made as ``tuple.__new__(Mat, ...)``,
+    without the check.
     """
 
     __slots__ = ()
@@ -243,7 +247,8 @@ def from_int_rows(field, rows, ncols=None) -> Mat:
 
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.ncols, a.nrows, tuple(zip(*a.rows)) if a.rows else ((),) * a.ncols)
+    return tuple.__new__(Mat, (a.ncols, a.nrows,
+                               tuple(zip(*a.rows)) if a.rows else ((),) * a.ncols))
 
 
 def hstack(mats) -> Mat:
@@ -265,7 +270,8 @@ def vstack(mats) -> Mat:
 
 def neg(field, a: Mat) -> Mat:
     red = field.reduce
-    return Mat(a.nrows, a.ncols, tuple(tuple(red(-x) for x in r) for r in a.rows))
+    return tuple.__new__(Mat, (a.nrows, a.ncols,
+                               tuple(tuple(red(-x) for x in r) for r in a.rows)))
 
 
 def mul(field, a: Mat, b: Mat) -> Mat:
@@ -273,7 +279,7 @@ def mul(field, a: Mat, b: Mat) -> Mat:
         raise ValueError(f"mul: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     dots = field.dots
     bt = tuple(zip(*b.rows)) if b.rows else ((),) * b.ncols
-    return Mat(a.nrows, b.ncols, tuple([tuple(dots(ra, bt)) for ra in a.rows]))
+    return tuple.__new__(Mat, (a.nrows, b.ncols, tuple([tuple(dots(ra, bt)) for ra in a.rows])))
 
 
 def is_zero(a: Mat) -> bool:
@@ -285,12 +291,6 @@ def rref(field, a: Mat):
     rows = list(a.rows)
     pivots = field.eliminate(rows, a.ncols, True)
     return Mat(a.nrows, a.ncols, tuple([tuple(row) for row in rows])), pivots
-
-
-def pivot_columns(field, a: Mat) -> tuple:
-    """The pivot columns of an echelon form of A, increasing.  Those below k
-    count the rank of A's first k columns; all of them, the rank of A."""
-    return field.eliminate(list(a.rows), a.ncols, False)
 
 
 def rank(field, a: Mat) -> int:
@@ -341,7 +341,8 @@ def inverse(field, a: Mat) -> Mat:
 
 def random_matrix(field, nrows, ncols, rng) -> Mat:
     rand_row = field.rand_row
-    return Mat(nrows, ncols, tuple([tuple(rand_row(rng, ncols)) for _ in range(nrows)]))
+    return tuple.__new__(Mat, (nrows, ncols,
+                               tuple([tuple(rand_row(rng, ncols)) for _ in range(nrows)])))
 
 
 def random_full_rank(field, nrows, ncols, rng) -> Mat:

@@ -209,12 +209,19 @@ def ext1_table() -> dict:
     return {(i, j): ext1_dim(i, j) for i in INTERVAL_DIMS for j in INTERVAL_DIMS}
 
 
+@lru_cache(maxsize=None)
+def _ext1_nonzero() -> frozenset:
+    """The ordered pairs (i, j) with Ext^1(M_i, M_j) nonzero, built once."""
+    return frozenset(pair for pair, dim in ext1_table().items() if dim)
+
+
 def cbs_check(ms: dict) -> bool:
     """Pairwise Ext-vanishing: the direct-sum closure of the listed summand
     types is a component exactly when every ordered pair of distinct types
     has no first extensions."""
     kinds = sorted(normalize_multiset(ms))
-    return all(ext1_dim(i, j) == 0 for i in kinds for j in kinds if i != j)
+    nonzero = _ext1_nonzero()
+    return not any((i, j) in nonzero for i in kinds for j in kinds if i != j)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +284,15 @@ def rank_profile(rep: Representation) -> RankProfile:
     rank, and those among its first d2 columns the rank of f12ᵀ, so of f12;
     one echelon form of [f24 | f34] gives the sink rank and the rank of f24
     the same way.  The sink map's sign (f24 beside -f34) only scales
-    columns, so the plain stack has its rank.  f13, f34 and the composite
-    take one rank each.
+    columns, so the plain stack has its rank.  Both stacks are eliminated
+    as row lists cut from the maps' rows, with no stacked Mat built.  f13,
+    f34 and the composite take one rank each.
     """
     field = rep.field
     f12, f13, f24, f34 = rep.maps
-    d2 = rep.dims[1]
-    source = linalg.pivot_columns(field, linalg.transpose(linalg.vstack([f12, f13])))
-    sink = linalg.pivot_columns(field, linalg.hstack([f24, f34]))
+    d2, d3 = rep.dims[1:3]
+    source = field.eliminate(list(zip(*(f12.rows + f13.rows))), d2 + d3, False)
+    sink = field.eliminate([x + y for x, y in zip(f24.rows, f34.rows)], d2 + d3, False)
     r12, r24 = (sum(c < d2 for c in pivots) for pivots in (source, sink))
     return RankProfile(
         dims=rep.dims,
@@ -313,12 +321,16 @@ def profile_of_multiset(ms: dict) -> RankProfile:
 
 
 @lru_cache(maxsize=None)
+def _profile_matrix():
+    """The catalog's profile matrix as int rows: column k - 1 is the profile of M_k."""
+    return tuple(zip(*_profile_columns()))
+
+
+@lru_cache(maxsize=None)
 def _profile_solver():
     """Inverse of the catalog's profile matrix, as int rows; the inverse is
     derived over QQ and must be integral."""
-    cols = _profile_columns()
-    matrix = linalg.from_int_rows(QQ, [[cols[j][i] for j in range(11)] for i in range(11)])
-    inv = linalg.inverse(QQ, matrix)
+    inv = linalg.inverse(QQ, linalg.from_int_rows(QQ, _profile_matrix()))
     if any(x.denominator != 1 for row in inv.rows for x in row):
         raise AssertionError("the profile matrix of the catalog has a non-integral inverse")
     return tuple(tuple(int(x) for x in row) for row in inv.rows)
@@ -326,7 +338,9 @@ def _profile_solver():
 
 def multiplicities_from_profile(profile: RankProfile) -> dict:
     """Invert the profile into interval multiplicities; rejects profiles that
-    are not a nonnegative integral combination of the catalog columns."""
+    are not a nonnegative integral combination of the catalog columns.  The
+    certificate is checked as M·sol = profile, with M the catalog's profile
+    matrix: by additivity, M·sol is the profile of the multiset sol."""
     vec = profile.as_vector()
     sol = [sum(map(mul, row, vec)) for row in _profile_solver()]
     ms = {}
@@ -335,6 +349,6 @@ def multiplicities_from_profile(profile: RankProfile) -> dict:
             raise InconsistentProfileError(f"profile {vec} is not a direct-sum certificate")
         if x:
             ms[k] = x
-    if profile_of_multiset(ms).as_vector() != tuple(vec):
+    if tuple([sum(map(mul, row, sol)) for row in _profile_matrix()]) != vec:
         raise InconsistentProfileError(f"profile {vec} is not additive over the catalog")
     return ms

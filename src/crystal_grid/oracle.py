@@ -19,15 +19,21 @@ dimension minus one rank of the point's ``modules22.rank_profile``:
     eps_3 = d3 - r13           eps_star_3 = d3 - r34
     eps_4 = d4 - sink_rank     eps_star_4 = d4
 
-so one profile per point (five eliminations and one product) reads all
-eight.
+so one profile per point (five eliminations, and the product f24·f12 the
+point keeps as f14) reads all eight.
+
+A sampled point and its profile cost nine eliminations (the reduced one
+of Aᵀ, three full-rank tests and the profile's five) and five products
+(A·B, R·K, C·(R·K) and the two sides of the point's square).  Everything
+before the four maps stays int rows: the only Mats a point builds are
+those maps, shape-checked, and the two products of its square check.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import linalg, modules22
+from . import modules22
 from .g22 import Component
 from .linalg import Mat, PrimeField
 from .reps import Representation
@@ -71,9 +77,11 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     columns of g2 are uniform full rank, and given them, rows r1.. of g2⁻¹
     are a uniform basis of their left annihilator.
 
-    A is drawn as ``linalg.random_full_rank`` draws it, but one elimination
-    of Aᵀ serves both its rejection test and K: A has rank r1 exactly when
-    its left kernel has dimension mid - r1.
+    The factors are drawn as ``linalg.random_full_rank`` draws them, in the
+    same order, but stay int rows until the four maps are cut out.  One
+    reduced elimination of Aᵀ serves both A's rejection test and K: A has
+    rank r1 exactly when Aᵀ has r1 pivots, and K is ``linalg.nullspace``
+    read off that echelon form.
     """
     field = cfg.field()
     rng = cfg.rng(index)
@@ -81,27 +89,72 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     r1, r2 = c.ranks
     mid = d2 + d3
     while True:
-        a = linalg.random_matrix(field, mid, r1, rng)
-        kernel = linalg.nullspace(field, linalg.transpose(a))
-        if len(kernel) == mid - r1:
+        a = _draw(field, mid, r1, rng)
+        echelon = list(zip(*a))
+        pivots = field.eliminate(echelon, mid, True)
+        if len(pivots) == r1:
             break
-    b = linalg.random_full_rank(field, r1, d1, rng)
-    r = linalg.random_full_rank(field, r2, mid - r1, rng)
-    cm = linalg.random_full_rank(field, d4, r2, rng)
-    return _factor_point(field, c.dims, a, b, r, linalg.mat(kernel, ncols=mid), cm)
+    # K: linalg.nullspace of Aᵀ, read off the same echelon form.
+    p = field.p
+    kernel = []
+    for free in range(mid):
+        if free not in pivots:
+            v = [0] * mid
+            v[free] = 1
+            for row, col in zip(echelon, pivots):
+                v[col] = -row[free] % p
+            kernel.append(v)
+    b = _full_rank(field, r1, d1, rng)
+    r = _full_rank(field, r2, mid - r1, rng)
+    cm = _full_rank(field, d4, r2, rng)
+    return _factor_point(field, c.dims, a, b, r, kernel, cm)
 
 
-def _factor_point(field, dims, a: Mat, b: Mat, r: Mat, k: Mat, cm: Mat) -> Representation:
+def _draw(field, nrows, ncols, rng) -> list:
+    """A uniform nrows x ncols factor as int rows, from one ``rand_row`` call
+    read in row-major order: the stream of nrows * ncols successive
+    ``rng.randrange(p)`` calls, as ``linalg.random_matrix`` draws it."""
+    flat = field.rand_row(rng, nrows * ncols)
+    return [flat[k * ncols:(k + 1) * ncols] for k in range(nrows)]
+
+
+def _full_rank(field, nrows, ncols, rng) -> list:
+    """``_draw`` until the factor has rank min(nrows, ncols), counted by
+    eliminating whichever of it and its transpose has fewer rows."""
+    eliminate, rank = field.eliminate, min(nrows, ncols)
+    while True:
+        rows = _draw(field, nrows, ncols, rng)
+        if nrows <= ncols:
+            pivots = eliminate(list(rows), ncols, False)
+        else:
+            pivots = eliminate(list(zip(*rows)), nrows, False)
+        if len(pivots) == rank:
+            return rows
+
+
+def _product(field, a, b, ncols) -> list:
+    """A·B as int rows, one ``field.dots`` call per row of A as in
+    ``linalg.mul``; ncols, the width of B, is the shape when B has no rows."""
+    dots = field.dots
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    return [dots(row, cols) for row in a]
+
+
+def _factor_point(field, dims, a, b, r, k, cm) -> Representation:
     """The point whose outward map (f12 over f13) is A·B and whose inward map
-    (f24 beside -f34) is C·(R·K); K spans the left kernel of A."""
+    (f24 beside -f34) is C·(R·K); K spans the left kernel of A.  The factors
+    are int rows over GF(p), and only the four maps are made Mats."""
     d1, d2, d3, d4 = dims
-    out_map = linalg.mul(field, a, b)
-    in_map = linalg.mul(field, cm, linalg.mul(field, r, k))
-    f12 = Mat(d2, d1, out_map.rows[:d2])
-    f13 = Mat(d3, d1, out_map.rows[d2:])
-    f24 = Mat(d4, d2, tuple(row[:d2] for row in in_map.rows))
-    f34 = linalg.neg(field, Mat(d4, d3, tuple(row[d2:] for row in in_map.rows)))
-    return Representation(field, dims, f12, f13, f24, f34)
+    mid = d2 + d3
+    out_rows = _product(field, a, b, d1)
+    in_rows = _product(field, cm, _product(field, r, k, mid), mid)
+    p = field.p
+    return Representation(
+        field, dims,
+        Mat(d2, d1, tuple([tuple(row) for row in out_rows[:d2]])),
+        Mat(d3, d1, tuple([tuple(row) for row in out_rows[d2:]])),
+        Mat(d4, d2, tuple([tuple(row[:d2]) for row in in_rows])),
+        Mat(d4, d3, tuple([tuple([-x % p for x in row[d2:]]) for row in in_rows])))
 
 
 # The profile rank that each (kind, corner) statistic subtracts from the

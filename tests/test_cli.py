@@ -385,6 +385,13 @@ def test_verify_oracle_max_dim_7(capsys):
 
 
 @pytest.mark.deep
+def test_verify_oracle_max_dim_8(capsys):
+    code, payload = run_json(capsys, "verify", "oracle", "--max-dim", "8", "--seed", "0")
+    assert code == 0 and payload["ok"] is True
+    assert payload["components"] == 14277 and payload["retries"] == 0
+
+
+@pytest.mark.deep
 def test_verify_decomp_max_dim_8(capsys):
     # Each component's samples depend only on the seed, so this box at seed
     # 0 repeats every check of the smaller boxes at seed 0.

@@ -598,6 +598,30 @@ def test_verify_star_applies_each_star_operator_once_per_fragment_pair(monkeypat
     assert max(calls.values()) == 1
 
 
+def test_verify_star_reads_epsilon_only_through_the_prime_closed_forms(monkeypatch):
+    # The plain rows come from a local map that computes e and f only, so no
+    # epsilon is read for them: at bound 10 that is 5,516 calls fewer (one
+    # per element and color) than the 10,409 made when those rows were read
+    # off g22.fragment.  The calls left are epsilon_prime's own.
+    calls = [0]
+    epsilon = g22.epsilon
+
+    def counted(c, i):
+        calls[0] += 1
+        return epsilon(c, i)
+
+    monkeypatch.setattr(g22, "epsilon", counted)
+    assert suites.suite_star(10)["ok"]
+    assert calls[0] == 10409 - 5516
+    calls[0] = 0
+    elements = tuple(g22.iter_components(10))
+    for c in elements:
+        for i in g22.COLORS:
+            g22.epsilon_prime(c, i)
+    assert calls[0] == 10409 - 5516
+    assert len(elements) * len(g22.COLORS) == 5516
+
+
 def test_epsilon_prime_never_exceeds_epsilon():
     strict = False
     for c in g22.iter_components(6):

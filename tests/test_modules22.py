@@ -187,6 +187,14 @@ def test_cbs_examples():
     assert ma.cbs_check({11: 3})
 
 
+def test_cbs_check_reads_every_ordered_pair_of_the_ext1_table():
+    # Both orders count: Ext^1(M10, M4) is nonzero and Ext^1(M4, M10) is not.
+    assert ma.ext1_dim(10, 4) and not ma.ext1_dim(4, 10)
+    for i, j in itertools.combinations(sorted(ma.INTERVAL_DIMS), 2):
+        vanishes = ma.ext1_dim(i, j) == 0 and ma.ext1_dim(j, i) == 0
+        assert ma.cbs_check({i: 1, j: 2}) == vanishes, (i, j)
+
+
 def _table_decomposition(c: g22.Component) -> dict:
     """Generic decomposition by the case table the library used before the
     closed-form rank profile; kept as an independent reference.

@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -108,6 +109,97 @@ def test_sampled_points_are_byte_reproducible():
                 digest.update(repr(((rep.f13.rows, rep.f12.rows, rep.f34.rows, rep.f24.rows),
                                     ma.rank_profile(rep).as_vector())).encode())
     assert digest.hexdigest() == PINNED_SAMPLE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The sampler and rank profile as they were when every factor, product and
+# stack was a checked Mat, kept as the reference for the int-row path.
+
+
+def _mat_full_rank(field, nrows, ncols, rng, rejected):
+    """``linalg.random_full_rank``, counting its rejected draws in rejected[0]."""
+    while True:
+        a = linalg.random_matrix(field, nrows, ncols, rng)
+        if linalg.rank(field, a) == min(nrows, ncols):
+            return a
+        rejected[0] += 1
+
+
+def _mat_sample_component_point(c, cfg, index):
+    """(point, rejected draws) by the Mat-path sampler."""
+    field = cfg.field()
+    rng = cfg.rng(index)
+    d1, d2, d3, d4 = c.dims
+    r1, r2 = c.ranks
+    mid = d2 + d3
+    rejected = [0]
+    while True:
+        a = linalg.random_matrix(field, mid, r1, rng)
+        kernel = linalg.nullspace(field, linalg.transpose(a))
+        if len(kernel) == mid - r1:
+            break
+        rejected[0] += 1
+    b = _mat_full_rank(field, r1, d1, rng, rejected)
+    r = _mat_full_rank(field, r2, mid - r1, rng, rejected)
+    cm = _mat_full_rank(field, d4, r2, rng, rejected)
+    k = linalg.mat(kernel, ncols=mid)
+    out_map = linalg.mul(field, a, b)
+    in_map = linalg.mul(field, cm, linalg.mul(field, r, k))
+    f12 = Mat(d2, d1, out_map.rows[:d2])
+    f13 = Mat(d3, d1, out_map.rows[d2:])
+    f24 = Mat(d4, d2, tuple(row[:d2] for row in in_map.rows))
+    f34 = linalg.neg(field, Mat(d4, d3, tuple(row[d2:] for row in in_map.rows)))
+    return Representation(field, c.dims, f12, f13, f24, f34), rejected[0]
+
+
+def _mat_rank_profile(rep):
+    """The rank profile from echelon forms of the stacked Mats."""
+    field = rep.field
+    f12, f13, f24, f34 = rep.maps
+    d2 = rep.dims[1]
+    stacks = (linalg.transpose(linalg.vstack([f12, f13])), linalg.hstack([f24, f34]))
+    source, sink = (field.eliminate(list(m.rows), m.ncols, False) for m in stacks)
+    r12, r24 = (sum(c < d2 for c in pivots) for pivots in (source, sink))
+    return ma.RankProfile(rep.dims, r12, linalg.rank(field, f13), r24, linalg.rank(field, f34),
+                          len(source), len(sink), linalg.rank(field, rep.f14))
+
+
+# Rejected draws of the Mat-path sampler over the points below, per prime.
+_REJECTED = {32003: 0, 101: 31}
+
+
+@pytest.mark.parametrize("prime", sorted(_REJECTED))
+def test_row_sampler_matches_the_mat_path(prime):
+    # Every component with all dimensions at most 4, three seeds, three
+    # draws each; over GF(101) some factors are rejected and redrawn, so the
+    # two rejection loops are compared and not only first draws.
+    components = [c for dims in itertools.product(range(5), repeat=4)
+                  for c in g22.enumerate_components(dims)]
+    assert len(components) == 983
+    rejected = 0
+    for seed in (0, 1, 7):
+        cfg = SampleConfig(prime=prime, seed=seed)
+        for c in components:
+            for index in range(3):
+                rep = oracle.sample_component_point(c, cfg, index)
+                ref, dropped = _mat_sample_component_point(c, cfg, index)
+                rejected += dropped
+                assert (rep.maps, rep.f14) == (ref.maps, ref.f14), (c, seed, index)
+                assert ma.rank_profile(rep) == _mat_rank_profile(ref), (c, seed, index)
+    assert rejected == _REJECTED[prime]
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)])
+@pytest.mark.parametrize("prime", [101, 32003])
+def test_a_factor_is_drawn_in_one_call_in_row_major_order(prime, nrows, ncols):
+    # randrange(101) rejects about one k-bit draw in five, so the stream's
+    # own rejections are compared too.
+    rng, ref = random.Random(f"{nrows}x{ncols}"), random.Random(f"{nrows}x{ncols}")
+    rows = oracle._draw(PrimeField(prime), nrows, ncols, rng)
+    assert len(rows) == nrows and all(len(row) == ncols for row in rows)
+    assert [x for row in rows for x in row] == [ref.randrange(prime)
+                                               for _ in range(nrows * ncols)]
+    assert rng.getstate() == ref.getstate()
 
 
 def test_sample_of_base_point_is_empty():
@@ -250,8 +342,8 @@ def _factor_law(d1, mid, d4, r1, r2):
     law = collections.Counter()
     for a, b, r, cm in itertools.product(_full_rank(mid, r1), _full_rank(r1, d1),
                                          _full_rank(r2, mid - r1), _full_rank(d4, r2)):
-        k = linalg.mat(linalg.nullspace(F3, linalg.transpose(a)), ncols=mid)
-        rep = oracle._factor_point(F3, dims, a, b, r, k, cm)
+        k = linalg.nullspace(F3, linalg.transpose(a))
+        rep = oracle._factor_point(F3, dims, a.rows, b.rows, r.rows, k, cm.rows)
         in_rows = tuple(x + y for x, y in zip(rep.f24.rows, linalg.neg(F3, rep.f34).rows))
         law[(rep.f12.rows + rep.f13.rows, in_rows)] += 1
     return law

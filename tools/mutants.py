@@ -129,10 +129,12 @@ MUTANTS = (
            "value < minima[key]", "value > minima[key]", "tests/test_oracle.py"),
     # Same ranks, same commutativity and generic points: only the law moves.
     Mutant("oracle sampler: R's columns sorted", ORACLE,
-           "linalg.mul(field, r, k)",
-           "linalg.mul(field, linalg.transpose(linalg.mat(sorted(linalg.transpose(r).rows),"
-           " ncols=r.nrows)), k)",
+           "_product(field, r, k, mid)",
+           "_product(field, list(zip(*sorted(zip(*r)))), k, mid)",
            "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
+    Mutant("oracle kernel: K's pivot entries not negated", ORACLE,
+           "v[col] = -row[free] % p", "v[col] = row[free]",
+           "tests/test_oracle.py::test_row_sampler_matches_the_mat_path"),
     Mutant("linalg GF(p) row update: adds the multiple of the pivot row", LINALG,
            "[(x - f * y) % p for x, y in zip(rows[i], lead)]",
            "[(x + f * y) % p for x, y in zip(rows[i], lead)]", "tests/test_linalg.py"),
@@ -144,6 +146,10 @@ MUTANTS = (
     Mutant("modules22 Ext cochains: P_2 read at corner 3", MODULES22,
            "_GENERATOR = {11: 1, 7: 2, 8: 3, 4: 4}", "_GENERATOR = {11: 1, 7: 3, 8: 3, 4: 4}",
            "tests/test_modules22.py"),
+    Mutant("modules22 cbs_check: a nonzero Ext1 pair read as zero", MODULES22,
+           "for pair, dim in ext1_table().items() if dim)",
+           "for pair, dim in ext1_table().items() if dim and pair != (10, 4))",
+           "tests/test_modules22.py::test_cbs_check_reads_every_ordered_pair_of_the_ext1_table"),
     Mutant("modules22 resolution of M1: last differential's sign flipped", MODULES22,
            "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (-1,)))),",
            "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (1,)))),",
