@@ -31,9 +31,11 @@ The QQ routine scales each pivot row to a leading one through ``inv``.
 fewer rows; ``rref`` (and with it ``nullspace``, ``solve`` and
 ``inverse``) also clears above the pivots.
 Matrices carry explicit shapes so that 0xn and nx0 cases stay
-unambiguous.  ``Mat(...)`` checks every row's length; the results whose
-shape holds by construction (``transpose``, ``neg``, ``mul`` and
-``random_matrix``) are built with ``tuple.__new__`` and skip that loop.
+unambiguous.  ``Mat(...)`` checks every row's length; ``mul``, whose
+shape holds by construction, skips that loop.  The product, the rank
+and the full-rank draw are also given on plain int rows (``mul_rows``,
+``rank_rows``, ``random_full_rank_rows``), which ``mul`` and ``rank``
+are built on, for a caller that makes no Mat.
 """
 
 from __future__ import annotations
@@ -206,9 +208,7 @@ class Mat(Record):
 
     Stored as the tuple (nrows, ncols, rows), so building one costs a
     shape check and no attribute writes; it equals and hashes as that
-    tuple, but never equals anything that is not a Mat.  A result whose
-    shape holds by construction is made as ``tuple.__new__(Mat, ...)``,
-    without the check.
+    tuple, but never equals anything that is not a Mat.
     """
 
     __slots__ = ()
@@ -247,8 +247,7 @@ def from_int_rows(field, rows, ncols=None) -> Mat:
 
 
 def transpose(a: Mat) -> Mat:
-    return tuple.__new__(Mat, (a.ncols, a.nrows,
-                               tuple(zip(*a.rows)) if a.rows else ((),) * a.ncols))
+    return Mat(a.ncols, a.nrows, tuple(zip(*a.rows)) if a.rows else ((),) * a.ncols)
 
 
 def hstack(mats) -> Mat:
@@ -270,16 +269,24 @@ def vstack(mats) -> Mat:
 
 def neg(field, a: Mat) -> Mat:
     red = field.reduce
-    return tuple.__new__(Mat, (a.nrows, a.ncols,
-                               tuple(tuple(red(-x) for x in r) for r in a.rows)))
+    return Mat(a.nrows, a.ncols, tuple(tuple(red(-x) for x in r) for r in a.rows))
+
+
+def mul_rows(field, a, b, ncols) -> list:
+    """A·B for matrices given as int rows, as a list of rows, one
+    ``field.dots`` call per row of A; ncols, the width of B, is the
+    product's width when B has no rows."""
+    dots = field.dots
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    return [dots(row, cols) for row in a]
 
 
 def mul(field, a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise ValueError(f"mul: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    dots = field.dots
-    bt = tuple(zip(*b.rows)) if b.rows else ((),) * b.ncols
-    return tuple.__new__(Mat, (a.nrows, b.ncols, tuple([tuple(dots(ra, bt)) for ra in a.rows])))
+    rows = mul_rows(field, a.rows, b.rows, b.ncols)
+    # a.nrows rows of width b.ncols by construction: no shape check.
+    return tuple.__new__(Mat, (a.nrows, b.ncols, tuple([tuple(row) for row in rows])))
 
 
 def is_zero(a: Mat) -> bool:
@@ -293,11 +300,16 @@ def rref(field, a: Mat):
     return Mat(a.nrows, a.ncols, tuple([tuple(row) for row in rows])), pivots
 
 
+def rank_rows(field, rows, ncols) -> int:
+    """Rank of a matrix given as int rows of width ncols, by eliminating
+    whichever of it and its transpose has fewer rows."""
+    if len(rows) <= ncols:
+        return len(field.eliminate(list(rows), ncols, False))
+    return len(field.eliminate(list(zip(*rows)), len(rows), False))
+
+
 def rank(field, a: Mat) -> int:
-    """Rank, by eliminating whichever of A and its transpose has fewer rows."""
-    if a.nrows <= a.ncols:
-        return len(field.eliminate(list(a.rows), a.ncols, False))
-    return len(field.eliminate(list(zip(*a.rows)), a.nrows, False))
+    return rank_rows(field, a.rows, a.ncols)
 
 
 def nullspace(field, a: Mat):
@@ -341,13 +353,23 @@ def inverse(field, a: Mat) -> Mat:
 
 def random_matrix(field, nrows, ncols, rng) -> Mat:
     rand_row = field.rand_row
-    return tuple.__new__(Mat, (nrows, ncols,
-                               tuple([tuple(rand_row(rng, ncols)) for _ in range(nrows)])))
+    return Mat(nrows, ncols, tuple([tuple(rand_row(rng, ncols)) for _ in range(nrows)]))
 
 
-def random_full_rank(field, nrows, ncols, rng) -> Mat:
-    """A uniform matrix among those of rank min(nrows, ncols), by rejection."""
+def random_rows(field, nrows, ncols, rng) -> list:
+    """A uniform nrows x ncols matrix as int rows, from one ``rand_row``
+    call read in row-major order: the values and the stream of
+    nrows * ncols successive ``rng.randrange(p)`` calls, so the same
+    matrix as ``random_matrix``."""
+    flat = field.rand_row(rng, nrows * ncols)
+    return [flat[k * ncols:(k + 1) * ncols] for k in range(nrows)]
+
+
+def random_full_rank_rows(field, nrows, ncols, rng) -> list:
+    """A uniform matrix among those of rank min(nrows, ncols), as int rows,
+    by rejection: ``random_rows`` until the draw has that rank."""
+    full = min(nrows, ncols)
     while True:
-        a = random_matrix(field, nrows, ncols, rng)
-        if rank(field, a) == min(nrows, ncols):
-            return a
+        rows = random_rows(field, nrows, ncols, rng)
+        if rank_rows(field, rows, ncols) == full:
+            return rows

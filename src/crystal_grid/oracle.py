@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 
-from . import modules22
+from . import linalg, modules22
 from .g22 import Component
 from .linalg import Mat, PrimeField
 from .reps import Representation
@@ -77,8 +77,9 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     columns of g2 are uniform full rank, and given them, rows r1.. of g2⁻¹
     are a uniform basis of their left annihilator.
 
-    The factors are drawn as ``linalg.random_full_rank`` draws them, in the
-    same order, but stay int rows until the four maps are cut out.  One
+    The factors are drawn as int rows (``linalg.random_rows`` and
+    ``linalg.random_full_rank_rows``) and stay int rows until the four
+    maps are cut out.  One
     reduced elimination of Aᵀ serves both A's rejection test and K: A has
     rank r1 exactly when Aᵀ has r1 pivots, and K is ``linalg.nullspace``
     read off that echelon form.
@@ -89,7 +90,7 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     r1, r2 = c.ranks
     mid = d2 + d3
     while True:
-        a = _draw(field, mid, r1, rng)
+        a = linalg.random_rows(field, mid, r1, rng)
         echelon = list(zip(*a))
         pivots = field.eliminate(echelon, mid, True)
         if len(pivots) == r1:
@@ -104,40 +105,11 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
             for row, col in zip(echelon, pivots):
                 v[col] = -row[free] % p
             kernel.append(v)
-    b = _full_rank(field, r1, d1, rng)
-    r = _full_rank(field, r2, mid - r1, rng)
-    cm = _full_rank(field, d4, r2, rng)
+    full_rank = linalg.random_full_rank_rows
+    b = full_rank(field, r1, d1, rng)
+    r = full_rank(field, r2, mid - r1, rng)
+    cm = full_rank(field, d4, r2, rng)
     return _factor_point(field, c.dims, a, b, r, kernel, cm)
-
-
-def _draw(field, nrows, ncols, rng) -> list:
-    """A uniform nrows x ncols factor as int rows, from one ``rand_row`` call
-    read in row-major order: the stream of nrows * ncols successive
-    ``rng.randrange(p)`` calls, as ``linalg.random_matrix`` draws it."""
-    flat = field.rand_row(rng, nrows * ncols)
-    return [flat[k * ncols:(k + 1) * ncols] for k in range(nrows)]
-
-
-def _full_rank(field, nrows, ncols, rng) -> list:
-    """``_draw`` until the factor has rank min(nrows, ncols), counted by
-    eliminating whichever of it and its transpose has fewer rows."""
-    eliminate, rank = field.eliminate, min(nrows, ncols)
-    while True:
-        rows = _draw(field, nrows, ncols, rng)
-        if nrows <= ncols:
-            pivots = eliminate(list(rows), ncols, False)
-        else:
-            pivots = eliminate(list(zip(*rows)), nrows, False)
-        if len(pivots) == rank:
-            return rows
-
-
-def _product(field, a, b, ncols) -> list:
-    """A·B as int rows, one ``field.dots`` call per row of A as in
-    ``linalg.mul``; ncols, the width of B, is the shape when B has no rows."""
-    dots = field.dots
-    cols = tuple(zip(*b)) if b else ((),) * ncols
-    return [dots(row, cols) for row in a]
 
 
 def _factor_point(field, dims, a, b, r, k, cm) -> Representation:
@@ -146,8 +118,9 @@ def _factor_point(field, dims, a, b, r, k, cm) -> Representation:
     are int rows over GF(p), and only the four maps are made Mats."""
     d1, d2, d3, d4 = dims
     mid = d2 + d3
-    out_rows = _product(field, a, b, d1)
-    in_rows = _product(field, cm, _product(field, r, k, mid), mid)
+    mul = linalg.mul_rows
+    out_rows = mul(field, a, b, d1)
+    in_rows = mul(field, cm, mul(field, r, k, mid), mid)
     p = field.p
     return Representation(
         field, dims,

@@ -235,11 +235,24 @@ def test_random_full_rank_has_full_rank():
     rng = random.Random(5)
     # Over GF(2) most square draws are singular, so the rejection loop runs.
     for field in (F7, linalg.PrimeField(2)):
-        for shape in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (5, 5)):
+        for nrows, ncols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (5, 5)):
             for _ in range(10):
-                g = linalg.random_full_rank(field, *shape, rng)
-                assert (g.nrows, g.ncols) == shape
-                assert linalg.rank(field, g) == min(shape)
+                g = linalg.random_full_rank_rows(field, nrows, ncols, rng)
+                assert len(g) == nrows and all(len(row) == ncols for row in g)
+                assert linalg.rank(field, linalg.mat(g, ncols=ncols)) == min(nrows, ncols)
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)])
+@pytest.mark.parametrize("prime", [101, 32003])
+def test_random_rows_are_drawn_in_one_call_in_row_major_order(prime, nrows, ncols):
+    # randrange(101) rejects about one k-bit draw in five, so the stream's
+    # own rejections are compared too.
+    rng, ref = random.Random(f"{nrows}x{ncols}"), random.Random(f"{nrows}x{ncols}")
+    rows = linalg.random_rows(PrimeField(prime), nrows, ncols, rng)
+    assert len(rows) == nrows and all(len(row) == ncols for row in rows)
+    assert [x for row in rows for x in row] == [ref.randrange(prime)
+                                               for _ in range(nrows * ncols)]
+    assert rng.getstate() == ref.getstate()
 
 
 FIELDS = st.sampled_from([F7, QQ])

@@ -2,7 +2,6 @@ import collections
 import functools
 import hashlib
 import itertools
-import random
 import re
 from fractions import Fraction
 
@@ -117,7 +116,7 @@ def test_sampled_points_are_byte_reproducible():
 
 
 def _mat_full_rank(field, nrows, ncols, rng, rejected):
-    """``linalg.random_full_rank``, counting its rejected draws in rejected[0]."""
+    """A uniform full-rank Mat by rejection, counting rejected draws in rejected[0]."""
     while True:
         a = linalg.random_matrix(field, nrows, ncols, rng)
         if linalg.rank(field, a) == min(nrows, ncols):
@@ -187,19 +186,6 @@ def test_row_sampler_matches_the_mat_path(prime):
                 assert (rep.maps, rep.f14) == (ref.maps, ref.f14), (c, seed, index)
                 assert ma.rank_profile(rep) == _mat_rank_profile(ref), (c, seed, index)
     assert rejected == _REJECTED[prime]
-
-
-@pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)])
-@pytest.mark.parametrize("prime", [101, 32003])
-def test_a_factor_is_drawn_in_one_call_in_row_major_order(prime, nrows, ncols):
-    # randrange(101) rejects about one k-bit draw in five, so the stream's
-    # own rejections are compared too.
-    rng, ref = random.Random(f"{nrows}x{ncols}"), random.Random(f"{nrows}x{ncols}")
-    rows = oracle._draw(PrimeField(prime), nrows, ncols, rng)
-    assert len(rows) == nrows and all(len(row) == ncols for row in rows)
-    assert [x for row in rows for x in row] == [ref.randrange(prime)
-                                               for _ in range(nrows * ncols)]
-    assert rng.getstate() == ref.getstate()
 
 
 def test_sample_of_base_point_is_empty():

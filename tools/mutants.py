@@ -129,8 +129,8 @@ MUTANTS = (
            "value < minima[key]", "value > minima[key]", "tests/test_oracle.py"),
     # Same ranks, same commutativity and generic points: only the law moves.
     Mutant("oracle sampler: R's columns sorted", ORACLE,
-           "_product(field, r, k, mid)",
-           "_product(field, list(zip(*sorted(zip(*r)))), k, mid)",
+           "mul(field, r, k, mid)",
+           "mul(field, list(zip(*sorted(zip(*r)))), k, mid)",
            "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
     Mutant("oracle kernel: K's pivot entries not negated", ORACLE,
            "v[col] = -row[free] % p", "v[col] = row[free]",
