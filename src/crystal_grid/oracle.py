@@ -79,10 +79,9 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
 
     The factors are drawn as int rows (``linalg.random_rows`` and
     ``linalg.random_full_rank_rows``) and stay int rows until the four
-    maps are cut out.  One
-    reduced elimination of Aᵀ serves both A's rejection test and K: A has
-    rank r1 exactly when Aᵀ has r1 pivots, and K is ``linalg.nullspace``
-    read off that echelon form.
+    maps are cut out.  One reduced elimination of Aᵀ serves both A's
+    rejection test and K: A has rank r1 exactly when Aᵀ has r1 pivots, and
+    K is ``linalg.nullspace`` read off that echelon form.
     """
     field = cfg.field()
     rng = cfg.rng(index)
