@@ -61,6 +61,9 @@ def apply_f_star(dims, i):
     return None
 
 
+STEPS = {"e": apply_e, "f": apply_f, "e*": apply_e_star, "f*": apply_f_star}
+
+
 def epsilon(dims, i) -> int:
     """Generic cokernel dimension of the incoming map at vertex i."""
     left, d, _ = _neighbors(dims, i)

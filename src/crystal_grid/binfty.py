@@ -28,6 +28,7 @@ from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
 
+from . import cartan
 from .cartan import CartanMatrix, CrystalFragment
 from .g22 import CARTAN as G22_CARTAN
 from .values import Frozen
@@ -229,16 +230,6 @@ def _bump(x: ZSequence, k: int, delta: int):
     return tuple.__new__(ZSequence, (pattern, support))
 
 
-def apply_word(cartan: CartanMatrix, x: ZSequence, word):
-    """Apply an operator word right-to-left; None is absorbing."""
-    current = x
-    for kind, color in reversed(word):
-        if current is None:
-            return None
-        current = apply_op(cartan, current, kind, color)
-    return current
-
-
 def words_distinct(word_a, word_b, pattern: IotaPattern = None):
     """Compare two lowering words out of the zero sequence.
 
@@ -246,39 +237,32 @@ def words_distinct(word_a, word_b, pattern: IotaPattern = None):
     lowering steps only; anything else leaves the embedded image and the
     comparison would be meaningless.
     """
-    cartan = G22_CARTAN
     for word in (word_a, word_b):
         if any(kind != "f" for kind, _ in word):
             raise ValueError("only lowering words can be compared")
     x0 = zero_sequence(pattern)
     for color in x0.pattern.colors:
-        if color not in cartan.index_set:
+        if color not in G22_CARTAN.index_set:
             raise ValueError(f"pattern color {color!r} is not a vertex of the Cartan matrix")
-    xa = apply_word(cartan, x0, word_a)
-    xb = apply_word(cartan, x0, word_b)
+    xa, xb = (cartan.apply_word({"f": _lower}, word, x0)[0] for word in (word_a, word_b))
     return xa != xb, xa, xb
 
 
-def reachable_elements(cartan: CartanMatrix, depth: int, pattern: IotaPattern = None):
-    """All sequences reachable from zero by lowering words of bounded length."""
-    x0 = zero_sequence(pattern)
-    for i in cartan.index_set:
-        x0.pattern.offsets(i)   # a color the pattern lacks fails here, before any step
-    frontier = {x0}
-    seen = set(frontier)
-    for _ in range(depth):
-        frontier = {apply_op(cartan, x, "f", i) for x in frontier for i in cartan.index_set} - seen
-        seen |= frontier
-    return tuple(sorted(seen, key=lambda s: (sum(v for _, v in s.support), s.support)))
+def _lower(x: ZSequence, i):
+    """f_i x over the 2x2 grid's Cartan matrix, with apply_op looked up at call time."""
+    return apply_op(G22_CARTAN, x, "f", i)
 
 
 def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:
-    """The sequences reachable by lowering words of length at most depth,
-    with one support walk per (element, color) through ``local``."""
-    cartan = G22_CARTAN
+    """The sequences reachable from zero by lowering words of length at most
+    depth, which is their sum, with one support walk per (element, color)
+    through ``local``."""
+    x0 = zero_sequence(pattern)
+    for i in G22_CARTAN.index_set:
+        x0.pattern.offsets(i)   # a color the pattern lacks fails here, before any step
     return CrystalFragment(
-        cartan=cartan,
-        elements=reachable_elements(cartan, depth, pattern),
-        wt=lambda x: weight(cartan, x),
-        local=lambda x, i: local(cartan, x, i),
+        cartan=G22_CARTAN,
+        elements=tuple(cartan.lowering_closure(x0, 0, _lower, G22_CARTAN.index_set, depth)),
+        wt=lambda x: weight(G22_CARTAN, x),
+        local=lambda x, i: local(G22_CARTAN, x, i),
     )

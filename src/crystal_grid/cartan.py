@@ -3,16 +3,21 @@
 A crystal here is a set with a weight map into the root lattice, integer
 statistics epsilon_i, and partial raising / lowering operators, subject to
 the usual five axioms.  phi_i is not a map of its own: the first axiom is
-its definition, phi_i = epsilon_i + <h_i, wt> with the pairing read off the
-Cartan matrix by ``pairing``.  Checks run on finite enumerated fragments,
-each of which gives its statistic and operators at one color through one
-local map, b, i -> (epsilon_i(b), e_i b, f_i b); an image that lies outside
-the fragment is checked too, through its own triple.
+its definition, phi_i = epsilon_i + <h_i, wt>, and since the weight and
+epsilon clauses imply the phi ones, no clause reads a pairing.  Checks run
+on finite enumerated fragments, each of which gives its statistic and
+operators at one color through one local map, b, i -> (epsilon_i(b), e_i b,
+f_i b); an image that lies outside the fragment is checked too, through its
+own triple.
+
+Every model shares ``lowering_closure`` and ``apply_word``.  In each, a
+lowering step adds one to the size (a component's total dimension, a
+sequence's sum), so the closure never lowers an element at the bound.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .values import Frozen, Record
 
@@ -90,12 +95,37 @@ def cartan_from_quiver(quiver, vertex_order=None, labels=None) -> CartanMatrix:
     return CartanMatrix(index_set, tuple(entries))
 
 
-def pairing(cartan: CartanMatrix, i, coeffs) -> int:
-    """Evaluate <h_i, w> for w = sum_j coeffs_j alpha_j."""
-    row = cartan.entries[cartan.position(i)]
-    if len(coeffs) != len(row):
-        raise ValueError("coefficient vector length mismatch")
-    return sum(map(mul, row, coeffs))
+def lowering_closure(seed, size: int, down, colors, bound: int) -> list:
+    """The elements seed reaches by lowering steps within the bound, sorted
+    by (size, element).
+
+    size is the seed's size, and down(x, i) is f_i x, or None when the step
+    vanishes.  A step adds one to the size, so the closure lowers one level
+    at a time and not the level at the bound, and level k holds the elements
+    of size + k.  A seed above the bound is a ValueError.
+    """
+    if size > bound:
+        raise ValueError(f"bound {bound} is below a seed of total dimension {size}")
+    level = [seed]
+    nodes = [seed]
+    for _ in range(bound - size):
+        level = sorted({y for x in level for i in colors if (y := down(x, i)) is not None})
+        nodes += level
+    return nodes
+
+
+def apply_word(steps, word, x):
+    """Apply a word of (kind, color) steps right to left, steps[kind](x, color)
+    for each; returns (result, trace), the trace holding x and every state
+    after it.  None is absorbing: the walk stops at the first step that
+    vanishes, with None as the result and the trace's last state."""
+    trace = [x]
+    for kind, color in reversed(word):
+        x = steps[kind](x, color)
+        trace.append(x)
+        if x is None:
+            break
+    return x, trace
 
 
 NEG_INFINITY = float("-inf")

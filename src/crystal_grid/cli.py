@@ -88,8 +88,12 @@ def _config(args, **extra) -> dict:
 
 
 def cmd_graph(args) -> int:
-    nodes, edges = g22.lowering_graph([args.seed_component], args.bound)
+    seed = args.seed_component
+    nodes = cartan.lowering_closure(seed, sum(seed.dims), g22.apply_f, g22.COLORS, args.bound)
     ids = {c: g22.format_component(c) for c in nodes}
+    # A step from a node below the bound lands in the closure, and one from
+    # the bound above it: the edges are the steps that land on a node.
+    edges = [(s, i, t) for s in nodes for i in g22.COLORS if (t := g22.apply_f(s, i)) in ids]
     if args.format == "dot":
         lines = ["digraph crystal_graph {"]
         lines += [f'  "{ids[c]}";' for c in nodes]
@@ -136,24 +140,12 @@ def cmd_an(args) -> int:
     if any(not 1 <= color <= args.n for _, color in args.apply):
         print(f"error: word uses a color outside 1..{args.n}", file=sys.stderr)
         return 2
-    ops = {
-        "e": an.apply_e,
-        "f": an.apply_f,
-        "e*": an.apply_e_star,
-        "f*": an.apply_f_star,
-    }
-    state = args.start
-    trace = [list(state)]
-    for kind, color in reversed(args.apply):
-        state = ops[kind](state, color) if state is not None else None
-        trace.append(list(state) if state is not None else None)
-        if state is None:
-            break
+    state, trace = cartan.apply_word(an.STEPS, args.apply, args.start)
     payload = {
         "config": _config(args, n=args.n, start=list(args.start),
                           apply=g22.format_word(args.apply)),
         "result": list(state) if state is not None else None,
-        "trace": trace,
+        "trace": [list(s) if s is not None else None for s in trace],
     }
     _emit(payload)
     return 0
@@ -163,7 +155,7 @@ def cmd_g22_apply(args) -> int:
     if any(color not in g22.COLORS for _, color in args.word):
         print("error: word uses a color outside 1..4", file=sys.stderr)
         return 2
-    result, trace = g22.apply_word(args.word, args.start)
+    result, trace = cartan.apply_word(g22.STEPS, args.word, args.start)
     payload = {
         "config": _config(args, start=g22.format_component(args.start),
                           word=g22.format_word(args.word)),

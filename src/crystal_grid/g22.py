@@ -33,7 +33,6 @@ counts differ from epsilon and epsilon* on one wall each:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from math import inf as INFINITY
 
 from .cartan import CrystalFragment, cartan_from_quiver
@@ -338,12 +337,9 @@ def dual(c: Component) -> Component:
 # Operator words
 
 
-_STEP_FUNCTIONS = {
-    "e": apply_e,
-    "f": apply_f,
-    "e*": apply_e_star,
-    "f*": apply_f_star,
-}
+STEPS = {"e": apply_e, "f": apply_f, "e*": apply_e_star, "f*": apply_f_star}
+# The benchmark's tracer and its self-test read the table under this name.
+_STEP_FUNCTIONS = STEPS
 
 
 def parse_word(text: str):
@@ -356,7 +352,7 @@ def parse_word(text: str):
     for token in text.split():
         kind = token.rstrip("0123456789")
         digits = token[len(kind):]
-        if kind not in _STEP_FUNCTIONS or not digits:
+        if kind not in STEPS or not digits:
             raise ValueError(f"bad operator token {token!r}")
         color = int(digits)
         if color < 1:
@@ -369,55 +365,12 @@ def format_word(word) -> str:
     return " ".join(f"{kind}{color}" for kind, color in word)
 
 
-def apply_word(word, c: Component):
-    """Apply a word right-to-left; returns (result-or-None, trace of states)."""
-    trace = [c]
-    current = c
-    for kind, color in reversed(word):
-        current = _STEP_FUNCTIONS[kind](current, color)
-        trace.append(current)
-        if current is None:
-            break
-    return current, trace
-
-
 def connectivity_word(c: Component):
     """A raising word taking the component to the base point without vanishing."""
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
     return (("e", 4),) * r2 + (("e", 3),) * d3 + (("e", 2),) * d2 \
         + (("e", 1),) * d1 + (("e", 4),) * (d4 - r2)
-
-
-def lowering_graph(seeds, bound: int):
-    """Breadth-first closure of the seeds under apply_f, up to total dimension bound.
-
-    Returns (nodes, edges): the components reached, sorted by (total, dims,
-    ranks), and the (source, color, target) steps among them, sorted by
-    (source order, color, target order).  A seed above the bound is a
-    ValueError.
-    """
-    seeds = list(seeds)
-    for s in seeds:
-        if sum(s.dims) > bound:
-            raise ValueError(f"bound {bound} is below a seed of total dimension {sum(s.dims)}")
-    seen = set(seeds)
-    queue = deque(seen)
-    edges = []
-    while queue:
-        c = queue.popleft()
-        for i in COLORS:
-            t = apply_f(c, i)
-            if t is None or sum(t.dims) > bound:
-                continue
-            edges.append((c, i, t))
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    nodes = sorted(seen, key=lambda c: (sum(c.dims), c.dims, c.ranks))
-    order = {c: k for k, c in enumerate(nodes)}
-    edges.sort(key=lambda e: (order[e[0]], e[1], order[e[2]]))
-    return nodes, edges
 
 
 def counterexample_words():

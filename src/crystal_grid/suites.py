@@ -262,8 +262,8 @@ def suite_counterexample() -> dict:
     ambient sequence model under two color patterns.  The report keeps one
     verdict per (pattern, length) pair; the length changes no verdict."""
     word_a, word_b = g22.counterexample_words()
-    end_a, _ = g22.apply_word(word_a, g22.ZERO_COMPONENT)
-    end_b, _ = g22.apply_word(word_b, g22.ZERO_COMPONENT)
+    end_a, _ = cartan.apply_word(g22.STEPS, word_a, g22.ZERO_COMPONENT)
+    end_b, _ = cartan.apply_word(g22.STEPS, word_b, g22.ZERO_COMPONENT)
     target = g22.Component((2, 0, 2, 2), (0, 2))
     bc_equal = end_a == end_b == target
     verdicts = [binfty.words_distinct(word_a, word_b, binfty.IotaPattern(colors, length))[0]
@@ -283,10 +283,10 @@ def suite_connectivity(bound: int = 8) -> dict:
     components = list(g22.iter_components(bound))
     word_failures = []
     for c in components:
-        result, trace = g22.apply_word(g22.connectivity_word(c), c)
+        result, trace = cartan.apply_word(g22.STEPS, g22.connectivity_word(c), c)
         if result != g22.ZERO_COMPONENT or any(step is None for step in trace):
             word_failures.append(g22.format_component(c))
-    reached = set(g22.lowering_graph([g22.ZERO_COMPONENT], bound)[0])
+    reached = set(cartan.lowering_closure(g22.ZERO_COMPONENT, 0, g22.apply_f, g22.COLORS, bound))
     missing = sorted(g22.format_component(c) for c in components if c not in reached)
     return {
         "suite": "connectivity",

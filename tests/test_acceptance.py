@@ -77,8 +77,8 @@ def test_criterion_04_mutual_inverses():
 
 def test_criterion_05_counterexample_words():
     word_a, word_b = g22.counterexample_words()
-    end_a, trace_a = g22.apply_word(word_a, ZERO_COMPONENT)
-    end_b, trace_b = g22.apply_word(word_b, ZERO_COMPONENT)
+    end_a, trace_a = cartan.apply_word(g22.STEPS, word_a, ZERO_COMPONENT)
+    end_b, trace_b = cartan.apply_word(g22.STEPS, word_b, ZERO_COMPONENT)
     assert end_a == end_b == Component((2, 0, 2, 2), (0, 2))
     assert all(s is not None for s in trace_a + trace_b)
     for pattern in (binfty.IotaPattern((1, 2, 3, 4), 40),
@@ -105,10 +105,10 @@ def test_criterion_07_connectivity():
     for c in g22.iter_components(8):
         ids.append(g22.format_component(c))
         word = g22.connectivity_word(c)
-        result, trace = g22.apply_word(word, c)
+        result, trace = cartan.apply_word(g22.STEPS, word, c)
         assert result == ZERO_COMPONENT
         assert all(step is not None for step in trace)
-    nodes, _ = g22.lowering_graph([ZERO_COMPONENT], 8)
+    nodes = cartan.lowering_closure(ZERO_COMPONENT, 0, g22.apply_f, g22.COLORS, 8)
     missing = sorted(set(ids) - {g22.format_component(c) for c in nodes})
     assert not missing, missing[:5]
     _report(7, f"connectivity words and graph reachability over {len(ids)} components")

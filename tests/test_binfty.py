@@ -15,6 +15,12 @@ RANK1 = CartanMatrix((1,), ((2,),))
 B2 = CartanMatrix((1, 2), ((2, -1), (-2, 2)))   # not symmetric: rows and columns differ
 
 
+def lower(word):
+    """The zero sequence lowered along a word of lowering steps, right to left."""
+    steps = {"f": lambda x, i: binfty.apply_op(A22, x, "f", i)}
+    return cartan.apply_word(steps, word, binfty.zero_sequence())[0]
+
+
 def seq(pattern, entries):
     return ZSequence(pattern, tuple(sorted(entries.items())))
 
@@ -111,7 +117,7 @@ def test_mutual_inversion_on_random_words():
     rng = random.Random(13)
     for _ in range(200):
         word = [("f", rng.choice((1, 2, 3, 4))) for _ in range(rng.randrange(1, 7))]
-        x = binfty.apply_word(A22, binfty.zero_sequence(), word)
+        x = lower(word)
         for i in (1, 2, 3, 4):
             down = binfty.apply_op(A22, x, "f", i)
             assert binfty.apply_op(A22, down, "e", i) == x
@@ -135,7 +141,7 @@ def test_lowering_raises_epsilon_by_one():
     rng = random.Random(99)
     for _ in range(100):
         word = [("f", rng.choice((1, 2, 3, 4))) for _ in range(rng.randrange(6))]
-        x = binfty.apply_word(A22, binfty.zero_sequence(), word)
+        x = lower(word)
         for i in (1, 2, 3, 4):
             y = binfty.apply_op(A22, x, "f", i)
             assert binfty.epsilon(A22, y, i) == binfty.epsilon(A22, x, i) + 1
@@ -279,6 +285,23 @@ def test_checker_walks_once_per_element_and_color(monkeypatch):
     # fragment (its triple gives epsilon and the inverse image); 16,132 when
     # epsilon, e and f each walked on their own.
     assert walks == 6124
+
+
+def test_closure_lowers_each_element_below_the_depth_once_per_color(monkeypatch):
+    # 411 sequences of sum at most 5, times 4 colors; the 560 of sum 6 are
+    # not lowered.  apply_op is looked up at call time.
+    calls = 0
+    step = binfty.apply_op
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(binfty, "apply_op", counted)
+    frag = binfty.fragment(6)
+    assert len(frag.elements) == 971
+    assert calls == 1644
 
 
 @pytest.mark.deep

@@ -1,11 +1,22 @@
 import json
 from math import inf
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
 
 from crystal_grid import an, binfty, cartan, cli, g22, grid, suites
-from crystal_grid.cartan import NEG_INFINITY, CartanMatrix, CheckReport, CrystalFragment, pairing
+from crystal_grid.cartan import NEG_INFINITY, CartanMatrix, CheckReport, CrystalFragment
+
+
+def pairing(a: CartanMatrix, i, coeffs) -> int:
+    """Evaluate <h_i, w> for w = sum_j coeffs_j alpha_j: the phi of the
+    retired checkers below, which the package's checker derives from axiom 1
+    without reading a pairing."""
+    row = a.entries[a.position(i)]
+    if len(coeffs) != len(row):
+        raise ValueError("coefficient vector length mismatch")
+    return sum(map(mul, row, coeffs))
 
 
 def test_cartan_of_two_vertex_chain():
@@ -39,22 +50,22 @@ def test_cartan_matrix_validation():
 
 def test_pairing_diagonal():
     w = (-1, 0, 0, 0)
-    assert cartan.pairing(g22.CARTAN, 1, w) == -2
+    assert pairing(g22.CARTAN, 1, w) == -2
 
 
 def test_pairing_mixed_weight():
     w = (-1, -1, -1, -2)
-    assert cartan.pairing(g22.CARTAN, 1, w) == 0
+    assert pairing(g22.CARTAN, 1, w) == 0
 
 
 def test_pairing_off_diagonal_chain():
     a = an.chain_cartan(2)
-    assert cartan.pairing(a, 1, (0, -1)) == 1
+    assert pairing(a, 1, (0, -1)) == 1
 
 
 def test_pairing_unknown_vertex():
     with pytest.raises(KeyError):
-        cartan.pairing(g22.CARTAN, 9, (0, 0, 0, 0))
+        pairing(g22.CARTAN, 9, (0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("a", [
@@ -67,16 +78,16 @@ def test_position_map_agrees_with_the_index_set(a):
     coeffs = tuple(range(1, n + 1))
     for k, v in enumerate(a.index_set):
         assert a.position(v) == a.index_set.index(v) == k
-        assert cartan.pairing(a, v, coeffs) == sum(
+        assert pairing(a, v, coeffs) == sum(
             a.entries[k][j] * coeffs[j] for j in range(n))
     for unknown in (0, "w", (1, 1), n + 1, [1]):
         with pytest.raises(KeyError, match="unknown vertex"):
             a.position(unknown)
         with pytest.raises(KeyError, match="unknown vertex"):
-            cartan.pairing(a, unknown, (0,) * n)
+            pairing(a, unknown, (0,) * n)
     for length in (n - 1, n + 1):
         with pytest.raises(ValueError, match="length mismatch"):
-            cartan.pairing(a, a.index_set[0], (0,) * length)
+            pairing(a, a.index_set[0], (0,) * length)
 
 
 def test_axiom_check_clean_fragments():
@@ -485,3 +496,48 @@ def test_an_empty_fragment_is_refused():
     chain = _chain()
     with pytest.raises(ValueError, match="fragment has no elements"):
         cartan.check_crystal_axioms(CrystalFragment(chain.cartan, (), chain.wt, chain.local))
+
+
+# --- the shared lowering closure and word walk --------------------------------------
+
+
+def test_lowering_closure_is_the_sorted_chain_box_without_lowering_the_bound():
+    # On the chain a lowering step adds one to the total, as in every model.
+    lowered = []
+
+    def down(x, i):
+        lowered.append(x)
+        return an.apply_f(x, i)
+
+    nodes = cartan.lowering_closure((0, 0, 0), 0, down, (1, 2, 3), 4)
+    assert nodes == sorted(an.iter_dims(3, 4), key=lambda d: (sum(d), d))
+    assert max(map(sum, lowered)) == 3
+    assert len(lowered) == 3 * sum(sum(d) < 4 for d in nodes)
+
+
+def test_lowering_closure_from_a_seed_at_the_bound_is_the_seed():
+    def down(x, i):
+        raise AssertionError("an element at the bound was lowered")
+
+    assert cartan.lowering_closure((1, 2), 3, down, (1, 2), 3) == [(1, 2)]
+    with pytest.raises(ValueError, match="bound 2 is below a seed of total dimension 3"):
+        cartan.lowering_closure((1, 2), 3, down, (1, 2), 2)
+
+
+def test_apply_word_walks_right_to_left_and_stops_at_none():
+    # f2 first, then f1; f1 first would leave f2 blocked by its left neighbor.
+    assert cartan.apply_word(an.STEPS, (("f", 1), ("f", 2)), (0, 0)) == (
+        (1, 1), [(0, 0), (0, 1), (1, 1)])
+    # e1 vanishes on (0, 1), so f2 never runs: None absorbs the rest of the word.
+    assert cartan.apply_word(an.STEPS, (("f", 2), ("e", 1)), (0, 1)) == (None, [(0, 1), None])
+    assert cartan.apply_word(an.STEPS, (), (2, 0)) == ((2, 0), [(2, 0)])
+
+
+def test_one_closure_and_one_word_walker():
+    # No model keeps a closure or a walker of its own, under any name a
+    # caller could mistake for the shared one.
+    for module in (an, binfty, cli, g22, suites):
+        for name in ("apply_word", "lowering_closure", "lowering_graph", "reachable_elements"):
+            assert getattr(module, name, None) in (None, getattr(cartan, name, None)), (
+                module.__name__, name)
+    assert an.STEPS.keys() == g22.STEPS.keys() == {"e", "f", "e*", "f*"}

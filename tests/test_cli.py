@@ -8,7 +8,7 @@ import shlex
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_grid import cli, g22, modules22, oracle, suites
+from crystal_grid import cartan, cli, g22, modules22, oracle, suites
 
 
 def run(capsys, *argv):
@@ -161,12 +161,24 @@ def test_binfty_rejects_raising_words(capsys):
     assert code == 2
 
 
+def _graph(seed, bound):
+    """The closure of seed and, as a reference for ``graph``'s edges, every
+    raising step between two of its nodes read backwards (f_i s = t exactly
+    when e_i t = s), in node order, then color order."""
+    nodes = cartan.lowering_closure(seed, sum(seed.dims), g22.apply_f, g22.COLORS, bound)
+    order = {c: k for k, c in enumerate(nodes)}
+    edges = sorted(((s, i, t) for t in nodes for i in g22.COLORS
+                    if (s := g22.apply_e(t, i)) in order),
+                   key=lambda e: (order[e[0]], e[1]))
+    return nodes, edges
+
+
 def test_graph_json_round_trips(capsys):
     code, out = run(capsys, "graph", "--bound", "4", "--format", "json")
     assert code == 0
     assert out.endswith("}\n")
     payload = json.loads(out)
-    nodes, edges = g22.lowering_graph([g22.ZERO_COMPONENT], 4)
+    nodes, edges = _graph(g22.ZERO_COMPONENT, 4)
     assert nodes == list(g22.iter_components(4))
     name = g22.format_component
     assert payload["nodes"] == [{"id": name(c), "dims": list(c.dims), "ranks": list(c.ranks),
@@ -206,7 +218,7 @@ def test_json_round_trip(capsys):
     assert code == 0
     assert out.endswith("\n")
     payload = json.loads(out)
-    nodes, edges = g22.lowering_graph([seed], 6)
+    nodes, edges = _graph(seed, 6)
     name = g22.format_component
     assert payload["nodes"][0]["id"] == name(seed)
     assert [(n["id"], tuple(n["dims"]), tuple(n["ranks"]), tuple(n["wt"]))
@@ -301,12 +313,30 @@ def test_graph_to_file(tmp_path, capsys):
 
 
 def test_connectivity_reports_missing(monkeypatch):
-    nodes, edges = g22.lowering_graph([g22.ZERO_COMPONENT], 2)
-    monkeypatch.setattr(g22, "lowering_graph", lambda seeds, bound: (nodes[:-1], edges))
+    nodes = cartan.lowering_closure(g22.ZERO_COMPONENT, 0, g22.apply_f, g22.COLORS, 2)
+    monkeypatch.setattr(cartan, "lowering_closure", lambda *args: nodes[:-1])
     report = suites.suite_connectivity(2)
     assert report["missing"] == [g22.format_component(nodes[-1])]
     assert report["missing_count"] == 1
     assert report["graph_connected"] is False and report["ok"] is False
+
+
+def test_connectivity_lowers_each_component_below_the_bound_once_per_color(monkeypatch):
+    # 953 components of total dimension at most 9, times 4 colors; the
+    # connectivity words only raise.  The closure once also lowered the 426
+    # components at the bound (5,516 calls).  apply_f is looked up at call
+    # time.
+    calls = 0
+    step = g22.apply_f
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(g22, "apply_f", counted)
+    assert suites.suite_connectivity(10)["ok"]
+    assert calls == 3812
 
 
 # Each call would check nothing; a suite refuses it rather than pass.

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import itertools
 import json
 import pickle
@@ -13,6 +15,24 @@ from crystal_grid.g22 import Component, ZERO_COMPONENT, InvalidComponentError
 
 def C(dims, ranks):
     return Component(tuple(dims), tuple(ranks))
+
+
+def apply_word(word, c):
+    return cartan.apply_word(g22.STEPS, word, c)
+
+
+def lowering_graph(seed, bound):
+    """(nodes, edges) of ``graph --seed seed --bound bound``, read back from
+    its JSON, with (source, color, target) edges."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["graph", "--seed", g22.format_component(seed),
+                         "--bound", str(bound)]) == 0
+    payload = json.loads(out.getvalue())
+    nodes = [g22.parse_component(n["id"]) for n in payload["nodes"]]
+    edges = [(g22.parse_component(e["src"]), e["color"], g22.parse_component(e["dst"]))
+             for e in payload["edges"]]
+    return nodes, edges
 
 
 # --- component parametrization ---------------------------------------------
@@ -663,12 +683,12 @@ def test_parse_and_format_word():
     with pytest.raises(ValueError):
         g22.parse_word("f0")
     with pytest.raises(ValueError):
-        g22.apply_word(g22.parse_word("f9"), ZERO_COMPONENT)
+        apply_word(g22.parse_word("f9"), ZERO_COMPONENT)
 
 
 def test_apply_word_absorbs_vanishing():
     word = g22.parse_word("f1 f4")
-    result, trace = g22.apply_word(word, C((0, 1, 0, 0), (0, 0)))
+    result, trace = apply_word(word, C((0, 1, 0, 0), (0, 0)))
     assert result is None
     assert trace[-1] is None
 
@@ -677,7 +697,7 @@ def test_connectivity_word_replay():
     c = C((1, 1, 1, 2), (1, 1))
     word = g22.connectivity_word(c)
     assert len(word) == sum(c.dims)
-    result, trace = g22.apply_word(word, c)
+    result, trace = apply_word(word, c)
     assert result == ZERO_COMPONENT
     assert all(step is not None for step in trace)
 
@@ -689,7 +709,7 @@ def test_connectivity_word_empty_for_base():
 def test_connectivity_word_order():
     word = g22.connectivity_word(C((2, 1, 1, 2), (2, 0)))
     assert word == (("e", 3), ("e", 2), ("e", 1), ("e", 1), ("e", 4), ("e", 4))
-    result, _ = g22.apply_word(word, C((2, 1, 1, 2), (2, 0)))
+    result, _ = apply_word(word, C((2, 1, 1, 2), (2, 0)))
     assert result == ZERO_COMPONENT
 
 
@@ -697,7 +717,7 @@ def test_connectivity_word_order():
 
 
 def test_graph_contains_sink_chain():
-    nodes, edges = g22.lowering_graph([ZERO_COMPONENT], 2)
+    nodes, edges = lowering_graph(ZERO_COMPONENT, 2)
     chain = [C((0, 0, 0, k), (0, 0)) for k in range(3)]
     assert set(chain) <= set(nodes)
     assert (chain[0], 4, chain[1]) in edges
@@ -705,23 +725,23 @@ def test_graph_contains_sink_chain():
 
 
 def test_graph_bound_zero_is_single_node():
-    assert g22.lowering_graph([ZERO_COMPONENT], 0) == ([ZERO_COMPONENT], [])
+    assert lowering_graph(ZERO_COMPONENT, 0) == ([ZERO_COMPONENT], [])
 
 
 def test_graph_from_nonzero_seed():
     seed = C((1, 1, 1, 1), (1, 1))
-    nodes, edges = g22.lowering_graph([seed], 5)
+    nodes, edges = lowering_graph(seed, 5)
     assert nodes[0] == seed
     assert (seed, 1, C((2, 1, 1, 1), (1, 1))) in edges
 
 
 def test_graph_rejects_bound_below_seed():
     with pytest.raises(ValueError, match="bound 2 is below a seed of total dimension 4"):
-        g22.lowering_graph([C((1, 1, 1, 1), (1, 1))], 2)
+        cartan.lowering_closure(C((1, 1, 1, 1), (1, 1)), 4, g22.apply_f, g22.COLORS, 2)
 
 
 def test_graph_weight_drops_along_edges():
-    _, edges = g22.lowering_graph([ZERO_COMPONENT], 4)
+    _, edges = lowering_graph(ZERO_COMPONENT, 4)
     assert edges
     for src, color, dst in edges:
         diff = [a - b for a, b in zip(g22.weight(src), g22.weight(dst))]
@@ -731,7 +751,7 @@ def test_graph_weight_drops_along_edges():
 def test_connectivity_with_universe():
     # The closure of the base point is every component below the bound, in
     # the enumeration's order.
-    nodes, edges = g22.lowering_graph([ZERO_COMPONENT], 6)
+    nodes, edges = lowering_graph(ZERO_COMPONENT, 6)
     assert nodes == list(g22.iter_components(6))
     order = {c: k for k, c in enumerate(nodes)}
     keys = [(order[s], i, order[t]) for s, i, t in edges]
@@ -740,8 +760,8 @@ def test_connectivity_with_universe():
 
 def test_counterexample_words_collide():
     word_a, word_b = g22.counterexample_words()
-    end_a, trace_a = g22.apply_word(word_a, ZERO_COMPONENT)
-    end_b, _ = g22.apply_word(word_b, ZERO_COMPONENT)
+    end_a, trace_a = apply_word(word_a, ZERO_COMPONENT)
+    end_b, _ = apply_word(word_b, ZERO_COMPONENT)
     assert end_a == end_b == C((2, 0, 2, 2), (0, 2))
     assert [g22.format_component(c) for c in trace_a] == [
         "0,0,0,0:0,0", "0,0,0,1:0,0", "0,0,0,2:0,0", "0,0,1,2:0,1",

@@ -43,6 +43,7 @@ class Mutant:
 
 
 CARTAN = "src/crystal_grid/cartan.py"
+CLI = "src/crystal_grid/cli.py"
 LINALG = "src/crystal_grid/linalg.py"
 G22 = "src/crystal_grid/g22.py"
 BINFTY = "src/crystal_grid/binfty.py"
@@ -109,12 +110,15 @@ MUTANTS = (
     Mutant("g22 dual: ranks not swapped", G22,
            "dims, ranks = (d4, d3, d2, d1), (r2, r1)",
            "dims, ranks = (d4, d3, d2, d1), (r1, r2)", "tests/test_g22.py"),
-    Mutant("g22 lowering graph: a step onto the bound is cut", G22,
-           "sum(t.dims) > bound", "sum(t.dims) >= bound",
+    Mutant("lowering closure: a step onto the bound is cut", CARTAN,
+           "for _ in range(bound - size):", "for _ in range(bound - size - 1):",
            "tests/test_g22.py::test_graph_contains_sink_chain"),
-    Mutant("g22 lowering graph: edges left in breadth-first order", G22,
-           "    edges.sort(key=lambda e: (order[e[0]], e[1], order[e[2]]))\n", "",
+    Mutant("graph edge pass: edges listed color by color", CLI,
+           "for s in nodes for i in g22.COLORS", "for i in g22.COLORS for s in nodes",
            "tests/test_g22.py::test_connectivity_with_universe"),
+    Mutant("word walk: word applied left to right", CARTAN,
+           "for kind, color in reversed(word):", "for kind, color in word:",
+           "tests/test_cartan.py::test_apply_word_walks_right_to_left_and_stops_at_none"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
            "_bump(x, last, -1)", "_bump(x, first, -1)", "tests/test_binfty.py"),
     Mutant("binfty zero run: first position of the color one slot late", BINFTY,
