@@ -171,10 +171,6 @@ def extremes(cartan: CartanMatrix, x: ZSequence, i):
     return top, first, last
 
 
-def epsilon(cartan: CartanMatrix, x: ZSequence, i) -> int:
-    return extremes(cartan, x, i)[0]
-
-
 def weight(cartan: CartanMatrix, x: ZSequence):
     pattern, support = x
     positions = cartan.pattern_rows(pattern.colors)[0]

@@ -52,11 +52,11 @@ class InconsistentProfileError(ValueError):
 
 
 def indecomposable(k: int) -> Representation:
-    """The interval module M_k over QQ with identity maps wherever possible."""
+    """The interval module M_k over QQ: every map between two corners where
+    it lives is the 1x1 identity, and every other map is empty."""
     dims = INTERVAL_DIMS[k]
     return Representation(QQ, dims, *(
-        linalg.identity(QQ, 1) if dims[s - 1] and dims[t - 1]
-        else linalg.zeros(QQ, dims[t - 1], dims[s - 1]) for s, t in ARROWS))
+        ((QQ.one,) * dims[s - 1],) * dims[t - 1] for s, t in ARROWS))
 
 
 def normalize_multiset(ms: dict) -> dict:
@@ -81,7 +81,7 @@ def multiset_rep(ms: dict) -> Representation:
     """Direct sum over QQ of the catalog modules with the given multiplicities."""
     pieces = [indecomposable(k) for k, m in normalize_multiset(ms).items() for _ in range(m)]
     if not pieces:
-        return Representation(QQ, (0, 0, 0, 0), *(linalg.zeros(QQ, 0, 0) for _ in ARROWS))
+        return Representation(QQ, (0, 0, 0, 0), (), (), (), ())
     return reduce(direct_sum, pieces)
 
 
@@ -130,11 +130,6 @@ def _mask(rows, table, cols) -> list:
             for r, line in zip(rows, table, strict=True)]
 
 
-def _masked(rows, table, cols) -> linalg.Mat:
-    """diag(rows) · table · diag(cols) over QQ."""
-    return linalg.from_int_rows(QQ, _mask(rows, table, cols), len(cols))
-
-
 def verify_resolution_exact(k: int) -> bool:
     """Exactness of 0 -> P_N -> ... -> P_0 -> M_k -> 0, corner by corner:
     d_0 is onto M_k, d_{n-1} d_n = 0, and dim P_n = rank d_n + rank d_{n+1}
@@ -148,14 +143,15 @@ def verify_resolution_exact(k: int) -> bool:
             if (_mask(_lives(lower, t), table, _lives(stage, s, t))
                     != _mask(_lives(lower, s, t), table, _lives(stage, s))):
                 raise AssertionError(f"d_{n} in the resolution of M{k} is not a module map")
+    widths = [len(stage) for stage in res.stages]
     for v in (1, 2, 3, 4):
-        maps = [_masked(_lives(lower, v), table, _lives(stage, v))
+        maps = [_mask(_lives(lower, v), table, _lives(stage, v))
                 for lower, stage, table in zip(below, res.stages, res.diffs)]
-        ranks = [linalg.rank(QQ, d) for d in maps] + [0]
+        ranks = [linalg.rank(QQ, d, n) for d, n in zip(maps, widths)] + [0]
         if ranks[0] != INTERVAL_DIMS[k][v - 1]:
             return False
-        if any(not linalg.is_zero(linalg.mul(QQ, maps[n - 1], maps[n]))
-               for n in range(1, len(maps))):
+        if any(any(map(any, linalg.mul(QQ, maps[n - 1], maps[n], widths[n])))
+               for n in range(1, len(maps))):    # some d_{n-1} d_n is nonzero
             return False
         if any(sum(_lives(stage, v)) != ranks[n] + ranks[n + 1]
                for n, stage in enumerate(res.stages)):
@@ -174,7 +170,7 @@ def _ext_row(i: int) -> tuple:
     row = []
     for j in sorted(INTERVAL_DIMS):
         masks = [[INTERVAL_DIMS[j][_GENERATOR[p] - 1] for p in stage] for stage in stages]
-        ranks = [0] + [linalg.rank(QQ, _masked(masks[n - 1], diffs[n], masks[n]))
+        ranks = [0] + [linalg.rank(QQ, _mask(masks[n - 1], diffs[n], masks[n]), len(masks[n]))
                        for n in range(1, len(stages))] + [0]
         row.append(tuple(sum(mask) - ranks[n] - ranks[n + 1] for n, mask in enumerate(masks)))
     return tuple(row)
@@ -284,25 +280,25 @@ def rank_profile(rep: Representation) -> RankProfile:
     rank, and those among its first d2 columns the rank of f12ᵀ, so of f12;
     one echelon form of [f24 | f34] gives the sink rank and the rank of f24
     the same way.  The sink map's sign (f24 beside -f34) only scales
-    columns, so the plain stack has its rank.  Both stacks are eliminated
-    as row lists cut from the maps' rows, with no stacked Mat built.  f13,
-    f34 and the composite take one rank each.
+    columns, so the plain stack has its rank.  Both stacks are cut from
+    the maps' rows; f13, f34 and the composite take one rank each.  The
+    field is called through ``eliminate`` alone.
     """
     field = rep.field
     f12, f13, f24, f34 = rep.maps
-    d2, d3 = rep.dims[1:3]
-    source = field.eliminate(list(zip(*(f12.rows + f13.rows))), d2 + d3, False)
-    sink = field.eliminate([x + y for x, y in zip(f24.rows, f34.rows)], d2 + d3, False)
+    d1, d2, d3, _ = rep.dims
+    source = field.eliminate(list(zip(*(f12 + f13))), d2 + d3, False)
+    sink = field.eliminate([x + y for x, y in zip(f24, f34)], d2 + d3, False)
     r12, r24 = (sum(c < d2 for c in pivots) for pivots in (source, sink))
     return RankProfile(
         dims=rep.dims,
         r12=r12,
-        r13=linalg.rank(field, f13),
+        r13=linalg.rank(field, f13, d1),
         r24=r24,
-        r34=linalg.rank(field, f34),
+        r34=linalg.rank(field, f34, d3),
         source_rank=len(source),
         sink_rank=len(sink),
-        diag_rank=linalg.rank(field, rep.f14),
+        diag_rank=linalg.rank(field, rep.f14, d1),
     )
 
 
@@ -330,10 +326,10 @@ def _profile_matrix():
 def _profile_solver():
     """Inverse of the catalog's profile matrix, as int rows; the inverse is
     derived over QQ and must be integral."""
-    inv = linalg.inverse(QQ, linalg.from_int_rows(QQ, _profile_matrix()))
-    if any(x.denominator != 1 for row in inv.rows for x in row):
+    inv = linalg.inverse(QQ, _profile_matrix())
+    if any(x.denominator != 1 for row in inv for x in row):
         raise AssertionError("the profile matrix of the catalog has a non-integral inverse")
-    return tuple(tuple(int(x) for x in row) for row in inv.rows)
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def multiplicities_from_profile(profile: RankProfile) -> dict:

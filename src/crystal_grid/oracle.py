@@ -24,9 +24,11 @@ point keeps as f14) reads all eight.
 
 A sampled point and its profile cost nine eliminations (the reduced one
 of Aᵀ, three full-rank tests and the profile's five) and five products
-(A·B, R·K, C·(R·K) and the two sides of the point's square).  Everything
-before the four maps stays int rows: the only Mats a point builds are
-those maps, shape-checked, and the two products of its square check.
+(A·B, R·K, C·(R·K) and the two sides of the point's square).  Every
+factor is int rows over GF(p), read through the field members that
+``linalg`` lists: ``rand_row`` for the draws, ``eliminate`` for the ranks
+and the echelon form, ``zero``, ``one`` and ``reduce`` for the kernel and
+``dots`` for the products.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import random
 
 from . import linalg, modules22
 from .g22 import Component
-from .linalg import Mat, PrimeField
+from .linalg import PrimeField
 from .reps import Representation
 from .values import Frozen
 
@@ -78,10 +80,9 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     are a uniform basis of their left annihilator.
 
     The factors are drawn as int rows (``linalg.random_rows`` and
-    ``linalg.random_full_rank_rows``) and stay int rows until the four
-    maps are cut out.  One reduced elimination of Aᵀ serves both A's
-    rejection test and K: A has rank r1 exactly when Aᵀ has r1 pivots, and
-    K is ``linalg.nullspace`` read off that echelon form.
+    ``linalg.random_full_rank``).  One reduced elimination of Aᵀ serves
+    both A's rejection test and K: A has rank r1 exactly when Aᵀ has r1
+    pivots, and K is ``linalg.nullspace`` read off that echelon form.
     """
     field = cfg.field()
     rng = cfg.rng(index)
@@ -90,21 +91,11 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     mid = d2 + d3
     while True:
         a = linalg.random_rows(field, mid, r1, rng)
-        echelon = list(zip(*a))
-        pivots = field.eliminate(echelon, mid, True)
+        echelon, pivots = linalg.rref(field, zip(*a), mid)
         if len(pivots) == r1:
             break
-    # K: linalg.nullspace of Aᵀ, read off the same echelon form.
-    p = field.p
-    kernel = []
-    for free in range(mid):
-        if free not in pivots:
-            v = [0] * mid
-            v[free] = 1
-            for row, col in zip(echelon, pivots):
-                v[col] = -row[free] % p
-            kernel.append(v)
-    full_rank = linalg.random_full_rank_rows
+    kernel = linalg.nullspace(field, echelon, pivots, mid)
+    full_rank = linalg.random_full_rank
     b = full_rank(field, r1, d1, rng)
     r = full_rank(field, r2, mid - r1, rng)
     cm = full_rank(field, d4, r2, rng)
@@ -114,19 +105,16 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
 def _factor_point(field, dims, a, b, r, k, cm) -> Representation:
     """The point whose outward map (f12 over f13) is A·B and whose inward map
     (f24 beside -f34) is C·(R·K); K spans the left kernel of A.  The factors
-    are int rows over GF(p), and only the four maps are made Mats."""
+    are int rows over GF(p)."""
     d1, d2, d3, d4 = dims
     mid = d2 + d3
-    mul = linalg.mul_rows
+    mul = linalg.mul
     out_rows = mul(field, a, b, d1)
     in_rows = mul(field, cm, mul(field, r, k, mid), mid)
     p = field.p
     return Representation(
-        field, dims,
-        Mat(d2, d1, tuple([tuple(row) for row in out_rows[:d2]])),
-        Mat(d3, d1, tuple([tuple(row) for row in out_rows[d2:]])),
-        Mat(d4, d2, tuple([tuple(row[:d2]) for row in in_rows])),
-        Mat(d4, d3, tuple([tuple([-x % p for x in row[d2:]]) for row in in_rows])))
+        field, dims, out_rows[:d2], out_rows[d2:], [row[:d2] for row in in_rows],
+        [[-x % p for x in row[d2:]] for row in in_rows])
 
 
 # The profile rank that each (kind, corner) statistic subtracts from the

@@ -131,7 +131,7 @@ def test_rank_one_sanity():
     x = binfty.zero_sequence(pat)
     for _ in range(3):
         x = binfty.apply_op(RANK1, x, "f", 1)
-    assert binfty.epsilon(RANK1, x, 1) == 3
+    assert binfty.extremes(RANK1, x, 1)[0] == 3
     for _ in range(3):
         x = binfty.apply_op(RANK1, x, "e", 1)
     assert x == binfty.zero_sequence(pat)
@@ -144,7 +144,7 @@ def test_lowering_raises_epsilon_by_one():
         x = lower(word)
         for i in (1, 2, 3, 4):
             y = binfty.apply_op(A22, x, "f", i)
-            assert binfty.epsilon(A22, y, i) == binfty.epsilon(A22, x, i) + 1
+            assert binfty.extremes(A22, y, i)[0] == binfty.extremes(A22, x, i)[0] + 1
 
 
 def test_raising_outside_the_image_is_rejected():
@@ -204,7 +204,7 @@ def test_ambient_axioms_on_reachable_set():
 
 def _direct_local(a):
     """The triple binfty.local gives, with each part from its own support walk."""
-    return lambda x, i: (binfty.epsilon(a, x, i), binfty.apply_op(a, x, "e", i),
+    return lambda x, i: (binfty.extremes(a, x, i)[0], binfty.apply_op(a, x, "e", i),
                          binfty.apply_op(a, x, "f", i))
 
 
@@ -436,7 +436,7 @@ def _model_steps(a, x, i):
             return y
         ZSequence(*y)   # the factory's result passes the public constructor's checks
         return y.entries()
-    return binfty.epsilon(a, x, i), image("e"), image("f")
+    return binfty.extremes(a, x, i)[0], image("e"), image("f")
 
 
 @pytest.mark.parametrize("colors", [(1, 2, 3, 4), (4, 3, 2, 1)])
@@ -445,7 +445,7 @@ def test_local_gives_epsilon_e_and_f_of_one_walk(colors):
     assert len(frag.elements) == 4645
     for x in frag.elements:
         for i in (1, 2, 3, 4):
-            assert binfty.local(A22, x, i) == (binfty.epsilon(A22, x, i),
+            assert binfty.local(A22, x, i) == (binfty.extremes(A22, x, i)[0],
                                                binfty.apply_op(A22, x, "e", i),
                                                binfty.apply_op(A22, x, "f", i))
 
@@ -517,7 +517,7 @@ UNCARRIED = r"color 4 is not carried by the pattern \(1, 2, 3\)"
 
 
 @pytest.mark.parametrize("call", [
-    lambda x: binfty.epsilon(A22, x, 4),
+    lambda x: binfty.extremes(A22, x, 4)[0],
     lambda x: binfty.apply_op(A22, x, "f", 4),
     lambda x: binfty.apply_op(A22, x, "e", 4),
 ])

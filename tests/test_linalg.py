@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from fractions import Fraction
 
@@ -7,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_grid import linalg
-from crystal_grid.linalg import QQ, Mat, PrimeField
+from crystal_grid.linalg import QQ, PrimeField
 
 
 F7 = PrimeField(7)
@@ -15,14 +13,25 @@ F32003 = PrimeField(32003)
 
 
 # The oracle: elimination and product one reduced entry at a time, as
-# linalg computed them before the fields grew row kernels.
+# linalg computed them before the fields grew row kernels.  Matrices are
+# rows; every routine that needs a width takes it.
 
-def _oracle_eliminate(field, a: Mat, reduced: bool):
+def _inv(field, x):
+    """The inverse of a nonzero entry, computed here and not by the field."""
+    return pow(x, -1, field.p) if isinstance(field, PrimeField) else 1 / Fraction(x)
+
+
+def _of_int(field, n):
+    """The image of an integer in the field."""
+    return n % field.p if isinstance(field, PrimeField) else Fraction(n)
+
+
+def _oracle_eliminate(field, a, ncols, reduced: bool):
     red = field.reduce
-    rows = [list(r) for r in a.rows]
-    m = a.nrows
+    rows = [list(r) for r in a]
+    m = len(rows)
     pivots = []
-    for c in range(a.ncols):
+    for c in range(ncols):
         r = len(pivots)
         if r == m:
             break
@@ -31,7 +40,7 @@ def _oracle_eliminate(field, a: Mat, reduced: bool):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r]
-        inv = field.inv(lead[c])
+        inv = _inv(field, lead[c])
         for i in range(0 if reduced else r + 1, m):
             f = rows[i][c]
             if f and i != r:
@@ -43,52 +52,51 @@ def _oracle_eliminate(field, a: Mat, reduced: bool):
     return rows, tuple(pivots)
 
 
-def _oracle_mul(field, a: Mat, b: Mat) -> Mat:
+def _oracle_mul(field, a, b, ncols):
     red, zero = field.reduce, field.zero
-    bt = list(zip(*b.rows)) if b.rows else [()] * b.ncols
-    return Mat(a.nrows, b.ncols, tuple(
-        tuple(red(sum((x * y for x, y in zip(ra, col)), zero)) for col in bt)
-        for ra in a.rows))
+    bt = list(zip(*b)) if b else [()] * ncols
+    return [[red(sum((x * y for x, y in zip(ra, col)), zero)) for col in bt] for ra in a]
 
 
-def _oracle_rank(field, a):
-    return len(_oracle_eliminate(field, a, reduced=False)[1])
+def _oracle_rank(field, a, ncols):
+    return len(_oracle_eliminate(field, a, ncols, reduced=False)[1])
 
 
-def _oracle_rref(field, a):
-    rows, pivots = _oracle_eliminate(field, a, reduced=True)
-    return Mat(a.nrows, a.ncols, tuple(tuple(row) for row in rows)), pivots
+def _oracle_rref(field, a, ncols):
+    return _oracle_eliminate(field, a, ncols, reduced=True)
 
 
-def _oracle_nullspace(field, a):
-    echelon, pivots = _oracle_rref(field, a)
+def _oracle_nullspace(field, a, ncols):
+    echelon, pivots = _oracle_rref(field, a, ncols)
     basis = []
-    for f in (j for j in range(a.ncols) if j not in pivots):
-        v = [field.zero] * a.ncols
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [field.zero] * ncols
         v[f] = field.one
         for r, c in enumerate(pivots):
-            v[c] = field.reduce(-echelon.rows[r][f])
-        basis.append(tuple(v))
-    return tuple(basis)
+            v[c] = field.reduce(-echelon[r][f])
+        basis.append(v)
+    return basis
 
 
-def _oracle_solve(field, a, b):
-    column = Mat(a.nrows, 1, tuple((x,) for x in b))
-    echelon, pivots = _oracle_rref(field, linalg.hstack([a, column]))
-    if a.ncols in pivots:
-        return None
-    x = [field.zero] * a.ncols
-    for r, c in enumerate(pivots):
-        x[c] = echelon.rows[r][a.ncols]
-    return tuple(x)
+def _identity(field, n):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 def _oracle_inverse(field, a):
-    n = a.nrows
-    echelon, pivots = _oracle_rref(field, linalg.hstack([a, linalg.identity(field, n)]))
+    n = len(a)
+    augmented = [list(row) + unit for row, unit in zip(a, _identity(field, n))]
+    echelon, pivots = _oracle_rref(field, augmented, 2 * n)
     if pivots != tuple(range(n)):
         return None
-    return Mat(n, n, tuple(r[n:] for r in echelon.rows))
+    return [r[n:] for r in echelon]
+
+
+def _is_zero(rows):
+    return not any(x for row in rows for x in row)
+
+
+def _column(v):
+    return [[x] for x in v]
 
 
 def test_prime_field_rejects_composites():
@@ -102,13 +110,12 @@ def test_prime_field_arithmetic():
     assert F7.reduce(5 + 4) == 2
     assert F7.reduce(3 * 5) == 1
     assert F7.reduce(-3) == 4
-    assert F7.inv(3) == 5
-    assert F32003.inv(2) == 16002
-    assert F7.reduce(3 * F7.inv(3)) == F7.one
+    assert (F7.zero, F7.one) == (0, 1)
     assert QQ.reduce(Fraction(-3, 2)) == Fraction(-3, 2)
     assert QQ.inv(Fraction(-3, 2)) == Fraction(-2, 3)
+    assert QQ.inv(3) == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
-        F7.inv(0)
+        QQ.inv(0)
 
 
 def test_row_kernels():
@@ -151,84 +158,57 @@ def test_default_prime_is_prime():
     assert linalg.is_prime(32003)
 
 
-def test_mat_shape_validation():
-    with pytest.raises(ValueError):
-        Mat(2, 2, ((1, 2),))
-    with pytest.raises(ValueError):
-        Mat(1, 2, ((1, 2, 3),))
-
-
-def test_mat_shape_errors_name_the_mismatch():
-    with pytest.raises(ValueError, match="^row count mismatch$"):
-        Mat(2, 2, ((1, 2),))
-    with pytest.raises(ValueError, match="^row count mismatch$"):
-        Mat(0, 3, ((1, 2, 3),))
-    with pytest.raises(ValueError, match="^column count mismatch$"):
-        Mat(2, 2, ((1, 2), (3,)))
-    with pytest.raises(ValueError, match="^column count mismatch$"):
-        Mat(1, 0, ((1,),))
-    assert Mat(nrows=3, ncols=0, rows=((), (), ())).ncols == 0
-
-
-def test_mat_is_an_immutable_value():
-    a = Mat(2, 2, ((1, 2), (3, 4)))
-    b = linalg.from_int_rows(F7, [[1, 2], [3, 4]])
-    assert (a.nrows, a.ncols, a.rows) == (2, 2, ((1, 2), (3, 4)))
-    assert a == b and not a != b
-    assert hash(a) == hash(b) == hash((2, 2, ((1, 2), (3, 4))))
-    assert {a: "x"}[b] == "x"
-    assert a != Mat(2, 2, ((1, 2), (3, 5))) and Mat(0, 2, ()) != Mat(0, 3, ())
-    # Equal by value to another Mat only, never to its fields as a tuple.
-    assert a != (2, 2, ((1, 2), (3, 4))) and not a == (2, 2, ((1, 2), (3, 4)))
-    assert repr(a) == "Mat(nrows=2, ncols=2, rows=((1, 2), (3, 4)))"
-    assert repr(Mat(0, 3, ())) == "Mat(nrows=0, ncols=3, rows=())"
-    for name in ("nrows", "ncols", "rows", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(a, name, 0)
-    assert a.rows == ((1, 2), (3, 4))
-    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
-
-
 def test_mul_and_identity():
-    a = linalg.from_int_rows(F7, [[1, 2], [3, 4]])
-    assert linalg.mul(F7, a, linalg.identity(F7, 2)) == a
-    b = linalg.from_int_rows(F7, [[0, 1], [1, 0]])
-    assert linalg.mul(F7, a, b).rows == ((2, 1), (4, 3))
+    a = [[1, 2], [3, 4]]
+    assert linalg.mul(F7, a, _identity(F7, 2), 2) == a
+    assert linalg.mul(F7, a, ((0, 1), (1, 0)), 2) == [[2, 1], [4, 3]]
+    # Rows may be lists or tuples; the product's rows are lists.
+    assert linalg.mul(F7, ((1, 2),), [(3,), (4,)], 1) == [[4]]
 
 
 def test_zero_dimensional_shapes():
-    a = linalg.zeros(F7, 0, 3)
-    b = linalg.zeros(F7, 3, 0)
-    assert linalg.rank(F7, a) == 0
-    assert linalg.rank(F7, b) == 0
-    prod = linalg.mul(F7, b, a)
-    assert (prod.nrows, prod.ncols) == (3, 3)
-    assert linalg.is_zero(prod)
-    assert linalg.nullspace(F7, a) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    a = ()                 # 0 x 3
+    b = ((),) * 3          # 3 x 0
+    assert linalg.rank(F7, a, 3) == 0
+    assert linalg.rank(F7, b, 0) == 0
+    assert linalg.mul(F7, b, a, 3) == [[0, 0, 0]] * 3
+    assert linalg.mul(F7, a, b, 0) == []
+    assert linalg.mul(F7, ((),), ((),) * 0, 2) == [[0, 0]]
+    assert linalg.rref(F7, a, 3) == ([], ())
+    assert linalg.nullspace(F7, [], (), 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.inverse(F7, ()) == []
+    assert linalg.random_full_rank(F7, 0, 3, random.Random(0)) == []
 
 
 def test_rank_and_nullspace_rational():
-    a = linalg.from_int_rows(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert linalg.rank(QQ, a) == 2
-    for v in linalg.nullspace(QQ, a):
-        image = linalg.mul(QQ, a, Mat(3, 1, tuple((x,) for x in v)))
-        assert linalg.is_zero(image)
-
-
-def test_solve_consistent_and_inconsistent():
-    a = linalg.from_int_rows(QQ, [[1, 1], [1, -1]])
-    x = linalg.solve(QQ, a, (Fraction(3), Fraction(1)))
-    assert x == (Fraction(2), Fraction(1))
-    b = linalg.from_int_rows(QQ, [[1, 1], [2, 2]])
-    assert linalg.solve(QQ, b, (Fraction(0), Fraction(1))) is None
+    a = [[Fraction(x) for x in row] for row in ((1, 2, 3), (2, 4, 6), (1, 0, 1))]
+    assert linalg.rank(QQ, a, 3) == 2
+    kernel = linalg.nullspace(QQ, *linalg.rref(QQ, a, 3), 3)
+    assert kernel == [[Fraction(-1), Fraction(-1), Fraction(1)]]
+    for v in kernel:
+        assert _is_zero(linalg.mul(QQ, a, _column(v), 1))
 
 
 def test_inverse_round_trip():
-    a = linalg.from_int_rows(F7, [[2, 1], [5, 3]])
+    a = [[2, 1], [5, 3]]
     inv = linalg.inverse(F7, a)
-    assert linalg.mul(F7, a, inv) == linalg.identity(F7, 2)
-    with pytest.raises(ValueError):
-        linalg.inverse(F7, linalg.from_int_rows(F7, [[1, 1], [1, 1]]))
+    assert linalg.mul(F7, a, inv, 2) == _identity(F7, 2)
+    assert linalg.inverse(QQ, ((1, 1), (1, -1))) == [[Fraction(1, 2), Fraction(1, 2)],
+                                                     [Fraction(1, 2), Fraction(-1, 2)]]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1, 1), (1, 1)), "matrix is singular"),
+    (((0,),), "matrix is singular"),
+    (((1, 2),), "inverse of a non-square matrix"),
+    (((1,), (2,)), "inverse of a non-square matrix"),
+    (((1, 0), (0,)), "inverse of a non-square matrix"),
+])
+def test_inverse_refuses_singular_and_non_square_input(rows, message):
+    for field in (F7, QQ):
+        with pytest.raises(ValueError) as caught:
+            linalg.inverse(field, rows)
+        assert str(caught.value) == message
 
 
 def test_random_full_rank_has_full_rank():
@@ -237,9 +217,9 @@ def test_random_full_rank_has_full_rank():
     for field in (F7, linalg.PrimeField(2)):
         for nrows, ncols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (5, 5)):
             for _ in range(10):
-                g = linalg.random_full_rank_rows(field, nrows, ncols, rng)
+                g = linalg.random_full_rank(field, nrows, ncols, rng)
                 assert len(g) == nrows and all(len(row) == ncols for row in g)
-                assert linalg.rank(field, linalg.mat(g, ncols=ncols)) == min(nrows, ncols)
+                assert _oracle_rank(field, g, ncols) == min(nrows, ncols)
 
 
 @pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)])
@@ -269,37 +249,27 @@ def int_matrices(min_rows=1, max_rows=4, min_cols=1, max_cols=4):
 def test_rank_equals_rank_of_transpose(field, rows):
     # rank eliminates whichever orientation has fewer rows; rref never
     # transposes, so the right side eliminates the transpose itself.
-    a = linalg.from_int_rows(field, rows)
-    assert linalg.rank(field, a) == len(linalg.rref(field, linalg.transpose(a))[1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(FIELDS, int_matrices(min_rows=2, max_rows=2, min_cols=2, max_cols=2),
-       st.lists(st.integers(-4, 4), min_size=2, max_size=2))
-def test_solve_returns_actual_solutions(field, rows, rhs):
-    a = linalg.from_int_rows(field, rows)
-    b = tuple(field.from_int(x) for x in rhs)
-    x = linalg.solve(field, a, b)
-    if x is not None:
-        image = linalg.mul(field, a, Mat(2, 1, tuple((v,) for v in x)))
-        assert tuple(r[0] for r in image.rows) == b
+    a = [[_of_int(field, x) for x in row] for row in rows]
+    assert linalg.rank(field, a, 3) == len(linalg.rref(field, zip(*a), len(a))[1])
 
 
 @settings(max_examples=120, deadline=None)
 @given(FIELDS, int_matrices())
 def test_rank_rref_nullspace_inverse_agree(field, rows):
-    a = linalg.from_int_rows(field, rows)
-    r = linalg.rank(field, a)
-    assert r == len(linalg.rref(field, a)[1])
-    kernel = linalg.nullspace(field, a)
-    assert len(kernel) == a.ncols - r
+    a = [[_of_int(field, x) for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    r = linalg.rank(field, a, ncols)
+    echelon, pivots = linalg.rref(field, a, ncols)
+    assert r == len(pivots)
+    kernel = linalg.nullspace(field, echelon, pivots, ncols)
+    assert len(kernel) == ncols - r
     for v in kernel:
-        assert linalg.is_zero(linalg.mul(field, a, Mat(a.ncols, 1, tuple((x,) for x in v))))
-    if a.nrows == a.ncols == r:
+        assert _is_zero(linalg.mul(field, a, _column(v), 1))
+    if nrows == ncols == r:
         inv = linalg.inverse(field, a)
-        assert linalg.mul(field, a, inv) == linalg.identity(field, r)
-        assert linalg.mul(field, inv, a) == linalg.identity(field, r)
-    elif a.nrows == a.ncols:
+        assert linalg.mul(field, a, inv, r) == _identity(field, r)
+        assert linalg.mul(field, inv, a, r) == _identity(field, r)
+    elif nrows == ncols:
         with pytest.raises(ValueError):
             linalg.inverse(field, a)
 
@@ -308,41 +278,41 @@ def _entries(field):
     if field == QQ:
         return st.fractions(min_value=-4, max_value=4, max_denominator=3)
     # Small integers give rank-deficient matrices, large ones generic entries.
-    return st.one_of(st.integers(-4, 4), st.integers(0, 10**6)).map(field.from_int)
+    return st.one_of(st.integers(-4, 4), st.integers(0, 10**6)).map(
+        lambda n: _of_int(field, n))
 
 
 @st.composite
 def field_problems(draw):
-    """A field, a matrix of shape 0..6 x 0..6, a right-hand side and a
-    second factor for a product."""
+    """A field, a matrix of shape 0..6 x 0..6 with its width, and a second
+    factor for a product with its width."""
     field = draw(st.sampled_from([F7, F32003, QQ]))
     entries = _entries(field)
     nrows, ncols, other = (draw(st.integers(0, 6)) for _ in range(3))
     if draw(st.booleans()):
         ncols = nrows     # square, for the inverse
-    a = linalg.mat(draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
-                                 min_size=nrows, max_size=nrows)), ncols)
-    b = linalg.mat(draw(st.lists(st.lists(entries, min_size=other, max_size=other),
-                                 min_size=ncols, max_size=ncols)), other)
-    rhs = tuple(draw(st.lists(entries, min_size=nrows, max_size=nrows)))
-    return field, a, b, rhs
+    a = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(entries, min_size=other, max_size=other),
+                      min_size=ncols, max_size=ncols))
+    return field, a, ncols, b, other
 
 
 def _same(got, want):
     assert got == want
-    assert repr(got) == repr(want)    # also the type of every entry
+    assert repr(got) == repr(want)    # also the type of every row and entry
 
 
 @settings(max_examples=150, deadline=None)
 @given(field_problems())
 def test_row_kernels_match_the_per_entry_oracle(problem):
-    field, a, b, rhs = problem
-    _same(linalg.rank(field, a), _oracle_rank(field, a))
-    _same(linalg.rref(field, a), _oracle_rref(field, a))
-    _same(linalg.nullspace(field, a), _oracle_nullspace(field, a))
-    _same(linalg.solve(field, a, rhs), _oracle_solve(field, a, rhs))
-    _same(linalg.mul(field, a, b), _oracle_mul(field, a, b))
-    if a.nrows == a.ncols:
+    field, a, ncols, b, other = problem
+    _same(linalg.rank(field, a, ncols), _oracle_rank(field, a, ncols))
+    _same(linalg.rref(field, a, ncols), _oracle_rref(field, a, ncols))
+    _same(linalg.nullspace(field, *linalg.rref(field, a, ncols), ncols),
+          _oracle_nullspace(field, a, ncols))
+    _same(linalg.mul(field, a, b, other), _oracle_mul(field, a, b, other))
+    if len(a) == ncols:
         want = _oracle_inverse(field, a)
         if want is None:
             with pytest.raises(ValueError):

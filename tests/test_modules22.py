@@ -23,11 +23,11 @@ def _intertwiner_hom_dim(x_rep: Representation, n_rep: Representation) -> int:
             for y in range(xd[si]):
                 row = [QQ.zero] * size
                 for b in range(xd[ti]):
-                    row[offsets[ti] + x * xd[ti] + b] += fx.rows[b][y]
+                    row[offsets[ti] + x * xd[ti] + b] += fx[b][y]
                 for a in range(nd[si]):
-                    row[offsets[si] + a * xd[si] + y] -= fn.rows[x][a]
+                    row[offsets[si] + a * xd[si] + y] -= fn[x][a]
                 rows.append(row)
-    return len(linalg.nullspace(QQ, linalg.mat(rows, ncols=size)))
+    return size - linalg.rank(QQ, rows, size)
 
 
 @lru_cache(maxsize=None)
@@ -57,19 +57,20 @@ def test_full_interval_is_all_identities():
     rep = ma.indecomposable(11)
     assert rep.dims == (1, 1, 1, 1)
     for block in rep.maps:
-        assert block == linalg.identity(QQ, 1)
+        assert block == ((QQ.one,),)
 
 
 def test_simple_at_source_corner():
     rep = ma.indecomposable(1)
     assert rep.dims == (1, 0, 0, 0)
-    assert all(linalg.is_zero(b) for b in rep.maps)
+    assert rep.maps == ((), (), (), ())
 
 
 def test_hook_through_sink():
     rep = ma.indecomposable(7)
     assert rep.dims == (0, 1, 0, 1)
-    assert rep.f24 == linalg.identity(QQ, 1)
+    # f12 and f34 leave a zero corner: one empty row each.
+    assert rep.maps == (((),), (), ((QQ.one,),), ((),))
 
 
 def test_hom_dims():
@@ -311,8 +312,7 @@ def test_generic_decomposition_consistency_small_box():
 
 def test_profile_matrix_is_invertible():
     cols = [ma.rank_profile(ma.indecomposable(k)).as_vector() for k in range(1, 12)]
-    matrix = linalg.from_int_rows(QQ, [[cols[j][i] for j in range(11)] for i in range(11)])
-    assert linalg.rank(QQ, matrix) == 11
+    assert linalg.rank(QQ, list(zip(*cols)), 11) == 11
 
 
 def test_multiplicities_of_catalog_modules():
@@ -361,20 +361,21 @@ def test_distinguishing_profile_needs_diagonal_rank():
 def _seven_rank_profile(rep: Representation) -> ma.RankProfile:
     field = rep.field
     f12, f13, f24, f34 = rep.maps
+    d1, d2, d3, _ = rep.dims
     return ma.RankProfile(
         dims=rep.dims,
-        r12=linalg.rank(field, f12),
-        r13=linalg.rank(field, f13),
-        r24=linalg.rank(field, f24),
-        r34=linalg.rank(field, f34),
-        source_rank=linalg.rank(field, linalg.vstack([f12, f13])),
-        sink_rank=linalg.rank(field, linalg.hstack([f24, f34])),
-        diag_rank=linalg.rank(field, rep.f14),
+        r12=linalg.rank(field, f12, d1),
+        r13=linalg.rank(field, f13, d1),
+        r24=linalg.rank(field, f24, d2),
+        r34=linalg.rank(field, f34, d3),
+        source_rank=linalg.rank(field, f12 + f13, d1),
+        sink_rank=linalg.rank(field, [x + y for x, y in zip(f24, f34)], d2 + d3),
+        diag_rank=linalg.rank(field, rep.f14, d1),
     )
 
 
 def _zero_point(field, dims):
-    return Representation(field, dims, *(linalg.zeros(field, dims[t - 1], dims[s - 1])
+    return Representation(field, dims, *(((0,) * dims[s - 1],) * dims[t - 1]
                                          for s, t in ARROWS))
 
 

@@ -11,11 +11,36 @@ from crystal_grid import an, g22, linalg, modules22 as ma, oracle
 from crystal_grid.g22 import Component, ZERO_COMPONENT
 from crystal_grid.oracle import SampleConfig
 from crystal_grid.reps import ARROWS, CommutativityError, Representation, direct_sum
-from crystal_grid.linalg import Mat, PrimeField
+from crystal_grid.linalg import PrimeField
 
 
 CFG = SampleConfig(prime=32003, count=50, seed=7)
 KEYS = tuple((kind, i) for kind in ("eps", "eps_star") for i in g22.COLORS)
+
+
+# Matrices are tuples of row tuples, as a point stores its maps; stacking
+# one above another is tuple concatenation.
+
+def _transpose(rows, ncols):
+    """The transpose of a matrix of width ncols."""
+    return tuple(zip(*rows)) if rows else ((),) * ncols
+
+
+def _beside(*blocks):
+    """Blocks with equal row counts, side by side."""
+    return tuple(sum(map(tuple, parts), ()) for parts in zip(*blocks))
+
+
+def _neg(field, rows):
+    return tuple(tuple(-x % field.p for x in row) for row in rows)
+
+
+def _zeros(nrows, ncols):
+    return ((0,) * ncols,) * nrows
+
+
+def _is_zero(rows):
+    return not any(x for row in rows for x in row)
 
 
 def _stacked_statistic(rep, kind, i):
@@ -24,12 +49,13 @@ def _stacked_statistic(rep, kind, i):
     map out of it (eps_star); an empty stack is the zero map."""
     pairs = tuple(zip(ARROWS, rep.maps))
     if kind == "eps":
-        blocks = [m for (_, t), m in pairs if t == i]
-        stacked = linalg.hstack(blocks) if blocks else None
+        sources = [s for (s, t), _ in pairs if t == i]
+        stacked = _beside(*(m for (_, t), m in pairs if t == i))
+        width = sum(rep.dims[s - 1] for s in sources)
     else:
-        blocks = [m for (s, _), m in pairs if s == i]
-        stacked = linalg.vstack(blocks) if blocks else None
-    return rep.dims[i - 1] - (0 if stacked is None else linalg.rank(rep.field, stacked))
+        stacked = sum((m for (s, _), m in pairs if s == i), ())
+        width = rep.dims[i - 1]
+    return rep.dims[i - 1] - linalg.rank(rep.field, stacked, width)
 
 
 def _statistic(rep, kind, i):
@@ -42,7 +68,7 @@ def _statistic(rep, kind, i):
 
 def _zero_point(field, d):
     """The point with every dimension d and every map zero."""
-    return Representation(field, (d,) * 4, *(linalg.zeros(field, d, d) for _ in ARROWS))
+    return Representation(field, (d,) * 4, *(_zeros(d, d) for _ in ARROWS))
 
 
 def _rank_pair(rep):
@@ -65,16 +91,16 @@ def test_sample_config_validation():
 
 def test_representation_constructor_checks_commutativity():
     field = PrimeField(101)
-    one = linalg.identity(field, 1)
+    one = ((1,),)
     good = Representation(field, (1, 1, 1, 1), one, one, one, one)
     assert good.maps == (one,) * 4
     with pytest.raises(CommutativityError):
-        Representation(field, (1, 1, 1, 1), one, one, one, linalg.from_int_rows(field, [[2]]))
+        Representation(field, (1, 1, 1, 1), one, one, one, ((2,),))
     # Each arrow's shape is checked before the square, so a wrongly shaped map
     # is reported as such, not as a failed product.
     for k, (s, t) in enumerate(ARROWS):
         maps = [one] * 4
-        maps[k] = linalg.zeros(field, 1, 2)
+        maps[k] = _zeros(1, 2)
         with pytest.raises(ValueError, match=f"f{s}{t} has shape 1x2"):
             Representation(field, (1, 1, 1, 1), *maps)
     with pytest.raises(ValueError, match="four nonnegative"):
@@ -83,6 +109,47 @@ def test_representation_constructor_checks_commutativity():
         Representation(field, (1, 1, -1, 1), one, one, one, one)
     with pytest.raises(ValueError, match="different fields"):
         direct_sum(good, _zero_point(PrimeField(103), 1))
+
+
+def test_representation_checks_every_row_length():
+    # The right row count with one row of the wrong length: refused, naming
+    # the map, before any product of the square is taken.
+    field = PrimeField(101)
+    dims = (2, 2, 2, 2)
+    good = [((1, 0), (0, 1))] * 4
+    Representation(field, dims, *good)
+    for k, (s, t) in enumerate(ARROWS):
+        for ragged in (((1, 0), (0,)), ((1,), (0, 1)), ((1, 0), (0, 1, 0))):
+            maps = list(good)
+            maps[k] = ragged
+            with pytest.raises(ValueError, match=f"^f{s}{t} has shape 2x"):
+                Representation(field, dims, *maps)
+    with pytest.raises(ValueError) as caught:
+        Representation(field, dims, good[0], ((1, 0), (0,)), *good[2:])
+    assert str(caught.value) == "f13 has shape 2x1/2, expected 2x2"
+
+
+def test_representation_accepts_empty_maps_of_the_right_shape():
+    field = PrimeField(101)
+    # Corner 2 empty: f12 is 0 x d1, written (); f24 is d4 x 0, d4 empty rows.
+    maps = ((), ((0, 0),), ((),) * 3, _zeros(3, 1))
+    rep = Representation(field, (2, 0, 1, 3), *maps)
+    assert rep.maps == maps and rep.f14 == _zeros(3, 2)
+    # Every map empty: all four corners of dimension 0, or only the source
+    # and the sink of dimension 0.
+    assert Representation(field, (0, 0, 0, 0), (), (), (), ()).f14 == ()
+    assert Representation(field, (0, 1, 1, 0), ((),), ((),), (), ()).f14 == ()
+    # The same maps under dimensions they do not fit.  A map with no rows
+    # reports the expected width, which every 0-row matrix has.
+    for dims, message in (((2, 1, 1, 3), "f12 has shape 0x2, expected 1x2"),
+                          ((2, 0, 1, 2), "f24 has shape 3x0, expected 2x0")):
+        with pytest.raises(ValueError) as caught:
+            Representation(field, dims, *maps)
+        assert str(caught.value) == message
+    with pytest.raises(ValueError, match="^f34 has shape 0x1, expected 1x1$"):
+        Representation(field, (1, 1, 1, 1), ((1,),), ((1,),), ((1,),), ())
+    with pytest.raises(ValueError, match="^f12 has shape 1x0, expected 1x1$"):
+        Representation(field, (1, 1, 1, 1), ((),), ((1,),), ((1,),), ((1,),))
 
 
 def test_sampled_points_have_exact_rank_pair():
@@ -105,27 +172,29 @@ def test_sampled_points_are_byte_reproducible():
         for c in g22.enumerate_components(dims):
             for index in range(3):
                 rep = oracle.sample_component_point(c, CFG, index)
-                digest.update(repr(((rep.f13.rows, rep.f12.rows, rep.f34.rows, rep.f24.rows),
+                digest.update(repr(((rep.f13, rep.f12, rep.f34, rep.f24),
                                     ma.rank_profile(rep).as_vector())).encode())
     assert digest.hexdigest() == PINNED_SAMPLE_DIGEST
 
 
 # ---------------------------------------------------------------------------
-# The sampler and rank profile as they were when every factor, product and
-# stack was a checked Mat, kept as the reference for the int-row path.
+# The sampler and rank profile as first written, when every factor, product
+# and stack was a checked matrix of its own: each full-rank factor drawn and
+# tested on its own, A kept once its kernel has the right size, and both
+# stacks built whole.  The reference for the sampler's shared elimination.
 
 
-def _mat_full_rank(field, nrows, ncols, rng, rejected):
-    """A uniform full-rank Mat by rejection, counting rejected draws in rejected[0]."""
+def _reference_full_rank(field, nrows, ncols, rng, rejected):
+    """A uniform full-rank matrix by rejection, counting rejected draws in rejected[0]."""
     while True:
-        a = linalg.random_matrix(field, nrows, ncols, rng)
-        if linalg.rank(field, a) == min(nrows, ncols):
+        a = linalg.random_rows(field, nrows, ncols, rng)
+        if linalg.rank(field, a, ncols) == min(nrows, ncols):
             return a
         rejected[0] += 1
 
 
-def _mat_sample_component_point(c, cfg, index):
-    """(point, rejected draws) by the Mat-path sampler."""
+def _reference_sample_component_point(c, cfg, index):
+    """(point, rejected draws) by the reference sampler."""
     field = cfg.field()
     rng = cfg.rng(index)
     d1, d2, d3, d4 = c.dims
@@ -133,37 +202,36 @@ def _mat_sample_component_point(c, cfg, index):
     mid = d2 + d3
     rejected = [0]
     while True:
-        a = linalg.random_matrix(field, mid, r1, rng)
-        kernel = linalg.nullspace(field, linalg.transpose(a))
+        a = linalg.random_rows(field, mid, r1, rng)
+        kernel = linalg.nullspace(field, *linalg.rref(field, _transpose(a, r1), mid), mid)
         if len(kernel) == mid - r1:
             break
         rejected[0] += 1
-    b = _mat_full_rank(field, r1, d1, rng, rejected)
-    r = _mat_full_rank(field, r2, mid - r1, rng, rejected)
-    cm = _mat_full_rank(field, d4, r2, rng, rejected)
-    k = linalg.mat(kernel, ncols=mid)
-    out_map = linalg.mul(field, a, b)
-    in_map = linalg.mul(field, cm, linalg.mul(field, r, k))
-    f12 = Mat(d2, d1, out_map.rows[:d2])
-    f13 = Mat(d3, d1, out_map.rows[d2:])
-    f24 = Mat(d4, d2, tuple(row[:d2] for row in in_map.rows))
-    f34 = linalg.neg(field, Mat(d4, d3, tuple(row[d2:] for row in in_map.rows)))
+    b = _reference_full_rank(field, r1, d1, rng, rejected)
+    r = _reference_full_rank(field, r2, mid - r1, rng, rejected)
+    cm = _reference_full_rank(field, d4, r2, rng, rejected)
+    out_map = linalg.mul(field, a, b, d1)
+    in_map = linalg.mul(field, cm, linalg.mul(field, r, kernel, mid), mid)
+    f12, f13 = out_map[:d2], out_map[d2:]
+    f24 = [row[:d2] for row in in_map]
+    f34 = _neg(field, [row[d2:] for row in in_map])
     return Representation(field, c.dims, f12, f13, f24, f34), rejected[0]
 
 
-def _mat_rank_profile(rep):
-    """The rank profile from echelon forms of the stacked Mats."""
+def _reference_rank_profile(rep):
+    """The rank profile from echelon forms of the two whole stacks."""
     field = rep.field
     f12, f13, f24, f34 = rep.maps
-    d2 = rep.dims[1]
-    stacks = (linalg.transpose(linalg.vstack([f12, f13])), linalg.hstack([f24, f34]))
-    source, sink = (field.eliminate(list(m.rows), m.ncols, False) for m in stacks)
+    d1, d2, d3, _ = rep.dims
+    stacks = (_transpose(f12 + f13, d1), _beside(f24, f34))
+    source, sink = (field.eliminate(list(m), d2 + d3, False) for m in stacks)
     r12, r24 = (sum(c < d2 for c in pivots) for pivots in (source, sink))
-    return ma.RankProfile(rep.dims, r12, linalg.rank(field, f13), r24, linalg.rank(field, f34),
-                          len(source), len(sink), linalg.rank(field, rep.f14))
+    return ma.RankProfile(rep.dims, r12, linalg.rank(field, f13, d1), r24,
+                          linalg.rank(field, f34, d3), len(source), len(sink),
+                          linalg.rank(field, rep.f14, d1))
 
 
-# Rejected draws of the Mat-path sampler over the points below, per prime.
+# Rejected draws of the reference sampler over the points below, per prime.
 _REJECTED = {32003: 0, 101: 31}
 
 
@@ -181,10 +249,10 @@ def test_row_sampler_matches_the_mat_path(prime):
         for c in components:
             for index in range(3):
                 rep = oracle.sample_component_point(c, cfg, index)
-                ref, dropped = _mat_sample_component_point(c, cfg, index)
+                ref, dropped = _reference_sample_component_point(c, cfg, index)
                 rejected += dropped
                 assert (rep.maps, rep.f14) == (ref.maps, ref.f14), (c, seed, index)
-                assert ma.rank_profile(rep) == _mat_rank_profile(ref), (c, seed, index)
+                assert ma.rank_profile(rep) == _reference_rank_profile(ref), (c, seed, index)
     assert rejected == _REJECTED[prime]
 
 
@@ -197,8 +265,8 @@ def test_sample_with_zero_sink_rank_kills_inward_maps():
     c = Component((2, 1, 1, 2), (2, 0))
     rep = oracle.sample_component_point(c, CFG, 3)
     f12, f13, f24, f34 = rep.maps
-    assert linalg.is_zero(f24) and linalg.is_zero(f34)
-    assert linalg.rank(rep.field, linalg.vstack([f12, f13])) == 2
+    assert _is_zero(f24) and _is_zero(f34)
+    assert linalg.rank(rep.field, f12 + f13, 2) == 2
 
 
 def test_epsilon_of_zero_representation():
@@ -293,16 +361,14 @@ def _full_rank(nrows, ncols):
     """Every nrows x ncols matrix of rank min(nrows, ncols) over GF(3)."""
     found = []
     for entries in itertools.product(range(3), repeat=nrows * ncols):
-        m = linalg.Mat(nrows, ncols, tuple(entries[k * ncols:(k + 1) * ncols]
-                                           for k in range(nrows)))
-        if linalg.rank(F3, m) == min(nrows, ncols):
+        m = tuple(entries[k * ncols:(k + 1) * ncols] for k in range(nrows))
+        if linalg.rank(F3, m, ncols) == min(nrows, ncols):
             found.append(m)
     return tuple(found)
 
 
 def _unit_block(nrows, ncols, ones):
-    return linalg.Mat(nrows, ncols, tuple(tuple(int((i, j) in ones) for j in range(ncols))
-                                          for i in range(nrows)))
+    return tuple(tuple(int((i, j) in ones) for j in range(ncols)) for i in range(nrows))
 
 
 def _conjugation_law(d1, mid, d4, r1, r2):
@@ -313,10 +379,12 @@ def _conjugation_law(d1, mid, d4, r1, r2):
     g1_inverses = [linalg.inverse(F3, g1) for g1 in _full_rank(d1, d1)]
     law = collections.Counter()
     for g2 in _full_rank(mid, mid):
-        g2_alpha1 = linalg.mul(F3, g2, alpha1)
-        alpha2_g2inv = linalg.mul(F3, alpha2, linalg.inverse(F3, g2))
-        outs = [linalg.mul(F3, g2_alpha1, g1_inv).rows for g1_inv in g1_inverses]
-        ins = [linalg.mul(F3, g3, alpha2_g2inv).rows for g3 in _full_rank(d4, d4)]
+        g2_alpha1 = linalg.mul(F3, g2, alpha1, d1)
+        alpha2_g2inv = linalg.mul(F3, alpha2, linalg.inverse(F3, g2), mid)
+        outs = [tuple(map(tuple, linalg.mul(F3, g2_alpha1, g1_inv, d1)))
+                for g1_inv in g1_inverses]
+        ins = [tuple(map(tuple, linalg.mul(F3, g3, alpha2_g2inv, mid)))
+               for g3 in _full_rank(d4, d4)]
         law.update(itertools.product(outs, ins))
     return law
 
@@ -328,10 +396,9 @@ def _factor_law(d1, mid, d4, r1, r2):
     law = collections.Counter()
     for a, b, r, cm in itertools.product(_full_rank(mid, r1), _full_rank(r1, d1),
                                          _full_rank(r2, mid - r1), _full_rank(d4, r2)):
-        k = linalg.nullspace(F3, linalg.transpose(a))
-        rep = oracle._factor_point(F3, dims, a.rows, b.rows, r.rows, k, cm.rows)
-        in_rows = tuple(x + y for x, y in zip(rep.f24.rows, linalg.neg(F3, rep.f34).rows))
-        law[(rep.f12.rows + rep.f13.rows, in_rows)] += 1
+        k = linalg.nullspace(F3, *linalg.rref(F3, _transpose(a, r1), mid), mid)
+        rep = oracle._factor_point(F3, dims, a, b, r, k, cm)
+        law[(rep.f12 + rep.f13, _beside(rep.f24, _neg(F3, rep.f34)))] += 1
     return law
 
 
@@ -354,10 +421,12 @@ def test_factor_sampler_has_the_conjugation_law(d1, mid, d4, r1, r2):
     assert _normalized(_factor_law(*shape)) == _normalized(_conjugation_law(*shape))
 
 
-def _transpose(rep):
+def _transpose_point(rep):
     """The transpose point on the opposite grid: corners 1..4 become 4..1."""
-    t = linalg.transpose
-    return Representation(rep.field, rep.dims[::-1], t(rep.f34), t(rep.f24), t(rep.f13), t(rep.f12))
+    d1, d2, d3, _ = rep.dims
+    return Representation(rep.field, rep.dims[::-1], _transpose(rep.f34, d3),
+                          _transpose(rep.f24, d2), _transpose(rep.f13, d1),
+                          _transpose(rep.f12, d1))
 
 
 def test_transpose_duality_of_samples():
@@ -366,7 +435,7 @@ def test_transpose_duality_of_samples():
     for dims in itertools.product(range(3), repeat=4):
         for c in g22.enumerate_components(dims):
             rep = oracle.sample_component_point(c, CFG, 1)
-            p, q = ma.rank_profile(rep), ma.rank_profile(_transpose(rep))
+            p, q = ma.rank_profile(rep), ma.rank_profile(_transpose_point(rep))
             assert (q.source_rank, q.sink_rank) == g22.dual(c).ranks
             assert q == ma.RankProfile(p.dims[::-1], r12=p.r34, r13=p.r24, r24=p.r13,
                                        r34=p.r12, source_rank=p.sink_rank,
@@ -398,31 +467,31 @@ def test_certify_zero_representation():
 def sample_an_point(dims, cfg: SampleConfig, index: int = 0) -> tuple:
     """Uniform random chain maps; there are no relations to respect."""
     field, rng = cfg.field(), cfg.rng(index)
-    return tuple(linalg.random_matrix(field, dims[k + 1], dims[k], rng)
+    return tuple(linalg.random_rows(field, dims[k + 1], dims[k], rng)
                  for k in range(len(dims) - 1))
 
 
 def _chain_statistics(field, dims, maps, i):
     """(dim coker(V_{i-1} -> V_i), dim ker(V_i -> V_{i+1})) of a chain point;
     a map past either end is zero."""
-    into = linalg.rank(field, maps[i - 2]) if i > 1 else 0
-    out = linalg.rank(field, maps[i - 1]) if i < len(dims) else 0
+    into = linalg.rank(field, maps[i - 2], dims[i - 2]) if i > 1 else 0
+    out = linalg.rank(field, maps[i - 1], dims[i - 1]) if i < len(dims) else 0
     return dims[i - 1] - into, dims[i - 1] - out
 
 
 def test_an_sampler_reaches_full_rank():
     cfg = SampleConfig(prime=101, count=50, seed=3)
     points = [sample_an_point((2, 2), cfg, k) for k in range(cfg.count)]
-    assert max(linalg.rank(cfg.field(), maps[0]) for maps in points) == 2
+    assert max(linalg.rank(cfg.field(), maps[0], 2) for maps in points) == 2
     assert min(_chain_statistics(cfg.field(), (2, 2), maps, 2)[0] for maps in points) == 0
 
 
 def test_an_sampler_degenerate_shapes():
     maps = sample_an_point((0, 3), CFG, 0)
-    assert (maps[0].nrows, maps[0].ncols) == (3, 0)
+    assert maps[0] == [[], [], []]
     assert _chain_statistics(CFG.field(), (0, 3), maps, 2) == (3, 3)
     maps = sample_an_point((1, 1, 1), CFG, 0)
-    assert len(maps) == 2 and all(m.nrows == 1 and m.ncols == 1 for m in maps)
+    assert len(maps) == 2 and all(len(m) == len(m[0]) == 1 for m in maps)
 
 
 def test_an_oracle_concordance_small():
@@ -441,10 +510,23 @@ def test_an_oracle_concordance_small():
 # operators, certified by the rank profile, against the case tables.
 
 
-def incoming_matrix(rep, i) -> Mat:
-    """The maps into corner i side by side; into the sink, [f34 | f24]."""
-    blocks = {1: [], 2: [rep.f12], 3: [rep.f13], 4: [rep.f34, rep.f24]}[i]
-    return linalg.hstack(blocks) if blocks else linalg.zeros(rep.field, rep.dims[0], 0)
+def _solve(field, a, b, ncols):
+    """One solution of A x = b for A of width ncols, or None when inconsistent."""
+    echelon, pivots = linalg.rref(field, [tuple(row) + (x,) for row, x in zip(a, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = echelon[r][ncols]
+    return tuple(x)
+
+
+def incoming_matrix(rep, i):
+    """The maps into corner i side by side, and the width of that matrix;
+    into the sink, [f34 | f24]."""
+    sources = {1: (), 2: (1,), 3: (1,), 4: (3, 2)}[i]
+    blocks = {1: [((),) * rep.dims[0]], 2: [rep.f12], 3: [rep.f13], 4: [rep.f34, rep.f24]}[i]
+    return _beside(*blocks), sum(rep.dims[s - 1] for s in sources)
 
 
 def _square_closing_map(rep, i, starred: bool):
@@ -454,11 +536,11 @@ def _square_closing_map(rep, i, starred: bool):
     into the sink is [f13ᵀ | -f12ᵀ], again over V3 then V2.  Elsewhere there
     is at most one source and the map is None (it is zero).
     """
-    field, t = rep.field, linalg.transpose
+    field, d1 = rep.field, rep.dims[0]
     if (i, starred) == (1, False):
-        return linalg.hstack([rep.f34, linalg.neg(field, rep.f24)]), (3, 2)
+        return _beside(rep.f34, _neg(field, rep.f24)), (3, 2)
     if (i, starred) == (4, True):
-        return linalg.hstack([t(rep.f13), linalg.neg(field, t(rep.f12))]), (3, 2)
+        return _beside(_transpose(rep.f13, d1), _neg(field, _transpose(rep.f12, d1))), (3, 2)
     if starred:
         return None, tuple(s for s, t in ARROWS if t == i)
     return None, tuple(t for s, t in ARROWS if s == i)
@@ -471,7 +553,8 @@ def extension_fiber_dim(rep, i, starred: bool = False) -> int:
         return 0
     if matrix is None:
         return rep.dims[sources[0] - 1]
-    return matrix.ncols - linalg.rank(rep.field, matrix)
+    width = sum(rep.dims[j - 1] for j in sources)
+    return width - linalg.rank(rep.field, matrix, width)
 
 
 def extension_point(rep, i, rng):
@@ -484,11 +567,12 @@ def extension_point(rep, i, rng):
     """
     field = rep.field
     matrix, sources = _square_closing_map(rep, i, starred=False)
+    width = sum(rep.dims[j - 1] for j in sources)
     if matrix is None:
-        vec = field.rand_row(rng, sum(rep.dims[j - 1] for j in sources))
+        vec = field.rand_row(rng, width)
     else:
-        basis = linalg.mat(linalg.nullspace(field, matrix), ncols=matrix.ncols)
-        vec = field.dots(field.rand_row(rng, basis.nrows), linalg.transpose(basis).rows)
+        basis = linalg.nullspace(field, *linalg.rref(field, matrix, width), width)
+        vec = field.dots(field.rand_row(rng, len(basis)), _transpose(basis, width))
     chunks, offset = {}, 0
     for j in sources:
         chunks[j] = vec[offset:offset + rep.dims[j - 1]]
@@ -496,9 +580,9 @@ def extension_point(rep, i, rng):
     maps = []
     for (s, t), m in zip(ARROWS, rep.maps):
         if t == i:
-            m = linalg.vstack([m, linalg.zeros(field, 1, m.ncols)])
+            m = m + _zeros(1, rep.dims[s - 1])
         elif s == i:
-            m = linalg.hstack([m, Mat(m.nrows, 1, tuple((x,) for x in chunks[t]))])
+            m = _beside(m, tuple((x,) for x in chunks[t]))
         maps.append(m)
     dims = tuple(d + (k == i) for k, d in enumerate(rep.dims, start=1))
     return Representation(field, dims, *maps)
@@ -513,27 +597,27 @@ def restriction_point(rep, i, rng):
     """
     field = rep.field
     d = rep.dims[i - 1]
-    inc = incoming_matrix(rep, i)
+    inc, width = incoming_matrix(rep, i)
     span = []
-    for col in linalg.transpose(inc).rows:
-        if linalg.rank(field, linalg.mat(span + [col], ncols=d)) > len(span):
+    for col in _transpose(inc, width):
+        if linalg.rank(field, span + [col], d) > len(span):
             span.append(col)
     if d == len(span):
         return None
     while True:
         extra = [tuple(field.rand_row(rng, d)) for _ in range(d - 1 - len(span))]
-        basis = linalg.transpose(linalg.mat(span + extra, ncols=d))
-        if linalg.rank(field, basis) == d - 1:
+        basis = _transpose(span + extra, d)
+        if linalg.rank(field, basis, d - 1) == d - 1:
             break
     maps = []
     for (s, t), m in zip(ARROWS, rep.maps):
         if t == i:
-            cols = [linalg.solve(field, basis, col) for col in linalg.transpose(m).rows]
+            cols = [_solve(field, basis, col, d - 1) for col in _transpose(m, rep.dims[s - 1])]
             if None in cols:
                 raise AssertionError("inward image escaped the chosen hyperplane")
-            m = linalg.transpose(linalg.mat(cols, ncols=d - 1))
+            m = _transpose(cols, d - 1)
         elif s == i:
-            m = linalg.mul(field, m, basis)
+            m = linalg.mul(field, m, basis, d - 1)
         maps.append(m)
     dims = tuple(x - (k == i) for k, x in enumerate(rep.dims, start=1))
     return Representation(field, dims, *maps)

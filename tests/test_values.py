@@ -24,7 +24,7 @@ A2 = CartanMatrix((1, 2), ((2, -1), (-1, 2)))
 
 
 def _one(field):
-    return linalg.identity(field, 1)
+    return ((field.one,),)
 
 
 # (a, b, c, repr of a, a read of a's caches): b equals a but is built another
@@ -70,12 +70,11 @@ CASES = {
     ),
     "Representation": (
         lambda: modules22.multiset_rep({}),
-        lambda: Representation(QQ, (0, 0, 0, 0), *(linalg.zeros(QQ, 0, 0) for _ in range(4))),
+        # Maps given as lists are stored as tuples of row tuples.
+        lambda: Representation(QQ, (0, 0, 0, 0), [], [], [], []),
         lambda: Representation(linalg.PrimeField(7), (1, 1, 1, 1),
                                *(_one(linalg.PrimeField(7)) for _ in range(4))),
-        "Representation(field=QQ, dims=(0, 0, 0, 0), f12=Mat(nrows=0, ncols=0, rows=()), "
-        "f13=Mat(nrows=0, ncols=0, rows=()), f24=Mat(nrows=0, ncols=0, rows=()), "
-        "f34=Mat(nrows=0, ncols=0, rows=()))",
+        "Representation(field=QQ, dims=(0, 0, 0, 0), f12=(), f13=(), f24=(), f34=())",
         lambda a: (a.f14, a.maps),
     ),
     "Resolution": (
@@ -132,9 +131,23 @@ def test_value_type_contract(name):
 
 def test_representation_equality_ignores_f14():
     a, b = modules22.indecomposable(11), modules22.indecomposable(11)
-    object.__setattr__(b, "f14", linalg.zeros(QQ, 1, 1))
+    object.__setattr__(b, "f14", ((QQ.zero,),))
     assert a == b and hash(a) == hash(b) and a.f14 != b.f14
     assert "f14" not in repr(b)
+
+
+def test_fields_compare_hash_and_print_as_values():
+    f7, also_f7, f11 = linalg.PrimeField(7), linalg.PrimeField(7), linalg.PrimeField(11)
+    assert f7 == also_f7 and not f7 != also_f7 and hash(f7) == hash(also_f7)
+    assert f7 != f11 and f7 != QQ and QQ != f7 and f7 != 7
+    assert QQ == linalg.RationalField() and hash(QQ) == hash(linalg.RationalField())
+    assert QQ != "QQ" and {f7: "x"}[also_f7] == "x"
+    assert (repr(f7), repr(f11), repr(QQ)) == ("GF(7)", "GF(11)", "QQ")
+    # A point's field takes part in its equality and hash.
+    one = ((1,),)
+    a, b = (Representation(field, (1, 1, 1, 1), one, one, one, one) for field in (f7, also_f7))
+    assert a == b and hash(a) == hash(b)
+    assert a != Representation(f11, (1, 1, 1, 1), one, one, one, one)
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -155,7 +168,7 @@ def test_representation_equality_ignores_f14():
     (lambda: Representation(QQ, (1, 1, 1, 2), *[_one(QQ)] * 4), ValueError,
      "f24 has shape 1x1, expected 2x1"),
     (lambda: Representation(QQ, (1, 1, 1, 1), _one(QQ), _one(QQ), _one(QQ),
-                            linalg.zeros(QQ, 1, 1)), CommutativityError,
+                            ((QQ.zero,),)), CommutativityError,
      "the square f24·f12 = f34·f13 does not commute"),
     (lambda: SampleConfig(prime=97), ValueError, "prime must be a prime >= 101"),
     (lambda: SampleConfig(count=0), ValueError, "sample count must be positive"),

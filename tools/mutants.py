@@ -7,7 +7,7 @@ a pytest node id (``file::test``), runs in that copy.  The mutant is killed
 when those tests fail.  Before any mutant runs, every named test file or
 test must pass on the unmutated copy.
 
-Run from anywhere (about a minute):
+Run from anywhere (two to three minutes on two CPUs):
 
     python3 tools/mutants.py
 
@@ -136,8 +136,8 @@ MUTANTS = (
            "mul(field, r, k, mid)",
            "mul(field, list(zip(*sorted(zip(*r)))), k, mid)",
            "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
-    Mutant("oracle kernel: K's pivot entries not negated", ORACLE,
-           "v[col] = -row[free] % p", "v[col] = row[free]",
+    Mutant("linalg kernel, the sampler's K: pivot entries not negated", LINALG,
+           "v[col] = reduce(-row[free])", "v[col] = row[free]",
            "tests/test_oracle.py::test_row_sampler_matches_the_mat_path"),
     Mutant("linalg GF(p) row update: adds the multiple of the pivot row", LINALG,
            "[(x - f * y) % p for x, y in zip(rows[i], lead)]",
@@ -159,12 +159,15 @@ MUTANTS = (
            "1: Resolution(((11,), (7, 8), (4,)), (((1,),), ((1, 1),), ((1,), (1,)))),",
            "tests/test_modules22.py"),
     Mutant("reps square check: a product compared with itself", REPS,
-           "!= linalg.mul(self.field, self.f34, self.f13).rows",
-           "!= linalg.mul(self.field, self.f24, self.f12).rows",
+           "!= linalg.mul(field, f34, f13, dims[0])",
+           "!= linalg.mul(field, f24, f12, dims[0])",
            "tests/test_oracle.py::test_representation_constructor_checks_commutativity"),
     Mutant("reps shape check: f12 skipped", REPS,
-           "zip(ARROWS, self.maps)", "zip(ARROWS[1:], self.maps[1:])",
+           "zip(ARROWS, maps)", "zip(ARROWS[1:], maps[1:])",
            "tests/test_oracle.py::test_representation_constructor_checks_commutativity"),
+    Mutant("reps shape check: row lengths not checked", REPS,
+           " or any(len(row) != ncols for row in m)", "",
+           "tests/test_oracle.py::test_representation_checks_every_row_length"),
     Mutant("sampling suites: no rerun under seed + 1", SUITES,
            "sampled = matches(retry)", "sampled = False",
            "tests/test_cli.py::test_sampling_retries_are_reported"),
