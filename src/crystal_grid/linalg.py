@@ -16,8 +16,8 @@ int).  The routines call exactly these members of a field:
 - ``eliminate(rows, ncols, reduced)``, Gaussian elimination in place,
   returning the pivot columns (``rank``, ``rref``);
 - ``rand_row(rng, n)``, n uniform elements, the values and the stream
-  of ``n`` successive ``rng.randrange(p)`` calls (``random_rows``; GF(p)
-  only).
+  of ``n`` successive ``rng.randrange(p)`` calls (``oracle.SampleConfig``,
+  which extends a sample's draws with it; GF(p) only).
 
 Each field has one elimination routine.  The GF(p) kernel inlines the
 pivot search, the pivot's inverse (one ``pow``) and the row update
@@ -234,21 +234,3 @@ def inverse(field, rows) -> list:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in echelon]
-
-
-def random_rows(field, nrows, ncols, rng) -> list:
-    """A uniform nrows x ncols matrix, from one ``rand_row`` call read in
-    row-major order: the values and the stream of nrows * ncols successive
-    ``rng.randrange(p)`` calls."""
-    flat = field.rand_row(rng, nrows * ncols)
-    return [flat[k * ncols:(k + 1) * ncols] for k in range(nrows)]
-
-
-def random_full_rank(field, nrows, ncols, rng) -> list:
-    """A uniform matrix among those of rank min(nrows, ncols), by rejection:
-    ``random_rows`` until the draw has that rank."""
-    full = min(nrows, ncols)
-    while True:
-        rows = random_rows(field, nrows, ncols, rng)
-        if rank(field, rows, ncols) == full:
-            return rows

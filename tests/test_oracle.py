@@ -1,13 +1,15 @@
 import collections
+import copy
 import functools
 import hashlib
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
 
-from crystal_grid import an, g22, linalg, modules22 as ma, oracle
+from crystal_grid import an, g22, linalg, modules22 as ma, oracle, suites
 from crystal_grid.g22 import Component, ZERO_COMPONENT
 from crystal_grid.oracle import SampleConfig
 from crystal_grid.reps import ARROWS, CommutativityError, Representation, direct_sum
@@ -87,6 +89,59 @@ def test_sample_config_validation():
         SampleConfig(prime=1000)     # composite
     with pytest.raises(ValueError):
         SampleConfig(count=0)
+
+
+def _memo(cfg):
+    return cfg._streams, cfg._factors, cfg._products
+
+
+def test_sample_config_memo_stays_out_of_value_semantics():
+    # Sampling fills the config's memo, but the config stays the value
+    # (prime, count, seed): a copy starts with an empty memo of its own and
+    # draws the same points, and equal configs never share a memo.
+    components = [c for dims in ((2, 3, 1, 2), (3, 2, 2, 3))
+                  for c in g22.enumerate_components(dims)]
+    cfg, fresh = (SampleConfig(prime=101, count=5, seed=3) for _ in range(2))
+
+    def points(config):
+        return [(rep.maps, rep.f14) for c in components for index in range(3)
+                for rep in (oracle.sample_component_point(c, config, index),)]
+
+    drawn = points(cfg)
+    assert all(_memo(cfg))
+    sizes = tuple(map(len, _memo(cfg)))
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert repr(cfg) == "SampleConfig(prime=101, count=5, seed=3)"
+    assert pickle.dumps(cfg) == pickle.dumps(fresh)
+    for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg), fresh):
+        assert other == cfg and _memo(other) == ({}, {}, {})
+        assert points(other) == drawn
+        assert all(mine is not theirs for mine, theirs in zip(_memo(cfg), _memo(other)))
+    assert tuple(map(len, _memo(cfg))) == sizes
+
+
+def test_suite_oracle_draws_each_factor_once_per_stream(monkeypatch):
+    # One config and no retry: the 364 points share sample index 0, whose
+    # stream is seeded once.  Each point pays the five eliminations of its
+    # profile and the two products of its square; the factors' rejection
+    # tests and products are paid once per key.
+    counts = collections.Counter()
+
+    def count(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(SampleConfig, "rng")
+    count(PrimeField, "eliminate")
+    count(linalg, "mul")
+    report = suites.suite_oracle(max_dim=3, seed=1)
+    assert (report["ok"], report["components"], report["retries"]) == (True, 364, 0)
+    assert counts == {"rng": 1, "eliminate": 5 * 364 + 191, "mul": 2 * 364 + 282}
 
 
 def test_representation_constructor_checks_commutativity():
@@ -184,17 +239,29 @@ def test_sampled_points_are_byte_reproducible():
 # stacks built whole.  The reference for the sampler's shared elimination.
 
 
-def _reference_full_rank(field, nrows, ncols, rng, rejected):
-    """A uniform full-rank matrix by rejection, counting rejected draws in rejected[0]."""
+def random_rows(field, nrows, ncols, rng) -> list:
+    """A uniform nrows x ncols matrix, from one ``rand_row`` call read in
+    row-major order: the values and the stream of nrows * ncols successive
+    ``rng.randrange(p)`` calls."""
+    flat = field.rand_row(rng, nrows * ncols)
+    return [flat[k * ncols:(k + 1) * ncols] for k in range(nrows)]
+
+
+def random_full_rank(field, nrows, ncols, rng, rejected=None) -> list:
+    """A uniform matrix among those of rank min(nrows, ncols), by rejection:
+    ``random_rows`` until the draw has that rank, adding one to rejected[0]
+    for each draw rejected when a counter is given."""
     while True:
-        a = linalg.random_rows(field, nrows, ncols, rng)
+        a = random_rows(field, nrows, ncols, rng)
         if linalg.rank(field, a, ncols) == min(nrows, ncols):
             return a
-        rejected[0] += 1
+        if rejected is not None:
+            rejected[0] += 1
 
 
 def _reference_sample_component_point(c, cfg, index):
-    """(point, rejected draws) by the reference sampler."""
+    """(point, rejected draws) by the reference sampler, which draws every
+    factor afresh from its own ``cfg.rng(index)``."""
     field = cfg.field()
     rng = cfg.rng(index)
     d1, d2, d3, d4 = c.dims
@@ -202,14 +269,14 @@ def _reference_sample_component_point(c, cfg, index):
     mid = d2 + d3
     rejected = [0]
     while True:
-        a = linalg.random_rows(field, mid, r1, rng)
+        a = random_rows(field, mid, r1, rng)
         kernel = linalg.nullspace(field, *linalg.rref(field, _transpose(a, r1), mid), mid)
         if len(kernel) == mid - r1:
             break
         rejected[0] += 1
-    b = _reference_full_rank(field, r1, d1, rng, rejected)
-    r = _reference_full_rank(field, r2, mid - r1, rng, rejected)
-    cm = _reference_full_rank(field, d4, r2, rng, rejected)
+    b = random_full_rank(field, r1, d1, rng, rejected)
+    r = random_full_rank(field, r2, mid - r1, rng, rejected)
+    cm = random_full_rank(field, d4, r2, rng, rejected)
     out_map = linalg.mul(field, a, b, d1)
     in_map = linalg.mul(field, cm, linalg.mul(field, r, kernel, mid), mid)
     f12, f13 = out_map[:d2], out_map[d2:]
@@ -397,7 +464,8 @@ def _factor_law(d1, mid, d4, r1, r2):
     for a, b, r, cm in itertools.product(_full_rank(mid, r1), _full_rank(r1, d1),
                                          _full_rank(r2, mid - r1), _full_rank(d4, r2)):
         k = linalg.nullspace(F3, *linalg.rref(F3, _transpose(a, r1), mid), mid)
-        rep = oracle._factor_point(F3, dims, a, b, r, k, cm)
+        rep = oracle._point(F3, dims, oracle._outward(F3, a, b, d1),
+                            oracle._inward(F3, r, k, cm, mid))
         law[(rep.f12 + rep.f13, _beside(rep.f24, _neg(F3, rep.f34)))] += 1
     return law
 
@@ -467,7 +535,7 @@ def test_certify_zero_representation():
 def sample_an_point(dims, cfg: SampleConfig, index: int = 0) -> tuple:
     """Uniform random chain maps; there are no relations to respect."""
     field, rng = cfg.field(), cfg.rng(index)
-    return tuple(linalg.random_rows(field, dims[k + 1], dims[k], rng)
+    return tuple(random_rows(field, dims[k + 1], dims[k], rng)
                  for k in range(len(dims) - 1))
 
 

@@ -136,6 +136,14 @@ MUTANTS = (
            "mul(field, r, k, mid)",
            "mul(field, list(zip(*sorted(zip(*r)))), k, mid)",
            "tests/test_oracle.py::test_factor_sampler_has_the_conjugation_law"),
+    # Factors of one shape from two streams, or from two offsets of one
+    # stream, share a memo entry.
+    Mutant("oracle memo: a factor's key drops the sample index", ORACLE,
+           "key = (index, start, nrows, ncols, kernel)", "key = (start, nrows, ncols, kernel)",
+           "tests/test_oracle.py::test_row_sampler_matches_the_mat_path"),
+    Mutant("oracle memo: a factor's key drops the start offset", ORACLE,
+           "key = (index, start, nrows, ncols, kernel)", "key = (index, nrows, ncols, kernel)",
+           "tests/test_oracle.py::test_row_sampler_matches_the_mat_path"),
     Mutant("linalg kernel, the sampler's K: pivot entries not negated", LINALG,
            "v[col] = reduce(-row[free])", "v[col] = row[free]",
            "tests/test_oracle.py::test_row_sampler_matches_the_mat_path"),
