@@ -16,7 +16,7 @@ int).  The routines call exactly these members of a field:
 - ``eliminate(rows, ncols, reduced)``, Gaussian elimination in place,
   returning the pivot columns (``rank``, ``rref``);
 - ``rand_row(rng, n)``, n uniform elements, the values and the stream
-  of ``n`` successive ``rng.randrange(p)`` calls (``oracle.SampleConfig``,
+  of ``n`` successive ``rng.randrange(p)`` calls (``oracle.StreamMemo``,
   which extends a sample's draws with it; GF(p) only).
 
 Each field has one elimination routine.  The GF(p) kernel inlines the

@@ -25,13 +25,18 @@ point keeps as f14) reads all eight.
 Sample ``index`` reads one stream, ``SampleConfig.rng(index)``, which
 depends on the seed and the index only.  Every component sampled under one
 config reads the same streams, so a factor is fixed by its index, the
-offset where its draws start and its shape, and the config keeps what the
-sampler derives from a stream alone.  Per stream it pays one seeding and
-one ``rand_row`` call each time a sample reads past the draws made so far;
-per new factor one elimination per draw (the reduced one of Aᵀ, which also
-gives K, or the rank of B, R or C); per new pair A·B one product and per
-new triple C·(R·K) two.  Per point it pays the two products of its square,
-checked by the constructor, and the five eliminations of its profile.
+offset where its draws start and its shape.  A ``StreamMemo`` keeps what
+the sampler derives from one config's streams alone; a caller that samples
+many components under one config (the sampling suites) passes one in, and
+a call without one builds its own and drops it, so sampling one component
+at many indices keeps nothing.  Within a memo, per stream the sampler pays
+one seeding and one ``rand_row`` call each time a sample reads past the
+draws made so far; per new factor one elimination per draw (the reduced
+one of Aᵀ, which also gives K, or the rank of B, R or C); per new pair A·B
+one product and per new triple C·(R·K) two.  Per point it pays the two
+products of its square, checked by the constructor, and the five
+eliminations of its profile.  A point sampled without a shared memo pays
+for its own stream, factors and products.
 Every factor is int rows over GF(p), read through the field members that
 ``linalg`` lists: ``rand_row`` for the draws, ``eliminate`` for the ranks
 and the echelon form, ``zero``, ``one`` and ``reduce`` for the kernel and
@@ -52,17 +57,9 @@ DEFAULT_PRIME = 32003
 
 
 class SampleConfig(Frozen):
-    """The prime, the sample count and the seed of a sampling run.
+    """The prime, the sample count and the seed of a sampling run."""
 
-    Besides its fields a config keeps a memo of what the sampler derives
-    from its streams alone: ``_streams`` maps a sample index to its draws
-    so far and the stream that extends them, ``_factors`` maps a factor's
-    key to the factor, and ``_products`` maps the keys of two or three
-    factors to their product.  The memo takes no part in equality, hashing,
-    the repr or pickling, so a copy starts with an empty one of its own.
-    """
-
-    __slots__ = ("prime", "count", "seed", "_field", "_streams", "_factors", "_products")
+    __slots__ = ("prime", "count", "seed", "_field")
 
     def __init__(self, prime: int = DEFAULT_PRIME, count: int = 50, seed: int = 0):
         setattr_ = object.__setattr__
@@ -75,8 +72,6 @@ class SampleConfig(Frozen):
             raise ValueError("sample count must be positive")
         # Built once: PrimeField rejects a composite by trial division.
         setattr_(self, "_field", PrimeField(self.prime))
-        for name in ("_streams", "_factors", "_products"):
-            setattr_(self, name, {})
 
     def field(self) -> PrimeField:
         return self._field
@@ -85,19 +80,37 @@ class SampleConfig(Frozen):
         # Split the base seed into an independent stream per sample.
         return random.Random(f"{self.seed}/{index}")
 
-    def _draws(self, index: int, stop: int) -> list:
+
+class StreamMemo:
+    """What the sampler derives from one config's streams alone.
+
+    ``streams`` maps a sample index to its draws so far and the stream that
+    extends them, ``factors`` maps a factor's key to the factor, and
+    ``products`` maps the keys of two or three factors to their product.
+    A stream's draws only grow, and each factor and product is built once
+    and never changed; a memo lives as long as its owner keeps it and
+    shares nothing with another memo.
+    """
+
+    __slots__ = ("cfg", "streams", "factors", "products")
+
+    def __init__(self, cfg: SampleConfig):
+        self.cfg = cfg
+        self.streams, self.factors, self.products = {}, {}, {}
+
+    def draws(self, index: int, stop: int) -> list:
         """At least the first ``stop`` draws of sample index's stream: the
         values of its successive ``randrange(p)`` calls, extended by one
         ``rand_row`` call when ``stop`` passes the end of those drawn so far."""
-        stream = self._streams.get(index)
+        stream = self.streams.get(index)
         if stream is None:
-            stream = self._streams[index] = ([], self.rng(index))
+            stream = self.streams[index] = ([], self.cfg.rng(index))
         draws, rng = stream
         if len(draws) < stop:
-            draws += self._field.rand_row(rng, stop - len(draws))
+            draws += self.cfg.field().rand_row(rng, stop - len(draws))
         return draws
 
-    def _factor(self, index: int, start: int, nrows: int, ncols: int, kernel: bool) -> tuple:
+    def factor(self, index: int, start: int, nrows: int, ncols: int, kernel: bool) -> tuple:
         """(key, rows, K, end) for the first nrows x ncols block of sample
         index's draws, from offset ``start`` on and read in row-major order,
         whose rank is min(nrows, ncols): a uniform full-rank matrix by
@@ -107,11 +120,11 @@ class SampleConfig(Frozen):
         K, a basis of its left kernel read off by ``linalg.nullspace``;
         otherwise K is None.  Rows are tuples of row tuples."""
         key = (index, start, nrows, ncols, kernel)
-        found = self._factors.get(key)
+        found = self.factors.get(key)
         if found is None:
-            field, size, full, end = self._field, nrows * ncols, min(nrows, ncols), start
+            field, size, full, end = self.cfg.field(), nrows * ncols, min(nrows, ncols), start
             while True:
-                draws = self._draws(index, end + size)
+                draws = self.draws(index, end + size)
                 rows = tuple(tuple(draws[end + k * ncols:end + (k + 1) * ncols])
                              for k in range(nrows))
                 end += size
@@ -124,11 +137,12 @@ class SampleConfig(Frozen):
                 elif linalg.rank(field, rows, ncols) == full:
                     basis = None
                     break
-            found = self._factors[key] = key, rows, basis, end
+            found = self.factors[key] = key, rows, basis, end
         return found
 
 
-def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> Representation:
+def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0,
+                           memo: StreamMemo | None = None) -> Representation:
     """A point of the component; its rank pair is (r1, r2) by construction.
 
     With mid = d2 + d3, the outward map (f12 over f13) is A·B and the inward
@@ -142,12 +156,17 @@ def sample_component_point(c: Component, cfg: SampleConfig, index: int = 0) -> R
 
     A, B, R and C are drawn in that order from sample index's stream, each
     where the one before it ends.  The factors and the two products come
-    from the config's memo, which computes each once per key.
+    from ``memo``, a ``StreamMemo`` built for cfg itself, which computes
+    each once per key; without one the call builds its own.
     """
+    if memo is None:
+        memo = StreamMemo(cfg)
+    elif memo.cfg is not cfg:
+        raise ValueError("a StreamMemo samples only under the config it was built for")
     d1, d2, d3, d4 = c.dims
     r1, r2 = c.ranks
     mid = d2 + d3
-    field, factor, products = cfg.field(), cfg._factor, cfg._products
+    field, factor, products = cfg.field(), memo.factor, memo.products
     a_key, a, kernel, end = factor(index, 0, mid, r1, True)
     b_key, b, _, end = factor(index, end, r1, d1, False)
     r_key, r, _, end = factor(index, end, r2, mid - r1, False)
@@ -196,20 +215,23 @@ def _corner_statistic(profile: modules22.RankProfile, key) -> int:
     return profile.dims[key[1] - 1] - (0 if rank is None else getattr(profile, rank))
 
 
-def sampled_minima(c: Component, cfg: SampleConfig, floors: dict):
+def sampled_minima(c: Component, cfg: SampleConfig, floors: dict,
+                   memo: StreamMemo | None = None):
     """Minima of the corner statistics over independent samples of a component.
 
     ``floors`` maps each (kind, corner) key, kind "eps" or "eps_star" and
     corner 1..4, to the value that settles it; sampling stops once every
     minimum is at its floor, or after cfg.count samples.  Each point's rank
-    pair is asserted to be the component's.  Returns (minima, samples drawn).
+    pair is asserted to be the component's.  ``memo`` is handed to every
+    ``sample_component_point`` call; without one each point builds its own,
+    so memory stays constant in cfg.count.  Returns (minima, samples drawn).
     """
     for key in floors:
         if key not in _STACKED_RANK:
             raise ValueError(f"no corner statistic {key!r}")
     minima = {}
     for index in range(cfg.count):
-        profile = modules22.rank_profile(sample_component_point(c, cfg, index))
+        profile = modules22.rank_profile(sample_component_point(c, cfg, index, memo))
         if (profile.source_rank, profile.sink_rank) != c.ranks:
             raise AssertionError("sampled point lost its rank pair")
         for key in floors:

@@ -159,20 +159,23 @@ def _sampling_suite(suite: str, max_dim: int, prime: int, seed: int, count: int,
 
     ``prepare(c)`` returns ``(holds, matches)``: the verdict of the
     sample-free clauses, and the sampled check as a function of a
-    SampleConfig.  A sampled check that misses is rerun once under
-    ``seed + 1`` and counted in ``retries``.
+    SampleConfig and its ``oracle.StreamMemo``.  A sampled check that
+    misses is rerun once under ``seed + 1`` and counted in ``retries``.
+    Every component reads the same streams, so each config's memo lives
+    for the whole call and no longer.
     """
-    first = SampleConfig(prime=prime, count=count, seed=seed)
-    retry = SampleConfig(prime=prime, count=count, seed=seed + 1)
+    first, retry = ((cfg, oracle.StreamMemo(cfg))
+                    for cfg in (SampleConfig(prime=prime, count=count, seed=seed),
+                                SampleConfig(prime=prime, count=count, seed=seed + 1)))
     failures = []
     checked = 0
     retries = 0
     for c in _box_components(max_dim):
         holds, matches = prepare(c)
-        sampled = matches(first)
+        sampled = matches(*first)
         if not sampled:
             retries += 1
-            sampled = matches(retry)
+            sampled = matches(*retry)
         if not (holds and sampled):
             failures.append(g22.format_component(c))
         checked += 1
@@ -205,7 +208,8 @@ def suite_oracle(max_dim: int = 4, samples: int = 50, prime: int = oracle.DEFAUL
         floors = {(kind, i): closed_form(c, i)
                   for kind, closed_form in (("eps", g22.epsilon), ("eps_star", g22.epsilon_star))
                   for i in g22.COLORS}
-        return True, lambda cfg: oracle.sampled_minima(c, cfg, floors)[0] == floors
+        return True, lambda cfg, memo: (
+            oracle.sampled_minima(c, cfg, floors, memo)[0] == floors)
 
     return _sampling_suite("oracle", max_dim, prime, seed, samples, prepare, samples=samples)
 
@@ -222,8 +226,8 @@ def suite_decomp(max_dim: int = 4, prime: int = oracle.DEFAULT_PRIME, seed: int 
                  and (profile.source_rank, profile.sink_rank) == c.ranks
                  and modules22.cbs_check(expected))
 
-        def matches(cfg):
-            sampled = modules22.rank_profile(oracle.sample_component_point(c, cfg, 0))
+        def matches(cfg, memo):
+            sampled = modules22.rank_profile(oracle.sample_component_point(c, cfg, 0, memo))
             if (sampled.source_rank, sampled.sink_rank) != c.ranks:
                 raise AssertionError("sampled point lost its rank pair")
             try:

@@ -472,10 +472,10 @@ def test_sampling_retries_are_reported(capsys, monkeypatch, suite, options):
     second_attempts = set()
     sample = oracle.sample_component_point
 
-    def counting(c, cfg, index):
+    def counting(c, cfg, index, memo):
         if cfg.seed == 4:
             second_attempts.add(c)
-        return sample(c, cfg, index)
+        return sample(c, cfg, index, memo)
 
     monkeypatch.setattr(oracle, "sample_component_point", counting)
     code, first = run(capsys, *argv)

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_grid import linalg
 from crystal_grid.linalg import QQ, PrimeField
-# The reference sampler's draws: uniform rows, and full rank by rejection.
-from test_oracle import random_full_rank, random_rows
+from reference_draws import random_full_rank, random_rows
 
 
 F7 = PrimeField(7)

@@ -14,6 +14,7 @@ from crystal_grid.g22 import Component, ZERO_COMPONENT
 from crystal_grid.oracle import SampleConfig
 from crystal_grid.reps import ARROWS, CommutativityError, Representation, direct_sum
 from crystal_grid.linalg import PrimeField
+from reference_draws import random_full_rank, random_rows
 
 
 CFG = SampleConfig(prime=32003, count=50, seed=7)
@@ -91,38 +92,66 @@ def test_sample_config_validation():
         SampleConfig(count=0)
 
 
-def _memo(cfg):
-    return cfg._streams, cfg._factors, cfg._products
+def _memo(memo):
+    return memo.streams, memo.factors, memo.products
 
 
-def test_sample_config_memo_stays_out_of_value_semantics():
-    # Sampling fills the config's memo, but the config stays the value
-    # (prime, count, seed): a copy starts with an empty memo of its own and
-    # draws the same points, and equal configs never share a memo.
+def test_stream_memo_stays_out_of_the_config():
+    # A config is the value (prime, count, seed) and holds no memo.  A memo
+    # of it, a memo of an equal config or of a copy, or none at all, gives
+    # the same points; two memos share nothing, and a memo samples only
+    # under the config it was built for.
     components = [c for dims in ((2, 3, 1, 2), (3, 2, 2, 3))
                   for c in g22.enumerate_components(dims)]
     cfg, fresh = (SampleConfig(prime=101, count=5, seed=3) for _ in range(2))
+    assert SampleConfig.__slots__ == ("prime", "count", "seed", "_field")
 
-    def points(config):
+    def points(config, memo):
         return [(rep.maps, rep.f14) for c in components for index in range(3)
-                for rep in (oracle.sample_component_point(c, config, index),)]
+                for rep in (oracle.sample_component_point(c, config, index, memo),)]
 
-    drawn = points(cfg)
-    assert all(_memo(cfg))
-    sizes = tuple(map(len, _memo(cfg)))
+    memo = oracle.StreamMemo(cfg)
+    drawn = points(cfg, memo)
+    assert all(_memo(memo))
+    sizes = tuple(map(len, _memo(memo)))
     assert cfg == fresh and hash(cfg) == hash(fresh)
     assert repr(cfg) == "SampleConfig(prime=101, count=5, seed=3)"
     assert pickle.dumps(cfg) == pickle.dumps(fresh)
-    for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg), fresh):
-        assert other == cfg and _memo(other) == ({}, {}, {})
-        assert points(other) == drawn
-        assert all(mine is not theirs for mine, theirs in zip(_memo(cfg), _memo(other)))
-    assert tuple(map(len, _memo(cfg))) == sizes
+    assert points(cfg, None) == drawn
+    for other in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), fresh):
+        other_memo = oracle.StreamMemo(other)
+        assert points(other, other_memo) == drawn
+        assert all(mine is not theirs for mine, theirs in zip(_memo(memo), _memo(other_memo)))
+        with pytest.raises(ValueError, match="only under the config it was built for"):
+            oracle.sample_component_point(components[0], cfg, 0, other_memo)
+    assert tuple(map(len, _memo(memo))) == sizes
+
+
+def test_sampled_minima_keep_no_memo_without_one(monkeypatch):
+    # Without a memo each point builds its own, so sampling one component at
+    # many indices keeps nothing from one point to the next.
+    memos = []
+    memo_type = oracle.StreamMemo
+
+    def recording(cfg):
+        memos.append(memo_type(cfg))
+        return memos[-1]
+
+    monkeypatch.setattr(oracle, "StreamMemo", recording)
+    c = Component((2, 1, 2, 1), (2, 1))
+    cfg = SampleConfig(prime=101, count=20, seed=4)
+    floors = {(kind, i): -1 for kind in ("eps", "eps_star") for i in g22.COLORS}
+    minima, drawn = oracle.sampled_minima(c, cfg, floors)
+    assert drawn == len(memos) == 20
+    assert all(list(m.streams) == [index] for index, m in enumerate(memos))
+    shared = memo_type(cfg)
+    assert oracle.sampled_minima(c, cfg, floors, shared) == (minima, drawn)
+    assert list(shared.streams) == list(range(20)) and len(memos) == 20
 
 
 def test_suite_oracle_draws_each_factor_once_per_stream(monkeypatch):
     # One config and no retry: the 364 points share sample index 0, whose
-    # stream is seeded once.  Each point pays the five eliminations of its
+    # stream is seeded once in the suite's memo.  Each point pays the five eliminations of its
     # profile and the two products of its square; the factors' rejection
     # tests and products are paid once per key.
     counts = collections.Counter()
@@ -239,26 +268,6 @@ def test_sampled_points_are_byte_reproducible():
 # stacks built whole.  The reference for the sampler's shared elimination.
 
 
-def random_rows(field, nrows, ncols, rng) -> list:
-    """A uniform nrows x ncols matrix, from one ``rand_row`` call read in
-    row-major order: the values and the stream of nrows * ncols successive
-    ``rng.randrange(p)`` calls."""
-    flat = field.rand_row(rng, nrows * ncols)
-    return [flat[k * ncols:(k + 1) * ncols] for k in range(nrows)]
-
-
-def random_full_rank(field, nrows, ncols, rng, rejected=None) -> list:
-    """A uniform matrix among those of rank min(nrows, ncols), by rejection:
-    ``random_rows`` until the draw has that rank, adding one to rejected[0]
-    for each draw rejected when a counter is given."""
-    while True:
-        a = random_rows(field, nrows, ncols, rng)
-        if linalg.rank(field, a, ncols) == min(nrows, ncols):
-            return a
-        if rejected is not None:
-            rejected[0] += 1
-
-
 def _reference_sample_component_point(c, cfg, index):
     """(point, rejected draws) by the reference sampler, which draws every
     factor afresh from its own ``cfg.rng(index)``."""
@@ -306,16 +315,19 @@ _REJECTED = {32003: 0, 101: 31}
 def test_row_sampler_matches_the_mat_path(prime):
     # Every component with all dimensions at most 4, three seeds, three
     # draws each; over GF(101) some factors are rejected and redrawn, so the
-    # two rejection loops are compared and not only first draws.
+    # two rejection loops are compared and not only first draws.  Each
+    # config's points share one memo, as in the sampling suites, so factors
+    # of one shape from different streams or offsets meet in it.
     components = [c for dims in itertools.product(range(5), repeat=4)
                   for c in g22.enumerate_components(dims)]
     assert len(components) == 983
     rejected = 0
     for seed in (0, 1, 7):
         cfg = SampleConfig(prime=prime, seed=seed)
+        memo = oracle.StreamMemo(cfg)
         for c in components:
             for index in range(3):
-                rep = oracle.sample_component_point(c, cfg, index)
+                rep = oracle.sample_component_point(c, cfg, index, memo)
                 ref, dropped = _reference_sample_component_point(c, cfg, index)
                 rejected += dropped
                 assert (rep.maps, rep.f14) == (ref.maps, ref.f14), (c, seed, index)

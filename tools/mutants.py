@@ -177,7 +177,7 @@ MUTANTS = (
            " or any(len(row) != ncols for row in m)", "",
            "tests/test_oracle.py::test_representation_checks_every_row_length"),
     Mutant("sampling suites: no rerun under seed + 1", SUITES,
-           "sampled = matches(retry)", "sampled = False",
+           "sampled = matches(*retry)", "sampled = False",
            "tests/test_cli.py::test_sampling_retries_are_reported"),
 )
 
