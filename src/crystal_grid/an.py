@@ -2,10 +2,14 @@
 
 For a chain with n vertices every representation variety is a single
 vector space, so each dimension vector names exactly one component and
-elements are plain tuples of naturals.  Raising decrements a coordinate,
-lowering increments it, with a one-sided comparison against the left
-(plain family) or right (star family) neighbor; out-of-range neighbors
-count as 0.
+elements are plain tuples of naturals.  Each family has one local map,
+dims, i -> (epsilon_i, e_i dims, f_i dims), read off one ``_neighbors``
+call: raising decrements d_i and lowering increments it, each defined by a
+one-sided comparison of d_i with the left neighbor (``local``, the plain
+family) or the right one (``local_star``), and epsilon_i is the generic
+cokernel dimension of the incoming map at vertex i (the kernel dimension of
+the outgoing one for the star family).  Out-of-range neighbors count as 0.
+``STEPS`` reads the operators of a word off the same two maps.
 """
 
 from __future__ import annotations
@@ -31,49 +35,33 @@ def _neighbors(dims, i):
     return left, dims[i - 1], right
 
 
-def apply_e(dims, i):
+def local(dims, i):
+    """(max(0, d - left), e_i when left < d, f_i when left <= d), None where
+    an operator vanishes."""
     left, d, _ = _neighbors(dims, i)
-    if left < d:
-        return dims[:i - 1] + (d - 1,) + dims[i:]
-    return None
+    if left > d:
+        return 0, None, None
+    head, tail = dims[:i - 1], dims[i:]
+    return d - left, head + (d - 1,) + tail if left < d else None, head + (d + 1,) + tail
 
 
-def apply_f(dims, i):
-    left, d, _ = _neighbors(dims, i)
-    if left <= d:
-        return dims[:i - 1] + (d + 1,) + dims[i:]
-    return None
-
-
-def apply_e_star(dims, i):
+def local_star(dims, i):
+    """(max(0, d - right), e*_i when d > right, f*_i when d >= right).  The
+    lowering guard reads "current >= next": symmetry with the plain family
+    under the coordinate flip fixes the right-hand side."""
     _, d, right = _neighbors(dims, i)
-    if d > right:
-        return dims[:i - 1] + (d - 1,) + dims[i:]
-    return None
+    if right > d:
+        return 0, None, None
+    head, tail = dims[:i - 1], dims[i:]
+    return d - right, head + (d - 1,) + tail if right < d else None, head + (d + 1,) + tail
 
 
-def apply_f_star(dims, i):
-    # The defined branch reads "current >= next"; symmetry with the plain
-    # family under the coordinate flip fixes the right-hand side.
-    _, d, right = _neighbors(dims, i)
-    if d >= right:
-        return dims[:i - 1] + (d + 1,) + dims[i:]
-    return None
-
-
-STEPS = {"e": apply_e, "f": apply_f, "e*": apply_e_star, "f*": apply_f_star}
-
-
-def epsilon(dims, i) -> int:
-    """Generic cokernel dimension of the incoming map at vertex i."""
-    left, d, _ = _neighbors(dims, i)
-    return max(0, d - left)
-
-
-def epsilon_star(dims, i) -> int:
-    """Generic kernel dimension of the outgoing map at vertex i."""
-    _, d, right = _neighbors(dims, i)
-    return max(0, d - right)
+STEPS = {
+    "e": lambda dims, i: local(dims, i)[1],
+    "f": lambda dims, i: local(dims, i)[2],
+    "e*": lambda dims, i: local_star(dims, i)[1],
+    "f*": lambda dims, i: local_star(dims, i)[2],
+}
 
 
 def dual(dims):
@@ -101,11 +89,9 @@ def iter_dims(n: int, bound: int):
 
 
 def fragment(n: int, bound: int, star: bool = False) -> CrystalFragment:
-    eps = epsilon_star if star else epsilon
-    up, down = (apply_e_star, apply_f_star) if star else (apply_e, apply_f)
     return CrystalFragment(
         cartan=chain_cartan(n),
         elements=tuple(sorted(iter_dims(n, bound))),
         wt=weight,
-        local=lambda d, i: (eps(d, i), up(d, i), down(d, i)),
+        local=local_star if star else local,
     )

@@ -138,9 +138,7 @@ class CrystalFragment(Record):
     ``local(b, i)`` the triple (epsilon_i(b), e_i b, f_i b), None for an
     operator that vanishes.  Both are functions (the same arguments give the
     same value), total on the fragment and on the images of its operators;
-    any exception they raise propagates out of the checker.  ``crystal_rows``
-    alone also accepts a ``local`` whose epsilon slot is None, for a caller
-    that reads only the operator rows; the axiom checker does not.
+    any exception they raise propagates out of the checker.
     """
 
     __slots__ = ()

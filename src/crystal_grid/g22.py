@@ -5,21 +5,24 @@ Vertices of the 2x2 grid are numbered 1..4 with arrows 1->2, 1->3, 2->4,
 component of the representation variety for dimension vector d is named
 by d together with the generic ranks (r1, r2) of the stacked map out of
 vertex 1 and of the stacked map into vertex 4.  Raising operators
-decrement a coordinate of d, lowering operators increment it; each case
-formula below names candidate rank data, and the candidate is the answer
-exactly when it satisfies the component parametrization, otherwise the
-operator vanishes.
+decrement a coordinate of d, lowering operators increment it.
 
-One gate decides that: ranks_valid.  A Component is the tuple (dims,
-ranks).  Operator results are built by the private factory _moved, which
-moves one dimension, runs ranks_valid and nothing else (a moved
-component's fields are int tuples of length 4 and 2 by construction) and
-wraps the pair with tuple.__new__, or returns None when the data names no
-component.  The public Component constructor is the boundary for outside
-data, parsed or caller-supplied: it also checks the field types and
-lengths and raises InvalidComponentError.  dual raises
-InvalidComponentError too and never returns None, which ``verify
-duality`` would read as a vanished operator.
+Each family (plain and star) has one case function, dims, ranks, i ->
+(epsilon_i, the e_i candidate's rank data, the f_i candidate's), with None
+for a candidate whose case vanishes.  Everything else is read off it: the
+local maps ``local`` and ``local_star`` (c, i -> (epsilon_i, e_i c, f_i c))
+make one case call, build the moved dims only for a live candidate and pass
+each one through ranks_valid, the one gate, which decides whether the
+candidate names a component; the four operators and the two statistics
+read one slot of the same call.
+
+A Component is the tuple (dims, ranks).  A gated candidate's fields are int
+tuples of length 4 and 2 by construction, so ranks_valid is the one check
+that can fail, and the pair is wrapped with tuple.__new__.  The public
+Component constructor is the boundary for outside data, parsed or
+caller-supplied: it also checks the field types and lengths and raises
+InvalidComponentError.  dual raises InvalidComponentError too and never
+returns None, which ``verify duality`` would read as a vanished operator.
 
 Colors 2 and 3 share one branch in every case function: the reflection of
 the square that swaps vertices 2 and 3 fixes d1, d4, r1 and r2, so the two
@@ -143,127 +146,100 @@ def weight(c: Component):
     return (-d1, -d2, -d3, -d4)
 
 
-def _moved(dims, i, delta, ranks):
-    """The component with d_i moved by delta and rank data ranks, or None
-    when that data names no component.
-
-    For operator results only: the moved fields are int tuples of length 4
-    and 2 by construction, so ranks_valid is the one check that can fail.
-    """
-    dims = dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:]
-    if not ranks_valid(dims, ranks):
-        return None
-    return tuple.__new__(Component, (dims, ranks))
-
-
 def _middle_dim(dims, i: int) -> int:
-    """d_i for the middle colors 2 and 3, which every case function reaches
+    """d_i for the middle colors 2 and 3, which the lowering counts reach
     only after handling colors 1 and 4; any other color is out of range."""
     if i == 2 or i == 3:
         return dims[i - 1]
     raise ValueError(f"color {i} out of range")
 
 
-def apply_e(c: Component, i: int):
-    """Raising operator: decrement d_i, with rank data per the case table."""
-    dims, ranks = c
+def _plain(dims, ranks, i: int):
+    """The plain family's case function: (epsilon_i, the e_i candidate's rank
+    data, the f_i candidate's), a candidate None where its case vanishes."""
     d1, d2, d3, d4 = dims
     r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
-        if lhs <= rhs:
-            return _moved(dims, 1, -1, (r1 - 1, r2))
-        return _moved(dims, 1, -1, (r1, r2))
+        return d1, (r1 - 1, r2) if lhs <= rhs else ranks, (r1 + 1, r2) if lhs < rhs else ranks
     if i == 4:
-        return _moved(dims, 4, -1, (r1, r2))
-    if _middle_dim(dims, i) <= r1:
-        return None
-    if lhs < rhs:
-        return _moved(dims, i, -1, (r1, r2))
-    return _moved(dims, i, -1, (r1, r2 - 1))
+        return d4 - r2, ranks, ranks if lhs >= rhs else None
+    if i != 2 and i != 3:
+        raise ValueError(f"color {i} out of range")
+    d = dims[i - 1]
+    return (d - r1 if d > r1 else 0,
+            None if d <= r1 else ranks if lhs < rhs else (r1, r2 - 1),
+            None if d < r1 else ranks if lhs <= rhs else (r1, r2 + 1))
 
 
-def apply_f(c: Component, i: int):
-    """Lowering operator: increment d_i, with rank data per the case table."""
-    dims, ranks = c
+def _star(dims, ranks, i: int):
+    """The star family's case function, laid out as _plain."""
     d1, d2, d3, d4 = dims
     r1, r2 = ranks
     lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
-        if lhs < rhs:
-            return _moved(dims, 1, +1, (r1 + 1, r2))
-        return _moved(dims, 1, +1, (r1, r2))
+        return d1 - r1, ranks, ranks if lhs >= rhs else None
     if i == 4:
-        if lhs >= rhs:
-            return _moved(dims, 4, +1, (r1, r2))
-        return None
-    if _middle_dim(dims, i) < r1:
-        return None
-    if lhs <= rhs:
-        return _moved(dims, i, +1, (r1, r2))
-    return _moved(dims, i, +1, (r1, r2 + 1))
+        return d4, (r1, r2 - 1) if lhs <= rhs else ranks, (r1, r2 + 1) if lhs < rhs else ranks
+    if i != 2 and i != 3:
+        raise ValueError(f"color {i} out of range")
+    d = dims[i - 1]
+    return (d - r2 if d > r2 else 0,
+            None if d <= r2 else ranks if lhs < rhs else (r1 - 1, r2),
+            None if d < r2 else ranks if lhs <= rhs else (r1 + 1, r2))
 
 
-def apply_e_star(c: Component, i: int):
-    """Star raising operator (quotient-side structure)."""
-    dims, ranks = c
-    d1, d2, d3, d4 = dims
-    r1, r2 = ranks
-    lhs, rhs = d1 + d4, d2 + d3
-    if i == 1:
-        return _moved(dims, 1, -1, (r1, r2))
-    if i == 4:
-        if lhs <= rhs:
-            return _moved(dims, 4, -1, (r1, r2 - 1))
-        return _moved(dims, 4, -1, (r1, r2))
-    if _middle_dim(dims, i) <= r2:
-        return None
-    if lhs < rhs:
-        return _moved(dims, i, -1, (r1, r2))
-    return _moved(dims, i, -1, (r1 - 1, r2))
+def _local_map(case):
+    """The local map c, i -> (epsilon_i(c), e_i c, f_i c) of the family whose
+    case function is case.  One case call; then each live candidate moves d_i
+    by -1 (e_i) or +1 (f_i) and passes through ranks_valid, the one gate."""
+    def local(c, i):
+        dims, ranks = c
+        eps, up, down = case(dims, ranks, i)
+        if up is not None:
+            moved = dims[:i - 1] + (dims[i - 1] - 1,) + dims[i:]
+            up = tuple.__new__(Component, (moved, up)) if ranks_valid(moved, up) else None
+        if down is not None:
+            moved = dims[:i - 1] + (dims[i - 1] + 1,) + dims[i:]
+            down = tuple.__new__(Component, (moved, down)) if ranks_valid(moved, down) else None
+        return eps, up, down
+    return local
 
 
-def apply_f_star(c: Component, i: int):
-    """Star lowering operator (quotient-side structure)."""
-    dims, ranks = c
-    d1, d2, d3, d4 = dims
-    r1, r2 = ranks
-    lhs, rhs = d1 + d4, d2 + d3
-    if i == 1:
-        if lhs >= rhs:
-            return _moved(dims, 1, +1, (r1, r2))
-        return None
-    if i == 4:
-        if lhs < rhs:
-            return _moved(dims, 4, +1, (r1, r2 + 1))
-        return _moved(dims, 4, +1, (r1, r2))
-    if _middle_dim(dims, i) < r2:
-        return None
-    if lhs <= rhs:
-        return _moved(dims, i, +1, (r1, r2))
-    return _moved(dims, i, +1, (r1 + 1, r2))
+local = _local_map(_plain)
+local_star = _local_map(_star)
+
+
+def _operator(case, slot: int, delta: int):
+    """The operator that reads one candidate off case, slot 1 with delta -1
+    (e_i) or slot 2 with delta +1 (f_i), and moves d_i by delta; the
+    candidate passes the gate of the local maps."""
+    def step(c, i):
+        dims, ranks = c
+        moved_ranks = case(dims, ranks, i)[slot]
+        if moved_ranks is None:
+            return None
+        moved = dims[:i - 1] + (dims[i - 1] + delta,) + dims[i:]
+        return (tuple.__new__(Component, (moved, moved_ranks))
+                if ranks_valid(moved, moved_ranks) else None)
+    return step
+
+
+# Raising and lowering, then the star (quotient-side) raising and lowering.
+apply_e = _operator(_plain, 1, -1)
+apply_f = _operator(_plain, 2, +1)
+apply_e_star = _operator(_star, 1, -1)
+apply_f_star = _operator(_star, 2, +1)
 
 
 def epsilon(c: Component, i: int) -> int:
     dims, ranks = c
-    d1, _, _, d4 = dims
-    r1, r2 = ranks
-    if i == 1:
-        return d1
-    if i == 4:
-        return d4 - r2
-    return max(0, _middle_dim(dims, i) - r1)
+    return _plain(dims, ranks, i)[0]
 
 
 def epsilon_star(c: Component, i: int) -> int:
     dims, ranks = c
-    d1, _, _, d4 = dims
-    r1, r2 = ranks
-    if i == 1:
-        return d1 - r1
-    if i == 4:
-        return d4
-    return max(0, _middle_dim(dims, i) - r2)
+    return _star(dims, ranks, i)[0]
 
 
 def epsilon_prime(c: Component, i: int) -> int:
@@ -386,11 +362,9 @@ def counterexample_words():
 
 
 def fragment(bound: int, star: bool = False) -> CrystalFragment:
-    eps = epsilon_star if star else epsilon
-    up, down = (apply_e_star, apply_f_star) if star else (apply_e, apply_f)
     return CrystalFragment(
         cartan=CARTAN,
         elements=tuple(iter_components(bound)),
         wt=weight,
-        local=lambda c, i: (eps(c, i), up(c, i), down(c, i)),
+        local=local_star if star else local,
     )

@@ -44,14 +44,11 @@ def suite_star(bound: int = 8) -> dict:
     """Star-family axioms plus agreement of the applicability counts with
     operator iteration, capped at 2 * bound + 4, which an infinite phi' or
     phi*' must reach.  One color at a time, the star fragment's rows go
-    through the axiom checker and give the counts of e* and f*.  Rows of e
-    and f on the same elements give those of e and f; their local map
-    computes e and f only (its epsilon slot is None, which no count reads)
-    and looks both up in g22 at call time."""
+    through the axiom checker and give the counts of e* and f*.  Rows of
+    ``g22.local`` on the same elements give those of e and f."""
     star = g22.fragment(bound, star=True)
     elements = star.elements
-    plain = cartan.CrystalFragment(star.cartan, elements, star.wt,
-                                   lambda c, i: (None, g22.apply_e(c, i), g22.apply_f(c, i)))
+    plain = cartan.CrystalFragment(star.cartan, elements, star.wt, g22.local)
     weights = [g22.weight(c) for c in elements]
     cap = 2 * bound + 4
     violations, mismatches = [], []
@@ -119,9 +116,11 @@ def suite_duality(bound: int = 8) -> dict:
     the involution, dual(d) = c; the weight, wt(c)_i = wt(d)_sigma(i); the
     statistic, epsilon*_i(c) = epsilon_sigma(i)(d); and the conjugation,
     e*_i(c) = dual(e_sigma(i)(d)) and likewise for f*, where a vanished
-    operator (None) must vanish on both sides.  phi needs no clause: axiom 1
-    derives it from wt and epsilon.  Weight and statistic mismatches are the
-    morphism violations; the other two clauses are conjugation failures.
+    operator (None) must vanish on both sides.  Each color reads the last two
+    off one ``g22.local_star`` call at c and one ``g22.local`` call at d.
+    phi needs no clause: axiom 1 derives it from wt and epsilon.  Weight and
+    statistic mismatches are the morphism violations; the other two clauses
+    are conjugation failures.
     """
     a = g22.VERTEX_INVOLUTION
     bad = []
@@ -134,13 +133,12 @@ def suite_duality(bound: int = 8) -> dict:
         if any(wt_c[i - 1] != wt_d[a[i] - 1] for i in g22.COLORS):
             morphism += 1
         for i in g22.COLORS:
-            if g22.epsilon_star(c, i) != g22.epsilon(d, a[i]):
+            eps_star, up_star, down_star = g22.local_star(c, i)
+            eps, up, down = g22.local(d, a[i])
+            if eps_star != eps:
                 morphism += 1
-            for star_op, plain_op in ((g22.apply_e_star, g22.apply_e),
-                                      (g22.apply_f_star, g22.apply_f)):
-                routed = plain_op(d, a[i])
-                routed = g22.dual(routed) if routed is not None else None
-                if star_op(c, i) != routed:
+            for image, routed in ((up_star, up), (down_star, down)):
+                if image != (g22.dual(routed) if routed is not None else None):
                     bad.append(("conjugation", g22.format_component(c), i))
     return {
         "suite": "duality",

@@ -64,8 +64,8 @@ def test_criterion_04_mutual_inverses():
     for n in range(1, 6):
         for dims in an.iter_dims(n, 8):
             for i in range(1, n + 1):
-                for up_op, down_op in ((an.apply_e, an.apply_f),
-                                       (an.apply_e_star, an.apply_f_star)):
+                for up_op, down_op in ((an.STEPS["e"], an.STEPS["f"]),
+                                       (an.STEPS["e*"], an.STEPS["f*"])):
                     up = up_op(dims, i)
                     if up is not None:
                         assert down_op(up, i) == dims

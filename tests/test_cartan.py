@@ -214,27 +214,36 @@ def test_axiom_check_flags_exactly_the_broken_clause(maps, rule, message):
     assert report.violations == ((rule, 1, 1, message),)
 
 
-# One point changed per clause of ``verify duality``: (map, point, changed
-# value, the count that flags it).  The component 1,0,0,1:0,0 is its own dual,
-# so the suite meets the changed weight at one component only.
+def _slot(k, value):
+    """A local triple with slot k (0 epsilon, 1 raising, 2 lowering) set to value."""
+    return lambda triple: triple[:k] + (value,) + triple[k + 1:]
+
+
+# One point changed per clause of ``verify duality``: (map, point, change of
+# its value there, the count that flags it).  The suite reads the statistic
+# and the star operators off g22.local_star, so those clauses change one slot
+# of its triple.  The component 1,0,0,1:0,0 is its own dual, so the suite
+# meets the changed weight at one component only.
 _SELF_DUAL = g22.Component((1, 0, 0, 1), (0, 0))
 DUALITY_CLAUSES = {
-    0: ("weight", (_SELF_DUAL,), (-1, 0, 0, -2), "morphism_violations",
+    0: ("weight", (_SELF_DUAL,), lambda wt: (-1, 0, 0, -2), "morphism_violations",
         "weight not preserved"),
-    1: ("epsilon_star", (_SELF_DUAL, 1), 5, "morphism_violations", "epsilon not preserved"),
-    3: ("apply_e_star", (_SELF_DUAL, 1), None, "conjugation_failure_count",
+    1: ("local_star", (_SELF_DUAL, 1), _slot(0, 5), "morphism_violations",
+        "epsilon not preserved"),
+    3: ("local_star", (_SELF_DUAL, 1), _slot(1, None), "conjugation_failure_count",
         "raising does not commute with the map"),
-    4: ("apply_f_star", (_SELF_DUAL, 1), None, "conjugation_failure_count",
+    4: ("local_star", (_SELF_DUAL, 1), _slot(2, None), "conjugation_failure_count",
         "lowering does not commute with the map"),
 }
 
 
-@pytest.mark.parametrize("name, point, value, count", [
-    pytest.param(name, point, value, count, id=f"maps{n}-{message}")
-    for n, (name, point, value, count, message) in DUALITY_CLAUSES.items()])
-def test_morphism_check_flags_exactly_the_broken_clause(capsys, monkeypatch, name, point, value,
+@pytest.mark.parametrize("name, point, change, count", [
+    pytest.param(name, point, change, count, id=f"maps{n}-{message}")
+    for n, (name, point, change, count, message) in DUALITY_CLAUSES.items()])
+def test_morphism_check_flags_exactly_the_broken_clause(capsys, monkeypatch, name, point, change,
                                                         count):
     clean = getattr(g22, name)
+    value = change(clean(*point))
     assert clean(*point) != value
     monkeypatch.setattr(g22, name, lambda *args: value if args == point else clean(*args))
     code, report = _verify_duality(capsys)
@@ -507,7 +516,7 @@ def test_lowering_closure_is_the_sorted_chain_box_without_lowering_the_bound():
 
     def down(x, i):
         lowered.append(x)
-        return an.apply_f(x, i)
+        return an.STEPS["f"](x, i)
 
     nodes = cartan.lowering_closure((0, 0, 0), 0, down, (1, 2, 3), 4)
     assert nodes == sorted(an.iter_dims(3, 4), key=lambda d: (sum(d), d))

@@ -453,9 +453,16 @@ def test_verify_oracle_with_flags(capsys):
 
 
 def test_failure_count_is_the_total_behind_the_capped_list(capsys, monkeypatch):
+    # e* vanishes everywhere: the suite reads it off g22.local_star's raising slot.
     expected = sum(1 for c in g22.iter_components(4) for i in g22.COLORS
                    if g22.apply_e(g22.dual(c), g22.VERTEX_INVOLUTION[i]) is not None)
-    monkeypatch.setattr(g22, "apply_e_star", lambda c, i: None)
+    local_star = g22.local_star
+
+    def no_raising(c, i):
+        eps, _, down = local_star(c, i)
+        return eps, None, down
+
+    monkeypatch.setattr(g22, "local_star", no_raising)
     code, payload = run_json(capsys, "verify", "duality", "--bound", "4")
     assert code == 1
     assert expected > 20

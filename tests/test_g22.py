@@ -107,28 +107,43 @@ def test_enumerate_takes_any_sequence_of_four_dims():
 
 
 def test_factory_agrees_with_the_public_constructor():
-    # Negative and invalid data included: the factory's one gate rejects
-    # exactly what the constructor rejects on int tuples of the right length.
+    # Negative and invalid data included: the one gate of the local maps and
+    # of the operators, fed any candidate rank data through a stand-in case
+    # function, accepts exactly what the constructor accepts on int tuples
+    # of the right length, and wraps it as a Component.
     box = range(-1, 4)
-    for dims in itertools.product(box, repeat=4):
-        for ranks in itertools.product(box, repeat=2):
+    for ranks in itertools.product(box, repeat=2):
+        def case(dims, _, i, ranks=ranks):
+            return None, ranks, ranks
+        local = g22._local_map(case)
+        steps = {-1: g22._operator(case, 1, -1), +1: g22._operator(case, 2, +1)}
+        for dims in itertools.product(box, repeat=4):
+            c = tuple.__new__(Component, (dims, (0, 0)))
             for i in g22.COLORS:
-                for delta in (-1, +1):
-                    made = g22._moved(dims, i, delta, ranks)
+                _, up, down = local(c, i)
+                for delta, made in ((-1, up), (+1, down)):
+                    stepped = steps[delta](c, i)
                     moved = tuple(d + delta * (k == i) for k, d in enumerate(dims, 1))
                     try:
                         expected = Component(moved, ranks)
                     except InvalidComponentError:
-                        assert made is None, (dims, i, delta, ranks)
+                        assert made is None and stepped is None, (dims, i, delta, ranks)
                     else:
-                        assert type(made) is Component and made == expected, (dims, i, ranks)
+                        assert type(made) is type(stepped) is Component, (dims, i, ranks)
+                        assert made == stepped == expected, (dims, i, ranks)
+    # A vanished case builds no candidate at all.
+    c = C((1, 1, 1, 1), (1, 1))
+    assert g22._local_map(lambda dims, ranks, i: (0, None, None))(c, 1) == (0, None, None)
+    assert g22._operator(lambda dims, ranks, i: (0, None, None), 1, -1)(c, 1) is None
 
 
 def test_operator_results_have_plain_int_fields():
     for c in g22.iter_components(6):
         for i in g22.COLORS:
-            for step in (g22.apply_e, g22.apply_f, g22.apply_e_star, g22.apply_f_star):
-                moved = step(c, i)
+            images = [step(c, i) for step in (g22.apply_e, g22.apply_f, g22.apply_e_star,
+                                              g22.apply_f_star)]
+            images += g22.local(c, i)[1:] + g22.local_star(c, i)[1:]
+            for moved in images:
                 if moved is not None:
                     assert type(moved) is Component, (c, i)
                     assert type(moved.dims) is tuple and len(moved.dims) == 4, (c, i)
@@ -519,9 +534,26 @@ def test_operators_and_statistics_match_the_case_tables():
                 assert fn(c, i) == table(c, i), (fn.__name__, c, i)
 
 
+def test_local_maps_match_the_case_tables():
+    comps = list(g22.iter_components(12))
+    assert len(comps) == 2688
+    for c in comps:
+        for i in g22.COLORS:
+            assert g22.local(c, i) == (
+                _table_epsilon(c, i), _table_apply_e(c, i), _table_apply_f(c, i)), (c, i)
+            assert g22.local_star(c, i) == (
+                _table_epsilon_star(c, i), _table_apply_e_star(c, i), _table_apply_f_star(c, i)), (
+                c, i)
+
+
+def test_fragments_pass_the_local_maps():
+    assert g22.fragment(2).local is g22.local
+    assert g22.fragment(2, star=True).local is g22.local_star
+
+
 def test_out_of_range_color_raises():
     c = C((1, 1, 1, 2), (1, 1))
-    for fn in _TABLES:
+    for fn in (*_TABLES, g22.local, g22.local_star):
         for color in (0, 5):
             with pytest.raises(ValueError, match=f"color {color} "):
                 fn(c, color)
@@ -593,8 +625,11 @@ def test_verify_star_reports_a_chain_broken_in_the_middle(monkeypatch, capsys):
     broken = C((1, 0, 0, 1), (0, 0))
     above = [c for c in g22.iter_components(6) for i in g22.COLORS if g22.apply_e(c, i) == broken]
     assert above and any(g22.apply_e(broken, i) is not None for i in g22.COLORS)
-    apply_e = g22.apply_e
+    # e vanishes at broken, in the plain rows (g22.local) and in the walks (g22.apply_e).
+    apply_e, local = g22.apply_e, g22.local
     monkeypatch.setattr(g22, "apply_e", lambda c, i: None if c == broken else apply_e(c, i))
+    monkeypatch.setattr(g22, "local", lambda c, i: (
+        (local(c, i)[0], None, local(c, i)[2]) if c == broken else local(c, i)))
     expected = _walked_star_mismatches(6)
     assert len(expected) == 10
     code = cli.main(["verify", "star", "--bound", "6"])
@@ -605,24 +640,70 @@ def test_verify_star_reports_a_chain_broken_in_the_middle(monkeypatch, capsys):
 
 
 def test_verify_star_applies_each_star_operator_once_per_fragment_pair(monkeypatch):
+    # Both star operators at a fragment pair come from its one g22.local_star
+    # call; no walk with apply_e_star or apply_f_star starts in the fragment.
     members = set(g22.iter_components(6))
     calls = {}
-    for name in ("apply_e_star", "apply_f_star"):
+    for name in ("local_star", "apply_e_star", "apply_f_star"):
         def counted(c, i, name=name, step=getattr(g22, name)):
             if c in members:
                 calls[name, c, i] = calls.get((name, c, i), 0) + 1
             return step(c, i)
         monkeypatch.setattr(g22, name, counted)
     assert suites.suite_star(6)["ok"]
-    assert len(calls) == 2 * len(members) * len(g22.COLORS)
+    assert {name for name, _, _ in calls} == {"local_star"}
+    assert len(calls) == len(members) * len(g22.COLORS)
     assert max(calls.values()) == 1
 
 
+def _count_calls(monkeypatch, names):
+    """Count the calls of the named g22 functions, keyed by (name, *args)."""
+    calls = {}
+    for name in names:
+        def counted(*args, name=name, fn=getattr(g22, name)):
+            calls[(name, *args)] = calls.get((name, *args), 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(g22, name, counted)
+    return calls
+
+
+def test_axioms2x2_gates_as_often_as_the_operators_did(monkeypatch, capsys):
+    # One local call per element and color, and one more per image outside
+    # the fragment, in each family; the candidates pass ranks_valid as often
+    # as when each operator gated its own result (4,748 calls at bound 6,
+    # with the constructor's calls for the enumeration).
+    members = set(g22.iter_components(6))
+    maps = {"local": g22.local, "local_star": g22.local_star}
+    outside = {name: {(f, i) for c in members for i in g22.COLORS
+                      if (f := local(c, i)[2]) is not None and f not in members}
+               for name, local in maps.items()}
+    calls = _count_calls(monkeypatch, ("ranks_valid", *maps))
+    assert cli.main(["verify", "axioms2x2", "--bound", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    rank_checks = sum(n for (name, *_), n in calls.items() if name == "ranks_valid")
+    assert rank_checks == 4748
+    for name in maps:
+        seen = {tuple(args): n for (called, *args), n in calls.items() if called == name}
+        expected = {(c, i) for c in members for i in g22.COLORS} | outside[name]
+        assert outside[name] and set(seen) == expected and set(seen.values()) == {1}, name
+
+
+def test_duality_reads_two_local_calls_per_component_and_color(monkeypatch):
+    calls = _count_calls(monkeypatch, ("local", "local_star"))
+    assert suites.suite_duality(10)["ok"]
+    assert sum(calls.values()) == 2 * 1379 * 4 == 11032
+    a = g22.VERTEX_INVOLUTION
+    assert {key for key in calls if key[0] == "local_star"} == {
+        ("local_star", c, i) for c in g22.iter_components(10) for i in g22.COLORS}
+    assert {key for key in calls if key[0] == "local"} == {
+        ("local", g22.dual(c), a[i]) for c in g22.iter_components(10) for i in g22.COLORS}
+
+
 def test_verify_star_reads_epsilon_only_through_the_prime_closed_forms(monkeypatch):
-    # The plain rows come from a local map that computes e and f only, so no
-    # epsilon is read for them: at bound 10 that is 5,516 calls fewer (one
-    # per element and color) than the 10,409 made when those rows were read
-    # off g22.fragment.  The calls left are epsilon_prime's own.
+    # The plain rows come from g22.local, whose one case call per element and
+    # color gives epsilon without calling g22.epsilon: at bound 10 that is
+    # 5,516 calls fewer (one per element and color) than the 10,409 made when
+    # the local map called g22.epsilon.  The calls left are epsilon_prime's own.
     calls = [0]
     epsilon = g22.epsilon
 

@@ -581,8 +581,8 @@ def test_an_oracle_concordance_small():
         for i in (1, 2, 3):
             eps, eps_star = (min(values) for values in zip(
                 *(_chain_statistics(cfg.field(), dims, maps, i) for maps in points)))
-            assert eps == an.epsilon(dims, i), (dims, i)
-            assert eps_star == an.epsilon_star(dims, i), (dims, i)
+            assert eps == an.local(dims, i)[0], (dims, i)
+            assert eps_star == an.local_star(dims, i)[0], (dims, i)
 
 
 # ---------------------------------------------------------------------------

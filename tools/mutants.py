@@ -46,6 +46,7 @@ CARTAN = "src/crystal_grid/cartan.py"
 CLI = "src/crystal_grid/cli.py"
 LINALG = "src/crystal_grid/linalg.py"
 G22 = "src/crystal_grid/g22.py"
+AN = "src/crystal_grid/an.py"
 BINFTY = "src/crystal_grid/binfty.py"
 ORACLE = "src/crystal_grid/oracle.py"
 SUITES = "src/crystal_grid/suites.py"
@@ -76,7 +77,7 @@ MUTANTS = (
            "if eps == NEG_INFINITY and (up_row[n] != _NONE or down_row[n] != _NONE):", "if False:",
            "tests/test_cartan.py"),
     Mutant("duality: statistic clause off", SUITES,
-           "if g22.epsilon_star(c, i) != g22.epsilon(d, a[i]):", "if False:",
+           "if eps_star != eps:", "if False:",
            "tests/test_cartan.py::test_morphism_check_flags_exactly_the_broken_clause"),
     Mutant("duality: weight clause off", SUITES,
            "if any(wt_c[i - 1] != wt_d[a[i] - 1] for i in g22.COLORS):", "if False:",
@@ -92,10 +93,10 @@ MUTANTS = (
            "if m >= 0 and counts[m] >= 0:", "if m >= 0:",
            "tests/test_g22.py::test_iteration_counts_match_per_element_walks"),
     Mutant("g22 e at colors 2/3: vanishing guard", G22,
-           "if _middle_dim(dims, i) <= r1:", "if _middle_dim(dims, i) < r1:", "tests/test_g22.py"),
+           "None if d <= r1 else", "None if d < r1 else", "tests/test_g22.py"),
     Mutant("g22 f* at colors 2/3: source rank grows", G22,
-           "return _moved(dims, i, +1, (r1 + 1, r2))",
-           "return _moved(dims, i, +1, (r1, r2 + 1))", "tests/test_g22.py"),
+           "ranks if lhs <= rhs else (r1 + 1, r2)",
+           "ranks if lhs <= rhs else (r1, r2 + 1)", "tests/test_g22.py"),
     Mutant("g22 epsilon' at color 1: sink wall", G22,
            "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
     Mutant("g22 epsilon*' at color 4: source wall", G22,
@@ -105,8 +106,15 @@ MUTANTS = (
            "len(dims) == 4",
            "tests/test_g22.py::test_constructor_checks_the_fields_as_given"),
     Mutant("g22 operator results: the factory's gate removed", G22,
-           "if not ranks_valid(dims, ranks):\n        return None",
-           "if False:\n        return None", "tests/test_g22.py"),
+           "if ranks_valid(moved, moved_ranks) else None", "if True else None",
+           "tests/test_g22.py"),
+    Mutant("g22 local maps: the raising candidate not gated", G22,
+           "up = tuple.__new__(Component, (moved, up)) if ranks_valid(moved, up) else None",
+           "up = tuple.__new__(Component, (moved, up))",
+           "tests/test_g22.py::test_factory_agrees_with_the_public_constructor"),
+    Mutant("chain f at a tie with the left neighbor: vanishes", AN,
+           "if left > d:", "if left >= d:",
+           "tests/test_an.py::test_local_maps_match_the_per_function_forms"),
     Mutant("g22 dual: ranks not swapped", G22,
            "dims, ranks = (d4, d3, d2, d1), (r2, r1)",
            "dims, ranks = (d4, d3, d2, d1), (r1, r2)", "tests/test_g22.py"),
