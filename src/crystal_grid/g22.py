@@ -13,8 +13,9 @@ for a candidate whose case vanishes.  Everything else is read off it: the
 local maps ``local`` and ``local_star`` (c, i -> (epsilon_i, e_i c, f_i c))
 make one case call, build the moved dims only for a live candidate and pass
 each one through ranks_valid, the one gate, which decides whether the
-candidate names a component; the four operators and the two statistics
-read one slot of the same call.
+candidate names a component.  The four operators read one slot of the same
+call, and the two statistics ask it for epsilon_i alone, which builds no
+candidate.
 
 A Component is the tuple (dims, ranks).  A gated candidate's fields are int
 tuples of length 4 and 2 by construction, so ranks_valid is the one check
@@ -154,38 +155,53 @@ def _middle_dim(dims, i: int) -> int:
     raise ValueError(f"color {i} out of range")
 
 
-def _plain(dims, ranks, i: int):
+def _plain(dims, ranks, i: int, candidates: bool = True):
     """The plain family's case function: (epsilon_i, the e_i candidate's rank
-    data, the f_i candidate's), a candidate None where its case vanishes."""
+    data, the f_i candidate's), a candidate None where its case vanishes.
+    With candidates false it returns epsilon_i alone and builds none."""
     d1, d2, d3, d4 = dims
     r1, r2 = ranks
-    lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
+        if not candidates:
+            return d1
+        lhs, rhs = d1 + d4, d2 + d3
         return d1, (r1 - 1, r2) if lhs <= rhs else ranks, (r1 + 1, r2) if lhs < rhs else ranks
     if i == 4:
-        return d4 - r2, ranks, ranks if lhs >= rhs else None
+        if not candidates:
+            return d4 - r2
+        return d4 - r2, ranks, ranks if d1 + d4 >= d2 + d3 else None
     if i != 2 and i != 3:
         raise ValueError(f"color {i} out of range")
     d = dims[i - 1]
-    return (d - r1 if d > r1 else 0,
-            None if d <= r1 else ranks if lhs < rhs else (r1, r2 - 1),
+    eps = d - r1 if d > r1 else 0
+    if not candidates:
+        return eps
+    lhs, rhs = d1 + d4, d2 + d3
+    return (eps, None if d <= r1 else ranks if lhs < rhs else (r1, r2 - 1),
             None if d < r1 else ranks if lhs <= rhs else (r1, r2 + 1))
 
 
-def _star(dims, ranks, i: int):
+def _star(dims, ranks, i: int, candidates: bool = True):
     """The star family's case function, laid out as _plain."""
     d1, d2, d3, d4 = dims
     r1, r2 = ranks
-    lhs, rhs = d1 + d4, d2 + d3
     if i == 1:
-        return d1 - r1, ranks, ranks if lhs >= rhs else None
+        if not candidates:
+            return d1 - r1
+        return d1 - r1, ranks, ranks if d1 + d4 >= d2 + d3 else None
     if i == 4:
+        if not candidates:
+            return d4
+        lhs, rhs = d1 + d4, d2 + d3
         return d4, (r1, r2 - 1) if lhs <= rhs else ranks, (r1, r2 + 1) if lhs < rhs else ranks
     if i != 2 and i != 3:
         raise ValueError(f"color {i} out of range")
     d = dims[i - 1]
-    return (d - r2 if d > r2 else 0,
-            None if d <= r2 else ranks if lhs < rhs else (r1 - 1, r2),
+    eps = d - r2 if d > r2 else 0
+    if not candidates:
+        return eps
+    lhs, rhs = d1 + d4, d2 + d3
+    return (eps, None if d <= r2 else ranks if lhs < rhs else (r1 - 1, r2),
             None if d < r2 else ranks if lhs <= rhs else (r1 + 1, r2))
 
 
@@ -234,12 +250,12 @@ apply_f_star = _operator(_star, 2, +1)
 
 def epsilon(c: Component, i: int) -> int:
     dims, ranks = c
-    return _plain(dims, ranks, i)[0]
+    return _plain(dims, ranks, i, False)
 
 
 def epsilon_star(c: Component, i: int) -> int:
     dims, ranks = c
-    return _star(dims, ranks, i)[0]
+    return _star(dims, ranks, i, False)
 
 
 def epsilon_prime(c: Component, i: int) -> int:
