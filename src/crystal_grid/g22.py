@@ -212,11 +212,12 @@ def _local_map(case):
     def local(c, i):
         dims, ranks = c
         eps, up, down = case(dims, ranks, i)
+        head, d, tail = dims[:i - 1], dims[i - 1], dims[i:]
         if up is not None:
-            moved = dims[:i - 1] + (dims[i - 1] - 1,) + dims[i:]
+            moved = head + (d - 1,) + tail
             up = tuple.__new__(Component, (moved, up)) if ranks_valid(moved, up) else None
         if down is not None:
-            moved = dims[:i - 1] + (dims[i - 1] + 1,) + dims[i:]
+            moved = head + (d + 1,) + tail
             down = tuple.__new__(Component, (moved, down)) if ranks_valid(moved, down) else None
         return eps, up, down
     return local
