@@ -539,11 +539,10 @@ def test_local_maps_match_the_case_tables():
     assert len(comps) == 2688
     for c in comps:
         for i in g22.COLORS:
-            assert g22.local(c, i) == (
-                _table_epsilon(c, i), _table_apply_e(c, i), _table_apply_f(c, i)), (c, i)
-            assert g22.local_star(c, i) == (
-                _table_epsilon_star(c, i), _table_apply_e_star(c, i), _table_apply_f_star(c, i)), (
-                c, i)
+            plain = _table_epsilon(c, i), _table_apply_e(c, i), _table_apply_f(c, i)
+            star = _table_epsilon_star(c, i), _table_apply_e_star(c, i), _table_apply_f_star(c, i)
+            assert g22.local(c, i) == plain, (c, i)
+            assert g22.local_star(c, i) == star, (c, i)
 
 
 def test_fragments_pass_the_local_maps():
