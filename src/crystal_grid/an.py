@@ -14,10 +14,8 @@ the outgoing one for the star family).  Out-of-range neighbors count as 0.
 
 from __future__ import annotations
 
-import itertools
-
 from .cartan import CartanMatrix, CrystalFragment, cartan_from_quiver
-from .grid import build_grid
+from .grid import build_grid, dimension_vectors
 
 
 def chain_cartan(n: int) -> CartanMatrix:
@@ -73,25 +71,10 @@ def weight(dims):
     return tuple(-d for d in dims)
 
 
-def iter_dims(n: int, bound: int):
-    """All dimension vectors of length n with total at most bound."""
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            prev = -1
-            parts = []
-            for c in cuts:
-                parts.append(c - prev - 1)
-                prev = c
-            parts.append(total + n - 2 - prev)
-            yield tuple(parts)
-
-
 def fragment(n: int, bound: int, star: bool = False) -> CrystalFragment:
     return CrystalFragment(
         cartan=chain_cartan(n),
-        elements=tuple(sorted(iter_dims(n, bound))),
+        elements=tuple(sorted(dimension_vectors(n, bound))),
         wt=weight,
         local=local_star if star else local,
     )

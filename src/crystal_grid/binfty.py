@@ -16,10 +16,11 @@ decides every statistic and step: the model is exact and stores no length.
 
 One walk, ``extremes``, gives epsilon_i and the positions that raising and
 lowering at color i move in O(support + period) steps, with the Cartan
-pairings along the pattern tabled once per pattern; ``local`` makes it
-once and reads epsilon_i, e_i x and f_i x from it, so ``fragment`` walks
-once per (element, color).  phi_i is not computed here: the crystal
-checkers derive it as epsilon_i + <h_i, wt(x)>.
+pairings along the pattern tabled once per pattern.  ``local`` makes it
+once and reads epsilon_i, e_i x and f_i x from it; it is the one operator
+path, so ``fragment`` walks once per (element, color), and its closure and
+``words_distinct`` lower through the same map.  phi_i is not computed here:
+the crystal checkers derive it as epsilon_i + <h_i, wt(x)>.
 """
 
 from __future__ import annotations
@@ -181,28 +182,15 @@ def weight(cartan: CartanMatrix, x: ZSequence):
     return tuple(coeffs)
 
 
-def apply_op(cartan: CartanMatrix, x: ZSequence, kind: str, i):
-    """Raising ("e") or lowering ("f") at color i; None encodes vanishing.
+def local(cartan: CartanMatrix, x: ZSequence, i):
+    """(epsilon_i(x), e_i x, f_i x) from one walk ``extremes``, the model's
+    only operator code; None encodes a vanished raising.
 
     Ties in the maximal sigma are broken toward the smallest position for
     lowering and the largest for raising.
     """
-    return _step(x, extremes(cartan, x, i), kind)
-
-
-def local(cartan: CartanMatrix, x: ZSequence, i):
-    """(epsilon_i(x), e_i x, f_i x) from one walk ``extremes``."""
-    walk = extremes(cartan, x, i)
-    return walk[0], _step(x, walk, "e"), _step(x, walk, "f")
-
-
-def _step(x: ZSequence, walk, kind: str):
-    top, first, last = walk
-    if kind == "f":
-        return _bump(x, first, +1)
-    if kind == "e":
-        return _bump(x, last, -1) if top > 0 else None
-    raise ValueError(f"operator kind {kind!r} must be 'e' or 'f'")
+    top, first, last = extremes(cartan, x, i)
+    return top, _bump(x, last, -1) if top > 0 else None, _bump(x, first, +1)
 
 
 def _bump(x: ZSequence, k: int, delta: int):
@@ -245,8 +233,8 @@ def words_distinct(word_a, word_b, pattern: IotaPattern = None):
 
 
 def _lower(x: ZSequence, i):
-    """f_i x over the 2x2 grid's Cartan matrix, with apply_op looked up at call time."""
-    return apply_op(G22_CARTAN, x, "f", i)
+    """f_i x over the 2x2 grid's Cartan matrix, with local looked up at call time."""
+    return local(G22_CARTAN, x, i)[2]
 
 
 def fragment(depth: int, pattern: IotaPattern = None) -> CrystalFragment:

@@ -226,16 +226,30 @@ def cmd_binfty_compare(args) -> int:
     return 0
 
 
-# Each suite's parameter names, which are also the names of its options.
-# Read once, at import, so a wrapper put around a suite later (a profiler,
-# say) does not hide them.
-_SUITE_PARAMETERS = {name: suite.__code__.co_varnames[:suite.__code__.co_argcount]
+# Each suite's parameters, which are also the names of its options, with
+# their defaults: every suite runs with no option given.  Read once, at
+# import, so a wrapper put around a suite later (a profiler, say) does not
+# hide them.
+_SUITE_PARAMETERS = {name: dict(zip(suite.__code__.co_varnames[:suite.__code__.co_argcount],
+                                    suite.__defaults__ or (), strict=True))
                      for name, suite in suites.SUITES.items()}
+
+# The options of verify and their types.  Every suite takes --seed, which
+# those that do not sample ignore.
+_VERIFY_OPTIONS = {"bound": _nonnegative_int_arg, "max_n": _positive_int_arg,
+                   "max_dim": _nonnegative_int_arg, "samples": int, "prime": int, "seed": int}
 
 
 def cmd_verify(args) -> int:
-    kwargs = {name: _pick_seed(args) if name == "seed" else getattr(args, name)
-              for name in _SUITE_PARAMETERS[args.suite]}
+    parameters = _SUITE_PARAMETERS[args.suite]
+    for name in _VERIFY_OPTIONS:
+        if name not in parameters and name != "seed" and getattr(args, name) is not None:
+            print(f"error: verify {args.suite} takes no --{name.replace('_', '-')}",
+                  file=sys.stderr)
+            return 2
+    kwargs = {name: _pick_seed(args) if name == "seed"
+              else default if getattr(args, name) is None else getattr(args, name)
+              for name, default in parameters.items()}
     report = suites.SUITES[args.suite](**kwargs)
     payload = {"config": _config(args, suite=args.suite, **kwargs)}
     payload.update(report)
@@ -309,12 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
-    p.add_argument("--bound", type=_nonnegative_int_arg, default=8)
-    p.add_argument("--max-n", dest="max_n", type=_positive_int_arg, default=5)
-    p.add_argument("--max-dim", dest="max_dim", type=_nonnegative_int_arg, default=4)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=None)
+    for name, kind in _VERIFY_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -28,19 +28,22 @@ returns None, which ``verify duality`` would read as a vanished operator.
 Colors 2 and 3 share one branch in every case function: the reflection of
 the square that swaps vertices 2 and 3 fixes d1, d4, r1 and r2, so the two
 cases differ only in which of d2, d3 they read as d_i.  The exact raising
-counts differ from epsilon and epsilon* on one wall each:
+count differs from epsilon on one wall:
 
-    epsilon'_i  = epsilon_i,   except epsilon'_1  = d1 - r1 when d4 != r2;
-    epsilon*'_i = epsilon*_i,  except epsilon*'_4 = d4 - r2 when d1 != r1.
+    epsilon'_i = epsilon_i,  except epsilon'_1 = d1 - r1 when d4 != r2.
+
+The star counts have no table of their own: epsilon*'_i(c) and phi*'_i(c)
+are epsilon' and phi' of dual(c) at sigma(i), the vertex involution, by the
+transpose duality that ``verify duality`` checks on the operators and
+epsilon.  So epsilon*'_4 = d4 - r2 when d1 != r1, the mirror wall.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import inf as INFINITY
 
 from .cartan import CrystalFragment, cartan_from_quiver
-from .grid import build_grid
+from .grid import build_grid, dimension_vectors
 from .values import Record
 
 QUIVER = build_grid((2, 2))
@@ -133,26 +136,13 @@ def enumerate_components(dims):
 
 def iter_components(bound: int):
     """All components with total dimension at most bound, in graph order."""
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
-    for total in range(bound + 1):
-        for d1, d2, d3 in itertools.product(range(total + 1), repeat=3):
-            d4 = total - d1 - d2 - d3
-            if d4 >= 0:
-                yield from enumerate_components((d1, d2, d3, d4))
+    for dims in dimension_vectors(4, bound):
+        yield from enumerate_components(dims)
 
 
 def weight(c: Component):
     d1, d2, d3, d4 = c.dims
     return (-d1, -d2, -d3, -d4)
-
-
-def _middle_dim(dims, i: int) -> int:
-    """d_i for the middle colors 2 and 3, which the lowering counts reach
-    only after handling colors 1 and 4; any other color is out of range."""
-    if i == 2 or i == 3:
-        return dims[i - 1]
-    raise ValueError(f"color {i} out of range")
 
 
 def _plain(dims, ranks, i: int, candidates: bool = True):
@@ -283,33 +273,24 @@ def phi_prime(c: Component, i: int):
         return INFINITY
     if i == 4:
         return INFINITY if d1 + d4 >= d2 + d3 else 0
-    if _middle_dim(dims, i) < r1:
+    if i != 2 and i != 3:
+        raise ValueError(f"color {i} out of range")
+    if dims[i - 1] < r1:
         return 0
     return INFINITY if r1 == d1 else d4 - r2
 
 
+# The star counts are the plain counts conjugated by dual, read at sigma(i).
+# A color off the square maps to itself, so the plain count rejects it.
+
 def epsilon_star_prime(c: Component, i: int) -> int:
     """Exact number of times the star raising operator applies."""
-    dims, ranks = c
-    d1, _, _, d4 = dims
-    r1, r2 = ranks
-    if i == 4 and d1 != r1:
-        return d4 - r2
-    return epsilon_star(c, i)
+    return epsilon_prime(dual(c), VERTEX_INVOLUTION.get(i, i))
 
 
 def phi_star_prime(c: Component, i: int):
     """Exact number of times the star lowering operator applies (may be infinite)."""
-    dims, ranks = c
-    d1, d2, d3, d4 = dims
-    r1, r2 = ranks
-    if i == 1:
-        return INFINITY if d1 + d4 >= d2 + d3 else 0
-    if i == 4:
-        return INFINITY
-    if _middle_dim(dims, i) < r2:
-        return 0
-    return INFINITY if r2 == d4 else d1 - r1
+    return phi_prime(dual(c), VERTEX_INVOLUTION.get(i, i))
 
 
 def dual(c: Component) -> Component:

@@ -4,7 +4,8 @@ Vertices are 1-based coordinate tuples in a box [1,m_1] x ... x [1,m_d];
 arrows increase exactly one coordinate by 1; every unit square commutes.
 Representations of these bound quivers are multiparameter persistence
 modules.  A grid gives ``grid-info`` its counts and the chain and 2x2
-crystals their Cartan matrices; a point of the 2x2 grid is a
+crystals their Cartan matrices, and ``dimension_vectors`` gives both
+crystals their elements' dimension vectors; a point of the 2x2 grid is a
 ``reps.Representation``, which needs no grid.
 """
 
@@ -51,3 +52,20 @@ def build_grid(shape) -> GridQuiver:
 
 def _step(v, axis):
     return v[:axis] + (v[axis] + 1,) + v[axis + 1:]
+
+
+def dimension_vectors(n: int, bound: int):
+    """All dimension vectors of length n with total at most bound, by total
+    and then lexicographically: a vector of a given total is the steps
+    between its n - 1 partial sums, which run up from 0 to the total in
+    lexicographic order."""
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
+    for total in range(bound + 1):
+        for sums in itertools.combinations_with_replacement(range(total + 1), n - 1):
+            prev, parts = 0, []
+            for s in sums:
+                parts.append(s - prev)
+                prev = s
+            parts.append(total - prev)
+            yield tuple(parts)

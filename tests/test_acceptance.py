@@ -9,6 +9,7 @@ from math import inf
 
 from crystal_grid import an, binfty, cartan, g22, modules22 as ma, suites
 from crystal_grid.g22 import Component, ZERO_COMPONENT
+from crystal_grid.grid import dimension_vectors
 
 SEED = 20240
 
@@ -62,7 +63,7 @@ def test_criterion_04_mutual_inverses():
                 if down is not None:
                     assert up_op(down, i) == c
     for n in range(1, 6):
-        for dims in an.iter_dims(n, 8):
+        for dims in dimension_vectors(n, 8):
             for i in range(1, n + 1):
                 for up_op, down_op in ((an.STEPS["e"], an.STEPS["f"]),
                                        (an.STEPS["e*"], an.STEPS["f*"])):

@@ -519,7 +519,7 @@ def test_lowering_closure_is_the_sorted_chain_box_without_lowering_the_bound():
         return an.STEPS["f"](x, i)
 
     nodes = cartan.lowering_closure((0, 0, 0), 0, down, (1, 2, 3), 4)
-    assert nodes == sorted(an.iter_dims(3, 4), key=lambda d: (sum(d), d))
+    assert nodes == sorted(grid.dimension_vectors(3, 4), key=lambda d: (sum(d), d))
     assert max(map(sum, lowered)) == 3
     assert len(lowered) == 3 * sum(sum(d) < 4 for d in nodes)
 

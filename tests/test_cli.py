@@ -399,14 +399,15 @@ def test_verify_axioms_an_max_n_6_deep(capsys):
     assert sorted(payload["violations"]) == ["1", "2", "3", "4", "5", "6"]
 
 
-# Each component's samples depend only on the seed, so a box at seed 0
-# repeats every check of the smaller boxes at seed 0: no box below 8 is run,
-# and 8 fails sooner than 9 on the checks they share.
+# Each component's samples depend only on the seed, so a box repeats every
+# check of the smaller boxes at the same seed.  Max-dim 9 runs at seed 0 and
+# max-dim 8 at seed 1, which draws new points for the 14,277 components the
+# two boxes share; no box below 8 is run.
 
 
 @pytest.mark.deep
 def test_verify_oracle_max_dim_8(capsys):
-    code, payload = run_json(capsys, "verify", "oracle", "--max-dim", "8", "--seed", "0")
+    code, payload = run_json(capsys, "verify", "oracle", "--max-dim", "8", "--seed", "1")
     assert code == 0 and payload["ok"] is True
     assert payload["components"] == 14277 and payload["retries"] == 0
 
@@ -420,9 +421,9 @@ def test_verify_oracle_max_dim_9(capsys):
 
 @pytest.mark.deep
 def test_verify_decomp_max_dim_8(capsys):
-    code, payload = run_json(capsys, "verify", "decomp", "--max-dim", "8", "--seed", "0")
+    code, payload = run_json(capsys, "verify", "decomp", "--max-dim", "8", "--seed", "1")
     assert code == 0 and payload["ok"] is True
-    assert payload["components"] == 14277 and payload["retries"] == 0
+    assert payload["components"] == 14277 and payload["retries"] == 1
 
 
 @pytest.mark.deep
@@ -531,11 +532,20 @@ USAGE_MESSAGES = {
     "g22 components --dims 1,2,3,4,5": "expected 4 dimensions d1,d2,d3,d4, got 5",
     "an --n 0 --start 0 --apply f1": "argument --n: must be positive",
     "an --n -1 --start 0 --apply f1": "argument --n: must be positive",
+    "verify cbs --prime 4": "error: verify cbs takes no --prime\n",
+    "verify axioms2x2 --bound 2 --samples -3": "error: verify axioms2x2 takes no --samples\n",
+    "verify counterexample --bound 3": "error: verify counterexample takes no --bound\n",
+    "verify decomp --max-dim 1 --samples 5 --seed 1": "error: verify decomp takes no --samples\n",
 }
 
 
 @pytest.mark.parametrize("argv, env_seed", [
     ("verify axioms2x2 --bound -1", None),
+    # An option the suite does not take; every suite takes --seed.
+    ("verify cbs --prime 4", None),
+    ("verify axioms2x2 --bound 2 --samples -3", None),
+    ("verify counterexample --bound 3", None),
+    ("verify decomp --max-dim 1 --samples 5 --seed 1", None),
     ("verify oracle --max-dim -1", None),
     ("oracle epsilon --component 1,1,1,2:1,1 --i 1 --samples 0", None),
     ("oracle epsilon --component 1,1,1,2:1,1 --i 1 --prime 4", None),
@@ -603,6 +613,30 @@ def _command(words, *options):
     return st.tuples(*options).map(lambda drawn: [*words, *(t for o in drawn for t in o)])
 
 
+# verify's options and their values; every suite takes --seed.
+_VERIFY_VALUES = {"--bound": _BOUND, "--max-n": _BOUND, "--max-dim": _BOUND,
+                  "--samples": _INT, "--prime": _PRIME, "--seed": _INT}
+
+
+def _suite_options(suite):
+    """The verify options a suite takes: its parameters, and --seed."""
+    code = suites.SUITES[suite].__code__
+    return {"--seed"} | {"--" + name.replace("_", "-")
+                         for name in code.co_varnames[:code.co_argcount]}
+
+
+def _verify_command(suite):
+    """verify with the suite's own options, each at times left out, and now
+    and then one stray option that the suite does not take."""
+    own = sorted(_suite_options(suite))
+    stray = sorted(set(_VERIFY_VALUES) - set(own))
+    options = [_option(name, _VERIFY_VALUES[name]) for name in own]
+    if stray:
+        options.append(st.one_of(st.just([]), st.just([]), st.sampled_from(stray).flatmap(
+            lambda name: _option(name, _VERIFY_VALUES[name], True))))
+    return _command(["verify", suite], *options)
+
+
 _COMMANDS = st.one_of(
     _command(["g22", "components"], _option("--dims", _INTS, True)),
     _command(["graph"], _option("--seed", _COMPONENT), _option("--bound", _BOUND, True),
@@ -619,10 +653,7 @@ _COMMANDS = st.one_of(
     _command(["binfty", "compare"], _option("--wordA", _WORD, True),
              _option("--wordB", _WORD, True), _option("--pattern", _INTS),
              _option("--length", _INT)),
-    st.sampled_from(sorted(suites.SUITES)).flatmap(lambda suite: _command(
-        ["verify", suite], _option("--bound", _BOUND, True), _option("--max-n", _BOUND, True),
-        _option("--max-dim", _BOUND, True), _option("--samples", _INT),
-        _option("--prime", _PRIME), _option("--seed", _INT))),
+    st.sampled_from(sorted(suites.SUITES)).flatmap(_verify_command),
 )
 
 
@@ -632,6 +663,14 @@ def _argv(draw):
     if draw(st.booleans()):
         argv[draw(st.integers(0, len(argv) - 1))] = draw(_JUNK)
     return argv
+
+
+def _stray_options(argv):
+    """The options in a verify argv that its suite does not take."""
+    if argv[:1] != ["verify"] or len(argv) < 2 or argv[1] not in suites.SUITES:
+        return []
+    own = _suite_options(argv[1])
+    return [t for t in argv[2:] if t in _VERIFY_VALUES and t not in own]
 
 
 @settings(max_examples=300, deadline=None)
@@ -644,6 +683,8 @@ def test_random_argv_exits_by_the_contract(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+    if _stray_options(argv):
+        assert code == 2
     if code == 1:
         assert json.loads(out.getvalue().splitlines()[-1])["ok"] is False
     if code == 2:

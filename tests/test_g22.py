@@ -700,9 +700,9 @@ def test_duality_reads_two_local_calls_per_component_and_color(monkeypatch):
 
 def test_verify_star_reads_epsilon_only_through_the_prime_closed_forms(monkeypatch):
     # The plain rows come from g22.local, whose one case call per element and
-    # color gives epsilon without calling g22.epsilon: at bound 10 that is
-    # 5,516 calls fewer (one per element and color) than the 10,409 made when
-    # the local map called g22.epsilon.  The calls left are epsilon_prime's own.
+    # color gives epsilon without calling g22.epsilon.  The calls left are
+    # epsilon_prime's own, 4,893 at bound 10, twice: epsilon_star_prime reads
+    # epsilon_prime at dual(c), and dual permutes the components.
     calls = [0]
     epsilon = g22.epsilon
 
@@ -712,13 +712,13 @@ def test_verify_star_reads_epsilon_only_through_the_prime_closed_forms(monkeypat
 
     monkeypatch.setattr(g22, "epsilon", counted)
     assert suites.suite_star(10)["ok"]
-    assert calls[0] == 10409 - 5516
+    assert calls[0] == 2 * 4893
     calls[0] = 0
     elements = tuple(g22.iter_components(10))
     for c in elements:
         for i in g22.COLORS:
             g22.epsilon_prime(c, i)
-    assert calls[0] == 10409 - 5516
+    assert calls[0] == 4893
     assert len(elements) * len(g22.COLORS) == 5516
 
 
@@ -743,12 +743,16 @@ def test_dual_examples():
 
 
 def test_star_family_is_dual_conjugate():
-    """The exact counts, which verify duality does not check."""
+    """The identity g22 reads the star counts from, which verify duality does
+    not check, on the retired tables at all 10,752 pairs of bound 12."""
     a = g22.VERTEX_INVOLUTION
-    for c in g22.iter_components(6):
+    comps = list(g22.iter_components(12))
+    assert len(comps) * len(g22.COLORS) == 10752
+    for c in comps:
+        d = g22.dual(c)
         for i in g22.COLORS:
-            assert g22.epsilon_star_prime(c, i) == g22.epsilon_prime(g22.dual(c), a[i])
-            assert g22.phi_star_prime(c, i) == g22.phi_prime(g22.dual(c), a[i])
+            assert _table_epsilon_star_prime(c, i) == _table_epsilon_prime(d, a[i])
+            assert _table_phi_star_prime(c, i) == _table_phi_prime(d, a[i])
 
 
 # --- words ------------------------------------------------------------------------

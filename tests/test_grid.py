@@ -120,3 +120,18 @@ def test_cartan_invariant_under_involution():
             iu = a.position(_flip(q, u))
             iw = a.position(_flip(q, w))
             assert a.entries[i][j] == a.entries[iu][iw]
+
+
+def test_dimension_vectors_counts():
+    assert len(list(grid.dimension_vectors(2, 3))) == 10
+    assert list(grid.dimension_vectors(1, 2)) == [(0,), (1,), (2,)]
+    assert all(sum(d) <= 4 for d in grid.dimension_vectors(3, 4))
+    with pytest.raises(ValueError, match="negative bound -1"):
+        next(grid.dimension_vectors(4, -1))
+
+
+def test_dimension_vectors_run_by_total_then_lexicographically():
+    for n in (1, 2, 3, 4):
+        expected = [d for total in range(7)
+                    for d in itertools.product(range(total + 1), repeat=n) if sum(d) == total]
+        assert list(grid.dimension_vectors(n, 6)) == expected

@@ -56,7 +56,6 @@ _FIELD_VALUES = "tests/test_values.py::test_fields_compare_hash_and_print_as_val
 # Qualified name (module.function or module.Class.method) -> its claimant.
 UNREACHED = {
     "binfty.fragment": "bench/workloads.py (the ambient workload's axiom checks)",
-    "binfty.local": "bench/workloads.py, through binfty.fragment",
     "binfty.weight": "bench/workloads.py, through binfty.fragment",
     "modules22.hom_dim": "bench/workloads.py::fill_caches",
     "modules22.profile_of_multiset": "bench/workloads.py::fill_caches",

@@ -196,4 +196,6 @@ def test_suite_parameters_are_the_signatures():
     from crystal_grid import cli, suites
     assert set(cli._SUITE_PARAMETERS) == set(suites.SUITES)
     for name, suite in suites.SUITES.items():
-        assert cli._SUITE_PARAMETERS[name] == tuple(inspect.signature(suite).parameters), name
+        assert cli._SUITE_PARAMETERS[name] == {
+            p.name: p.default for p in inspect.signature(suite).parameters.values()}, name
+        assert list(cli._SUITE_PARAMETERS[name]) == list(inspect.signature(suite).parameters)

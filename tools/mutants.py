@@ -99,8 +99,11 @@ MUTANTS = (
            "ranks if lhs <= rhs else (r1, r2 + 1)", "tests/test_g22.py"),
     Mutant("g22 epsilon' at color 1: sink wall", G22,
            "if i == 1 and d4 != r2:", "if i == 1:", "tests/test_g22.py"),
-    Mutant("g22 epsilon*' at color 4: source wall", G22,
-           "if i == 4 and d1 != r1:", "if i == 4:", "tests/test_g22.py"),
+    Mutant("g22 epsilon*': the plain count read at c, not at dual(c)", G22,
+           "epsilon_prime(dual(c), ", "epsilon_prime(c, ", "tests/test_g22.py"),
+    Mutant("g22 phi*': the plain count read at color i, not at sigma(i)", G22,
+           "phi_prime(dual(c), VERTEX_INVOLUTION.get(i, i))", "phi_prime(dual(c), i)",
+           "tests/test_g22.py::test_operators_and_statistics_match_the_case_tables"),
     Mutant("g22 Component: list fields accepted", G22,
            "isinstance(dims, tuple) and len(dims) == 4",
            "len(dims) == 4",
@@ -129,6 +132,9 @@ MUTANTS = (
            "tests/test_cartan.py::test_apply_word_walks_right_to_left_and_stops_at_none"),
     Mutant("binfty raising: tie toward the smallest position", BINFTY,
            "_bump(x, last, -1)", "_bump(x, first, -1)", "tests/test_binfty.py"),
+    Mutant("binfty lowering: tie toward the largest position", BINFTY,
+           "_bump(x, first, +1)", "_bump(x, last, +1)",
+           "tests/test_binfty.py::test_local_gives_epsilon_e_and_f_of_one_walk"),
     Mutant("binfty zero run: first position of the color one slot late", BINFTY,
            "f = k + 1 + ahead[k % n]", "f = k + 1 + ahead[(k + 1) % n]", "tests/test_binfty.py"),
     Mutant("binfty zero run above the support: counted one period late", BINFTY,
